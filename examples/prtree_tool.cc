@@ -19,6 +19,9 @@
 //
 // Dataset CSV format: one rectangle per line, "xmin,ymin,xmax,ymax,id".
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -85,20 +88,43 @@ std::string FlagOr(const std::map<std::string, std::string>& flags,
   return it == flags.end() ? fallback : it->second;
 }
 
+// Parses exactly `expect` comma-separated numbers.  Each field must be a
+// number strtod consumes whole (not NaN, which no query can order by),
+// followed by ',' or (after the last field) the end of the string;
+// anything else exits with status 2.
 std::vector<double> ParseDoubles(const std::string& csv, size_t expect) {
   std::vector<double> out;
   const char* p = csv.c_str();
-  char* end = nullptr;
-  while (*p != '\0') {
+  bool ok = true;
+  while (ok && out.size() < expect) {
+    char* end = nullptr;
     out.push_back(std::strtod(p, &end));
-    p = (*end == ',') ? end + 1 : end;
+    ok = end != p && !std::isnan(out.back()) &&
+         *end == (out.size() < expect ? ',' : '\0');
+    p = end + 1;
   }
-  if (out.size() != expect) {
+  if (!ok || out.size() != expect) {
     std::fprintf(stderr, "expected %zu comma-separated numbers in '%s'\n",
                  expect, csv.c_str());
     std::exit(2);
   }
   return out;
+}
+
+// Parses a decimal integer >= 1 with nothing after it; anything else
+// (empty, signed, non-numeric, trailing junk, out of range) exits with
+// status 2.
+size_t ParsePositive(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+      *end != '\0' || errno == ERANGE || v == 0) {
+    std::fprintf(stderr, "expected a positive integer, got '%s'\n",
+                 text.c_str());
+    std::exit(2);
+  }
+  return static_cast<size_t>(v);
 }
 
 int CmdGen(const std::map<std::string, std::string>& flags) {
@@ -286,8 +312,8 @@ int CmdQuery(const std::map<std::string, std::string>& flags) {
 int CmdKnn(const std::map<std::string, std::string>& flags) {
   std::string index_path = FlagOr(flags, "index", "");
   std::string point = FlagOr(flags, "point", "");
-  size_t k = std::strtoull(FlagOr(flags, "k", "10").c_str(), nullptr, 10);
   if (index_path.empty() || point.empty()) Usage();
+  size_t k = ParsePositive(FlagOr(flags, "k", "10"));
   auto c = ParseDoubles(point, 2);
 
   IndexHandle h = OpenIndexOrDie(flags);

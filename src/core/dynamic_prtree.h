@@ -17,6 +17,11 @@
 //    tombstones; each level is worst-case optimal, so the total is
 //    O(log(N/M)) times the static bound — the paper's "maintaining the
 //    optimal query performance".
+//  * A kNN query is one best-first search over all levels at once: the
+//    frontier starts with every occupied level's root, the buffer's
+//    records seed the k-best candidates, and tombstoned records are
+//    filtered as leaves are read.  A node of any level is expanded only
+//    if it could still hold one of the k nearest live records.
 //
 // Concurrency — snapshot reads under writes (multi-version concurrency):
 // the forest is published as a sequence of immutable ForestVersions (the
@@ -34,7 +39,6 @@
 #ifndef PRTREE_CORE_DYNAMIC_PRTREE_H_
 #define PRTREE_CORE_DYNAMIC_PRTREE_H_
 
-#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -228,10 +232,13 @@ class DynamicPRTree {
     return out;
   }
 
-  /// \brief k-nearest-neighbour search over the forest: best-first on
-  /// every occupied level (tombstones filtered inside the traversal, so
-  /// they never displace a live candidate), a scan of the buffer, and a
-  /// (distance, id)-ordered merge.  Runs on an internally taken snapshot.
+  /// \brief k-nearest-neighbour search over the forest: the k live records
+  /// closest to `point`, in increasing (distance, id) order.  One bounded
+  /// best-first search (KnnSearchFrom) covers every occupied level's root
+  /// and starts from the buffer's records as candidates; tombstones are
+  /// filtered inside the traversal, so they never displace a live
+  /// candidate.  `stats` count that one search.  Runs on an internally
+  /// taken snapshot.
   std::vector<Neighbor<D>> Knn(const std::array<Real, D>& point, size_t k,
                                QueryStats* stats = nullptr,
                                BufferPool* pool = nullptr) const {
@@ -329,35 +336,20 @@ class DynamicPRTree {
                                  QueryStats* stats = nullptr,
                                  BufferPool* pool = nullptr) const {
       PRTREE_CHECK(version_ != nullptr);  // queried after Release()
-      std::vector<Neighbor<D>> cand;
-      QueryStats agg;
-      for (const auto& rec : *version_->buffer) {
-        cand.push_back(Neighbor<D>{rec, MinDist<D>(point, rec.rect)});
+      std::vector<PageId> roots;
+      for (const auto& level : version_->levels) {
+        if (level.size != 0) roots.push_back(level.root);
       }
       const TombstoneMap& tombs = *version_->tombstones;
-      for (const auto& level : version_->levels) {
-        if (level.size == 0) continue;
-        QueryStats ls;
-        auto part = KnnSearchFrom<D>(
-            tree_->view_, level.root, point, k, &ls, pool,
-            [&](const RecordT& r) { return !Tombstoned(tombs, r); });
-        agg += ls;
-        cand.insert(cand.end(), part.begin(), part.end());
-      }
-      // Merge the per-level k-best lists and the buffer candidates with
-      // the traversal's own ordering: distance, ties by id.
-      std::sort(cand.begin(), cand.end(),
-                [](const Neighbor<D>& a, const Neighbor<D>& b) {
-                  if (a.distance != b.distance) {
-                    return a.distance < b.distance;
-                  }
-                  return a.record.id < b.record.id;
-                });
-      if (cand.size() > k) cand.resize(k);
-      agg.results = cand.size();
-      if (stats != nullptr) *stats = agg;
-      return cand;
+      return KnnSearchFrom<D>(
+          tree_->view_, roots, *version_->buffer, point, k, stats, pool,
+          [&](const RecordT& r) { return !Tombstoned(tombs, r); });
     }
+
+    /// The pinned version's level roots, occupied or not (diagnostics and
+    /// tests: every page a query through this handle reads lies under one
+    /// of them).
+    const std::vector<LevelRoot>& levels() const { return version_->levels; }
 
    private:
     friend class DynamicPRTree;

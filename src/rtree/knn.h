@@ -2,14 +2,27 @@
 //
 // §1.1 notes that "many types of queries can be answered efficiently using
 // an R-tree"; besides window queries, distance queries are the other
-// workhorse.  This is the classic best-first (Hjaltason–Samet style)
-// traversal: a priority queue ordered by MINDIST expands the closest node
-// or reports the closest pending record; it visits provably no more nodes
-// than any correct algorithm for the same tree.
+// workhorse.  This is the best-first traversal of Hjaltason and Samet with
+// a k-best bound.  Two heaps drive it:
+//
+//  * a frontier min-heap holding only node entries {MINDIST, page}, popped
+//    in (distance, page) order;
+//  * a max-heap of at most k candidate records ordered by (distance, id),
+//    whose top is the current k-th best.
+//
+// Once k candidates are held, a child or record *strictly* farther than
+// the k-th candidate is dropped instead of pushed, and the search stops
+// when the nearest frontier node is strictly farther.  So a node is
+// expanded exactly when its MINDIST (taken from its parent's entry; a root
+// counts as 0) is <= the final k-th distance, in (distance, page) order.
+// No correct search for the (distance, id) order can skip such a node,
+// and the prune is strict for that reason: a node tied with the k-th
+// candidate may still hold a record with a smaller id.
 
 #ifndef PRTREE_RTREE_KNN_H_
 #define PRTREE_RTREE_KNN_H_
 
+#include <algorithm>
 #include <cmath>
 #include <queue>
 #include <span>
@@ -45,111 +58,141 @@ Real MinDist(const std::array<Real, D>& p, const Rect<D>& r) {
   return std::sqrt(d2);
 }
 
-template <int D, typename Keep>
-std::vector<Neighbor<D>> KnnSearchFrom(const RTree<D>& tree, PageId root,
-                                       const std::array<Real, D>& point,
-                                       size_t k, QueryStats* stats,
-                                       BufferPool* pool, Keep keep);
-
-/// \brief Finds the `k` stored records closest to `point`, in increasing
-/// distance order (ties broken by id for determinism).  Returns fewer
-/// than `k` if the tree is smaller.  `stats` (optional) receives node
-/// visit counters; `pool` (optional) caches node reads.  Like window
-/// queries, safe to run from many threads over one shared tree and pool.
+/// \brief The k records closest to `point` among the trees rooted at
+/// `roots` and the caller-held records `seeds`, in increasing (distance,
+/// id) order; fewer than k if fewer exist.  One bounded best-first search
+/// covers every root, so a forest costs one search, not one per tree.
 ///
-/// With pool readahead enabled (BufferPool::set_readahead) each internal
-/// expansion prefetches the children it pushed onto the frontier in one
-/// batch.  Best-first order makes some of those speculative — a distant
-/// child may never be popped — which is the access-adaptive wager: the
-/// pool's prefetch_useful/prefetch_staged ratio reports how it paid off.
-/// Visit counters and results are identical with readahead on or off.
-template <int D>
-std::vector<Neighbor<D>> KnnSearch(const RTree<D>& tree,
-                                   const std::array<Real, D>& point,
-                                   size_t k, QueryStats* stats = nullptr,
-                                   BufferPool* pool = nullptr) {
-  return KnnSearchFrom<D>(tree, tree.root(), point, k, stats, pool,
-                          [](const Record<D>&) { return true; });
-}
-
-/// \brief KnnSearch rooted at an explicit page with a record filter — the
-/// snapshot/forest entry point.  MVCC readers pass a published root
-/// captured under an EpochGuard (the tree's own root/height/size fields
-/// are never read, so a concurrent copy-on-write updater is safe); the
-/// logarithmic forest passes each level's root with a tombstone filter.
-/// `keep(rec)` decides whether a stored record is reported (and counted
-/// toward `k`); filtered records never enter the candidate heap.  With the
-/// tree's own root and an always-true filter this is exactly KnnSearch.
+/// `keep(rec)` decides whether a record stored under a root is reported
+/// (and counted toward `k`); filtered records never become candidates.
+/// Seeds are reported as given, without `keep`.  Roots equal to
+/// kInvalidPageId (empty trees) are skipped.  Only the pages under
+/// `roots` are read — never `tree`'s own root/height/size — so MVCC
+/// readers may pass published roots captured under an EpochGuard while a
+/// copy-on-write updater runs.  `k` may exceed the record count, and
+/// `k == 0` returns empty without reading a page.
+///
+/// `stats` (optional) receives node visit counters for the whole search:
+/// every root, plus each non-root node whose MINDIST is <= the k-th
+/// returned distance (all nodes if fewer than k records are returned).
+/// `pool` (optional) caches node reads.  With pool readahead enabled
+/// (BufferPool::set_readahead) each internal expansion prefetches, in one
+/// batch, the children it pushed onto the frontier; a pruned child is
+/// never visited and is not prefetched.  Best-first order still makes some
+/// of those speculative (the bound may tighten before a pushed child is
+/// popped), which is the access-adaptive wager the pool's
+/// prefetch_useful/prefetch_staged ratio reports on.  Visit counters and
+/// results are identical with readahead on or off.
 template <int D, typename Keep>
-std::vector<Neighbor<D>> KnnSearchFrom(const RTree<D>& tree, PageId root,
+std::vector<Neighbor<D>> KnnSearchFrom(const RTree<D>& tree,
+                                       std::span<const PageId> roots,
+                                       std::span<const Record<D>> seeds,
                                        const std::array<Real, D>& point,
                                        size_t k, QueryStats* stats,
                                        BufferPool* pool, Keep keep) {
-  std::vector<Neighbor<D>> result;
+  std::vector<Neighbor<D>> best;  // max-heap: front() is the k-th best
   if (stats != nullptr) *stats = QueryStats{};
-  if (k == 0 || root == kInvalidPageId) return result;
+  if (k == 0) return best;
 
-  struct Item {
-    Real dist;
-    bool is_record;
-    PageId page;       // when !is_record
-    Record<D> record;  // when is_record
+  auto closer = [](const Neighbor<D>& a, const Neighbor<D>& b) {
+    if (a.distance != b.distance) return a.distance < b.distance;
+    return a.record.id < b.record.id;
   };
-  auto greater = [](const Item& a, const Item& b) {
+  // False once k candidates are held and `dist` is strictly beyond the
+  // k-th: such an entry can neither enter the result nor lead to one.
+  auto within = [&](Real dist) {
+    return best.size() < k || dist <= best.front().distance;
+  };
+  auto offer = [&](const Record<D>& rec, Real dist) {
+    Neighbor<D> nb{rec, dist};
+    if (best.size() < k) {
+      best.push_back(nb);
+      std::push_heap(best.begin(), best.end(), closer);
+    } else if (closer(nb, best.front())) {
+      std::pop_heap(best.begin(), best.end(), closer);
+      best.back() = nb;
+      std::push_heap(best.begin(), best.end(), closer);
+    }
+  };
+
+  for (const Record<D>& rec : seeds) {
+    const Real dist = MinDist<D>(point, rec.rect);
+    if (within(dist)) offer(rec, dist);
+  }
+
+  struct Entry {
+    Real dist;
+    PageId page;
+  };
+  auto farther = [](const Entry& a, const Entry& b) {
     if (a.dist != b.dist) return a.dist > b.dist;
-    // Expand nodes before reporting records at equal distance (a record
-    // may otherwise be reported ahead of a closer one still inside a
-    // node); tie records by id for determinism.
-    if (a.is_record != b.is_record) return a.is_record && !b.is_record;
-    if (a.is_record) return a.record.id > b.record.id;
     return a.page > b.page;
   };
-  std::priority_queue<Item, std::vector<Item>, decltype(greater)> heap(
-      greater);
-  heap.push(Item{0.0, false, root, {}});
+  std::priority_queue<Entry, std::vector<Entry>, decltype(farther)> frontier(
+      farther);
+  for (PageId root : roots) {
+    if (root != kInvalidPageId) frontier.push(Entry{0.0, root});
+  }
 
   QueryStats local;
   const bool readahead = pool != nullptr && pool->readahead_enabled();
-  std::vector<PageId> frontier;  // children pushed by the current expansion
+  std::vector<PageId> pushed;  // children pushed by the current expansion
   PageGuard guard;  // hoisted: pool-less searches reuse one buffer
   NodeScanner<D> scan;  // batched MINDIST scratch (rtree/node_scan.h)
-  while (!heap.empty() && result.size() < k) {
-    Item item = heap.top();
-    heap.pop();
-    if (item.is_record) {
-      result.push_back(Neighbor<D>{item.record, item.dist});
-      continue;
-    }
-    tree.PinNode(item.page, pool, &guard);
+  while (!frontier.empty() && within(frontier.top().dist)) {
+    const PageId page = frontier.top().page;
+    frontier.pop();
+    tree.PinNode(page, pool, &guard);
     ConstNodeView<D> node(guard.data(), tree.block_size());
     ++local.nodes_visited;
     // One batched squared-MINDIST pass per node; std::sqrt(d2[i]) is
-    // bit-identical to the scalar MinDist above, so heap order, visit
+    // bit-identical to the scalar MinDist above, so visit order, visit
     // counters and reported distances are unchanged by layout or SIMD
     // dispatch.
     const Real* d2 = scan.MinDist2(node, point);
     if (node.is_leaf()) {
       ++local.leaves_visited;
       for (int i = 0; i < node.count(); ++i) {
-        Record<D> rec{node.GetRect(i), node.GetId(i)};
-        if (!keep(rec)) continue;
-        heap.push(Item{std::sqrt(d2[i]), true, 0, rec});
+        const Real dist = std::sqrt(d2[i]);
+        if (!within(dist)) continue;
+        const Record<D> rec{node.GetRect(i), node.GetId(i)};
+        if (keep(rec)) offer(rec, dist);
       }
     } else {
       ++local.internal_visited;
-      if (readahead) frontier.clear();
+      if (readahead) pushed.clear();
       for (int i = 0; i < node.count(); ++i) {
-        heap.push(Item{std::sqrt(d2[i]), false, node.GetId(i), {}});
-        if (readahead) frontier.push_back(node.GetId(i));
+        const Real dist = std::sqrt(d2[i]);
+        if (!within(dist)) continue;
+        frontier.push(Entry{dist, node.GetId(i)});
+        if (readahead) pushed.push_back(node.GetId(i));
       }
-      if (readahead && frontier.size() >= 2) {
-        pool->Prefetch(std::span<const PageId>(frontier));
+      if (readahead && pushed.size() >= 2) {
+        pool->Prefetch(std::span<const PageId>(pushed));
       }
     }
   }
-  local.results = result.size();
+  std::sort_heap(best.begin(), best.end(), closer);
+  local.results = best.size();
   if (stats != nullptr) *stats = local;
-  return result;
+  return best;
+}
+
+/// \brief Finds the `k` stored records closest to `point`, in increasing
+/// distance order (ties broken by id for determinism).  Returns fewer
+/// than `k` if the tree is smaller.  KnnSearchFrom over the tree's own
+/// root with no seeds and no filter; same counters, pool and readahead
+/// contract.  Like window queries, safe to run from many threads over one
+/// shared tree and pool.
+template <int D>
+std::vector<Neighbor<D>> KnnSearch(const RTree<D>& tree,
+                                   const std::array<Real, D>& point,
+                                   size_t k, QueryStats* stats = nullptr,
+                                   BufferPool* pool = nullptr) {
+  const PageId root = tree.root();
+  return KnnSearchFrom<D>(tree, std::span<const PageId>(&root, 1), {},
+                          point, k, stats, pool,
+                          [](const Record<D>&) { return true; });
 }
 
 }  // namespace prtree

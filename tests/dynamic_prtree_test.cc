@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 
 #include "tests/test_util.h"
 
 namespace prtree {
 namespace {
 
+using testing_util::Bits;
+using testing_util::BruteForceKnn;
 using testing_util::BruteForceQuery;
 using testing_util::RandomRects;
 using testing_util::RandomWindow;
@@ -160,6 +163,26 @@ TEST(DynamicPrTreeTest, MoveSameIdRepeatedly) {
 
 class DynamicFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
+// `knn(p, k)` must equal the model's kNN, ids and distance bits, for a
+// small k, a typical k and a k beyond the live count.
+template <typename KnnFn>
+void ExpectKnnMatchesModel(KnnFn knn, const std::map<DataId, Record2>& model,
+                           const std::array<Real, 2>& p, int step) {
+  std::vector<Record2> live;
+  for (const auto& [id, rec] : model) live.push_back(rec);
+  for (size_t k : {size_t{1}, size_t{16}, live.size() + 5}) {
+    auto got = knn(p, k);
+    auto expect = BruteForceKnn<2>(live, p, k);
+    ASSERT_EQ(got.size(), expect.size()) << "step " << step << " k " << k;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].record.id, expect[i].record.id)
+          << "step " << step << " k " << k << " rank " << i;
+      ASSERT_EQ(Bits(got[i].distance), Bits(expect[i].distance))
+          << "step " << step << " k " << k << " rank " << i;
+    }
+  }
+}
+
 TEST_P(DynamicFuzzTest, AgreesWithModelUnderMixedWorkload) {
   MemoryBlockDevice dev(512);
   DynamicPrTreeOptions opts;
@@ -168,19 +191,33 @@ TEST_P(DynamicFuzzTest, AgreesWithModelUnderMixedWorkload) {
   Rng rng(GetParam());
   std::map<DataId, Record2> model;
   DataId next_id = 0;
+  // A snapshot taken at the previous read, with the model as it was then:
+  // re-checked (and replaced) at the next read, after intervening writes.
+  std::optional<DynamicPRTree<2>::SnapshotHandle> held;
+  std::map<DataId, Record2> held_model;
 
+  auto random_rect = [&] {
+    Rect2 r;
+    double side = rng.Uniform(0, 0.05);
+    r.lo[0] = rng.Uniform(0, 1 - side);
+    r.lo[1] = rng.Uniform(0, 1 - side);
+    r.hi[0] = r.lo[0] + side;
+    r.hi[1] = r.lo[1] + side;
+    return r;
+  };
   for (int step = 0; step < 2500; ++step) {
     double dice = rng.Uniform(0, 1);
-    if (dice < 0.5 || model.empty()) {
-      Record2 rec;
-      double side = rng.Uniform(0, 0.05);
-      rec.rect.lo[0] = rng.Uniform(0, 1 - side);
-      rec.rect.lo[1] = rng.Uniform(0, 1 - side);
-      rec.rect.hi[0] = rec.rect.lo[0] + side;
-      rec.rect.hi[1] = rec.rect.lo[1] + side;
-      rec.id = next_id++;
+    if (dice < 0.45 || model.empty()) {
+      Record2 rec{random_rect(), next_id++};
       model[rec.id] = rec;
       index.Insert(rec);
+    } else if (dice < 0.55) {
+      // Move: the same id re-inserted at a new position.
+      auto it = model.begin();
+      std::advance(it, rng.UniformInt(0, model.size() - 1));
+      ASSERT_TRUE(index.Delete(it->second)) << "step " << step;
+      it->second.rect = random_rect();
+      index.Insert(it->second);
     } else if (dice < 0.8) {
       auto it = model.begin();
       std::advance(it, rng.UniformInt(0, model.size() - 1));
@@ -194,9 +231,27 @@ TEST_P(DynamicFuzzTest, AgreesWithModelUnderMixedWorkload) {
       }
       auto got = SortedIds(index.QueryToVector(w));
       ASSERT_EQ(got, SortedIds(expect)) << "step " << step;
+
+      std::array<Real, 2> p{rng.Uniform(-0.1, 1.1), rng.Uniform(-0.1, 1.1)};
+      ExpectKnnMatchesModel(
+          [&](const std::array<Real, 2>& q, size_t k) {
+            return index.Knn(q, k);
+          },
+          model, p, step);
+      if (held) {
+        ExpectKnnMatchesModel(
+            [&](const std::array<Real, 2>& q, size_t k) {
+              return held->Knn(q, k);
+            },
+            held_model, p, step);
+      }
+      if (HasFatalFailure()) return;
+      held.emplace(index.Snapshot());
+      held_model = model;
     }
     ASSERT_EQ(index.size(), model.size());
   }
+  held.reset();
   ASSERT_TRUE(index.Validate().ok());
 }
 

@@ -2,31 +2,63 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <limits>
 
+#include "core/dynamic_prtree.h"
 #include "core/prtree.h"
 #include "tests/test_util.h"
 
 namespace prtree {
 namespace {
 
+using testing_util::Bits;
+using testing_util::BruteForceKnn;
 using testing_util::RandomRects;
+using testing_util::ScopedLayout;
 
+// The distance a kNN search must cover: the k-th returned distance, or
+// infinity when fewer than k records came back (every node is needed).
 template <int D>
-std::vector<Neighbor<D>> BruteForceKnn(const std::vector<Record<D>>& data,
-                                       const std::array<Real, D>& p,
-                                       size_t k) {
-  std::vector<Neighbor<D>> all;
-  for (const auto& rec : data) {
-    all.push_back(Neighbor<D>{rec, MinDist<D>(p, rec.rect)});
+Real KthDistance(const std::vector<Neighbor<D>>& got, size_t k) {
+  return got.size() < k ? std::numeric_limits<Real>::infinity()
+                        : got.back().distance;
+}
+
+// Adds to `out` the nodes under `root` that a best-first kNN search must
+// expand: the root, and every other node whose MINDIST (from its parent's
+// entry) is <= `kth`.  Walks the whole tree, not just the expanded part.
+template <int D>
+void AddMustVisit(const RTree<D>& tree, PageId root,
+                  const std::array<Real, D>& p, Real kth, QueryStats* out) {
+  struct Pending {
+    PageId page;
+    Real dist;
+  };
+  std::vector<Pending> stack{{root, 0.0}};
+  PageGuard guard;
+  while (!stack.empty()) {
+    const Pending at = stack.back();
+    stack.pop_back();
+    tree.PinNode(at.page, nullptr, &guard);
+    ConstNodeView<D> node(guard.data(), tree.block_size());
+    if (at.dist <= kth) {
+      ++out->nodes_visited;
+      ++(node.is_leaf() ? out->leaves_visited : out->internal_visited);
+    }
+    if (node.is_leaf()) continue;
+    for (int i = 0; i < node.count(); ++i) {
+      stack.push_back(Pending{node.GetId(i), MinDist<D>(p, node.GetRect(i))});
+    }
   }
-  std::sort(all.begin(), all.end(),
-            [](const Neighbor<D>& a, const Neighbor<D>& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.record.id < b.record.id;
-            });
-  if (all.size() > k) all.resize(k);
-  return all;
+}
+
+void ExpectSameNeighbors(const std::vector<Neighbor<2>>& got,
+                         const std::vector<Neighbor<2>>& expect) {
+  ASSERT_EQ(got.size(), expect.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].record.id, expect[i].record.id) << i;
+    EXPECT_EQ(Bits(got[i].distance), Bits(expect[i].distance)) << i;
+  }
 }
 
 TEST(MinDistTest, BasicGeometry) {
@@ -44,7 +76,11 @@ TEST(KnnTest, EmptyTreeAndZeroK) {
   EXPECT_TRUE(KnnSearch<2>(tree, {0.5, 0.5}, 5).empty());
   auto data = RandomRects<2>(100, 1);
   AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 1u << 20}, data, &tree));
-  EXPECT_TRUE(KnnSearch<2>(tree, {0.5, 0.5}, 0).empty());
+  dev.ResetStats();
+  QueryStats stats;
+  EXPECT_TRUE(KnnSearch<2>(tree, {0.5, 0.5}, 0, &stats).empty());
+  EXPECT_EQ(stats.nodes_visited, 0u);
+  EXPECT_EQ(dev.stats().reads, 0u);  // k == 0 reads no page
 }
 
 TEST(KnnTest, KLargerThanTreeReturnsEverything) {
@@ -138,6 +174,91 @@ TEST(KnnTest, ReadaheadPoolGivesIdenticalNeighborsAndStats) {
   EXPECT_EQ(ahead_stats.nodes_visited, plain_stats.nodes_visited);
   EXPECT_EQ(ahead_stats.leaves_visited, plain_stats.leaves_visited);
   EXPECT_GT(pool.prefetch_staged(), 0u);
+}
+
+// The visit counters are pinned by definition: a node is expanded exactly
+// when its MINDIST is <= the final k-th distance, on either node layout.
+// The tie case stores one rectangle under many distinct ids across several
+// leaves, so the k-th distance is shared by many records and nodes.
+TEST(KnnVisitCountTest, StaticTreeExpandsExactlyTheNodesWithinTheKthDistance) {
+  auto data = RandomRects<2>(3000, 31);
+  for (DataId i = 0; i < 200; ++i) {
+    data.push_back(Record2{MakeRect(0.40, 0.40, 0.42, 0.41), 5000 + i});
+  }
+  Rng rng(37);
+  std::vector<std::array<Real, 2>> points{{0.41, 0.405}, {0.30, 0.40}};
+  for (int q = 0; q < 10; ++q) {
+    points.push_back({rng.Uniform(-0.2, 1.2), rng.Uniform(-0.2, 1.2)});
+  }
+  for (NodeLayout layout : {NodeLayout::kAoS, NodeLayout::kSoA}) {
+    ScopedLayout pin(layout);
+    MemoryBlockDevice dev(512);
+    RTree<2> tree(&dev);
+    AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 4u << 20}, data, &tree));
+    for (const auto& p : points) {
+      for (size_t k : {size_t{1}, size_t{16}, size_t{150}, size_t{250},
+                       data.size() + 5}) {
+        QueryStats stats;
+        auto got = KnnSearch<2>(tree, p, k, &stats);
+        ExpectSameNeighbors(got, BruteForceKnn<2>(data, p, k));
+        QueryStats expect;
+        AddMustVisit<2>(tree, tree.root(), p, KthDistance(got, k), &expect);
+        EXPECT_EQ(stats.nodes_visited, expect.nodes_visited) << k;
+        EXPECT_EQ(stats.internal_visited, expect.internal_visited) << k;
+        EXPECT_EQ(stats.leaves_visited, expect.leaves_visited) << k;
+        EXPECT_EQ(stats.results, got.size());
+      }
+    }
+  }
+}
+
+// The forest counterpart: one search over every level expands each
+// occupied level's root, plus every node of any level whose MINDIST is <=
+// the k-th *live* distance (buffer records and tombstones in play).
+TEST(KnnVisitCountTest, ForestExpandsEachRootAndTheNodesWithinTheKthDistance) {
+  MemoryBlockDevice dev(512);
+  DynamicPrTreeOptions opts;
+  opts.buffer_capacity = 13;
+  DynamicPRTree<2> index(WorkEnv{&dev, 1u << 20}, opts);
+  auto data = RandomRects<2>(1500, 41);
+  for (const auto& rec : data) index.Insert(rec);
+  std::vector<Record2> live;
+  for (const auto& rec : data) {
+    if (rec.id % 5 == 0) {
+      ASSERT_TRUE(index.Delete(rec));
+    } else {
+      live.push_back(rec);
+    }
+  }
+  for (DataId id = 3000; id < 3006; ++id) {  // a few records stay buffered
+    live.push_back(Record2{MakeRect(0.5, 0.5, 0.5, 0.5), id});
+    index.Insert(live.back());
+  }
+  ASSERT_GT(index.tombstones(), 0u);
+
+  auto snap = index.Snapshot();
+  RTree<2> view(&dev);  // rootless: only PinNode is used
+  size_t occupied = 0;
+  for (const auto& level : snap.levels()) occupied += level.size != 0;
+  ASSERT_GE(occupied, 2u);
+  Rng rng(43);
+  for (int q = 0; q < 12; ++q) {
+    std::array<Real, 2> p{rng.Uniform(-0.2, 1.2), rng.Uniform(-0.2, 1.2)};
+    for (size_t k : {size_t{1}, size_t{16}, size_t{100}, live.size() + 5}) {
+      QueryStats stats;
+      auto got = snap.Knn(p, k, &stats);
+      ExpectSameNeighbors(got, BruteForceKnn<2>(live, p, k));
+      QueryStats expect;
+      for (const auto& level : snap.levels()) {
+        if (level.size == 0) continue;
+        AddMustVisit<2>(view, level.root, p, KthDistance(got, k), &expect);
+      }
+      EXPECT_EQ(stats.nodes_visited, expect.nodes_visited) << k;
+      EXPECT_EQ(stats.internal_visited, expect.internal_visited) << k;
+      EXPECT_EQ(stats.leaves_visited, expect.leaves_visited) << k;
+      EXPECT_EQ(stats.results, got.size());
+    }
+  }
 }
 
 TEST(KnnTest, ThreeDimensional) {

@@ -32,9 +32,11 @@
 namespace prtree {
 namespace {
 
+using testing_util::Bits;
 using testing_util::BruteForceQuery;
 using testing_util::RandomRects;
 using testing_util::RandomWindow;
+using testing_util::ScopedLayout;
 using testing_util::SortedIds;
 
 // The committed golden file and the parameters it was generated from.
@@ -54,27 +56,10 @@ std::vector<SimdLevel> AvailableLevels() {
   return levels;
 }
 
-// Pins the process-wide default layout for new nodes; restores on scope
-// exit so test order cannot leak one test's layout into another.
-class ScopedLayout {
- public:
-  explicit ScopedLayout(NodeLayout l) : prev_(SetDefaultNodeLayout(l)) {}
-  ~ScopedLayout() { SetDefaultNodeLayout(prev_); }
-
- private:
-  NodeLayout prev_;
-};
-
 std::tuple<uint64_t, uint64_t, uint64_t, uint64_t> StatsTuple(
     const QueryStats& qs) {
   return {qs.nodes_visited, qs.internal_visited, qs.leaves_visited,
           qs.results};
-}
-
-uint64_t Bits(Real v) {
-  uint64_t b;
-  std::memcpy(&b, &v, sizeof(b));
-  return b;
 }
 
 // Counts formatted node pages of each layout on a memory device.

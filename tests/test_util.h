@@ -4,9 +4,12 @@
 #define PRTREE_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "geom/rect.h"
+#include "rtree/knn.h"
+#include "rtree/node.h"
 #include "util/random.h"
 
 namespace prtree {
@@ -73,6 +76,43 @@ Rect<D> RandomWindow(Rng* rng, double max_side) {
   }
   return w;
 }
+
+/// Reference kNN: the k records of `data` closest to `p`, in (distance,
+/// id) order.
+template <int D>
+std::vector<Neighbor<D>> BruteForceKnn(const std::vector<Record<D>>& data,
+                                       const std::array<Real, D>& p,
+                                       size_t k) {
+  std::vector<Neighbor<D>> all;
+  for (const auto& rec : data) {
+    all.push_back(Neighbor<D>{rec, MinDist<D>(p, rec.rect)});
+  }
+  std::sort(all.begin(), all.end(),
+            [](const Neighbor<D>& a, const Neighbor<D>& b) {
+              if (a.distance != b.distance) return a.distance < b.distance;
+              return a.record.id < b.record.id;
+            });
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+/// The bit pattern of a distance, for exact comparisons.
+inline uint64_t Bits(Real v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+/// Pins the process-wide default layout for new nodes; restores on scope
+/// exit so test order cannot leak one test's layout into another.
+class ScopedLayout {
+ public:
+  explicit ScopedLayout(NodeLayout l) : prev_(SetDefaultNodeLayout(l)) {}
+  ~ScopedLayout() { SetDefaultNodeLayout(prev_); }
+
+ private:
+  NodeLayout prev_;
+};
 
 }  // namespace testing_util
 }  // namespace prtree
