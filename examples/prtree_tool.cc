@@ -209,15 +209,19 @@ int CmdBuild(const std::map<std::string, std::string>& flags) {
   std::printf("loaded %zu rectangles from %s\n", data.size(),
               data_path.c_str());
   std::unique_ptr<BlockDevice> device;
+  FileBlockDevice* file_device = nullptr;  // set when file-backed
   if (device_kind != "memory") {
     // The index file is the device: the tree is built straight into it.
     FileDeviceOptions fopts;
     fopts.truncate = true;
-    Status st = OpenFileBackedDevice(device_kind, index_path, fopts, &device);
+    std::unique_ptr<FileBlockDevice> file;
+    Status st = OpenFileBackedDevice(device_kind, index_path, fopts, &file);
     if (!st.ok()) {
       std::fprintf(stderr, "open failed: %s\n", st.ToString().c_str());
       return 1;
     }
+    file_device = file.get();
+    device = std::move(file);
   } else {
     device = std::make_unique<MemoryBlockDevice>();
   }
@@ -232,9 +236,8 @@ int CmdBuild(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "build failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  st = device_kind != "memory"
-           ? PersistTree(tree, static_cast<FileBlockDevice*>(device.get()))
-           : SaveTree(tree, index_path);
+  st = file_device != nullptr ? PersistTree(tree, file_device)
+                              : SaveTree(tree, index_path);
   if (!st.ok()) {
     std::fprintf(stderr, "save failed: %s\n", st.ToString().c_str());
     return 1;
@@ -266,12 +269,13 @@ IndexHandle OpenIndexOrDie(const std::map<std::string, std::string>& flags) {
   if (device_kind != "memory") {
     FileDeviceOptions fopts;
     fopts.must_exist = true;  // a typo must not create a stray device file
-    st = OpenFileBackedDevice(device_kind, path, fopts, &h.device);
+    std::unique_ptr<FileBlockDevice> file;
+    st = OpenFileBackedDevice(device_kind, path, fopts, &file);
     if (st.ok()) {
-      h.tree = std::make_unique<RTree<2>>(h.device.get());
-      st = AttachTree(static_cast<FileBlockDevice*>(h.device.get()),
-                      h.tree.get());
+      h.tree = std::make_unique<RTree<2>>(file.get());
+      st = AttachTree(file.get(), h.tree.get());
     }
+    h.device = std::move(file);
   } else {
     h.device = std::make_unique<MemoryBlockDevice>();
     h.tree = std::make_unique<RTree<2>>(h.device.get());
@@ -401,13 +405,13 @@ int CmdUpdate(const std::map<std::string, std::string>& flags) {
   // Journal off: plain in-place updates, durable only via PersistTree.
   FileDeviceOptions fopts;
   fopts.must_exist = true;
-  std::unique_ptr<BlockDevice> device;
+  std::unique_ptr<FileBlockDevice> device;
   Status st = OpenFileBackedDevice(device_kind, index_path, fopts, &device);
   if (!st.ok()) {
     std::fprintf(stderr, "open failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  auto* dev = static_cast<FileBlockDevice*>(device.get());
+  FileBlockDevice* dev = device.get();
   RTree<2> tree(dev);
   st = AttachTree(dev, &tree);
   if (!st.ok()) {

@@ -59,6 +59,7 @@ int main(int argc, char** argv) {
   //    the same pages onto a real file via pread/pwrite.
   bool remove_file = false;
   std::unique_ptr<BlockDevice> device;
+  FileBlockDevice* file_device = nullptr;  // set when file-backed
   if (file_backed) {
     if (path.empty()) {
       path = "/tmp/prtree_quickstart." +
@@ -67,12 +68,15 @@ int main(int argc, char** argv) {
     }
     FileDeviceOptions fopts;
     fopts.truncate = true;
-    AbortIfError(OpenFileBackedDevice(device_kind, path, fopts, &device));
-    if (auto* uring = dynamic_cast<UringBlockDevice*>(device.get())) {
+    std::unique_ptr<FileBlockDevice> file;
+    AbortIfError(OpenFileBackedDevice(device_kind, path, fopts, &file));
+    if (auto* uring = dynamic_cast<UringBlockDevice*>(file.get())) {
       std::printf("uring device: %s\n", uring->ring_active()
                                             ? "io_uring active"
                                             : "pread fallback");
     }
+    file_device = file.get();
+    device = std::move(file);
   } else {
     device = std::make_unique<MemoryBlockDevice>();
   }
@@ -144,8 +148,7 @@ int main(int argc, char** argv) {
     // The device file IS the index: record the root in its superblock,
     // sync, drop every in-memory handle, then reopen from the path alone —
     // exactly what an application does across process restarts.
-    AbortIfError(PersistTree(index, static_cast<FileBlockDevice*>(
-                                        device.get())));
+    AbortIfError(PersistTree(index, file_device));
     device.reset();
     std::unique_ptr<FileBlockDevice> reopened;
     FileDeviceOptions ropts;

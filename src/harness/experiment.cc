@@ -75,7 +75,7 @@ std::unique_ptr<BlockDevice> OpenDeviceOrDie(const DeviceSpec& spec,
   fopts.block_size = block_size;
   fopts.truncate = true;
   fopts.direct_io = spec.direct_io;
-  std::unique_ptr<BlockDevice> dev;
+  std::unique_ptr<FileBlockDevice> dev;
   AbortIfError(OpenFileBackedDevice(spec.kind, path, fopts, &dev));
   // Anonymous backing: unlink while the fd stays open, so nothing is left
   // behind even on a crashed run.

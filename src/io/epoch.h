@@ -1,15 +1,14 @@
 // Epoch-based page reclamation: the MVCC backbone for snapshot reads
 // under concurrent writes.
 //
-// The write paths (the logarithmic-method rebuilds in core/dynamic_prtree.h
-// and the copy-on-write updaters in rtree/update.h, rtree/rstar.h) never
-// mutate a page a published version references: they build replacement
-// pages off to the side, publish with a single atomic root swap, and hand
-// the replaced pages here.  A retired page is *logically* free — no current
-// or future version references it — but a reader that pinned an older
-// version may still be traversing it, so returning it to the device free
-// list immediately would let the next Allocate() recycle the id and write
-// fresh bytes under that reader.
+// The write path (the logarithmic-method rebuilds in core/dynamic_prtree.h)
+// never mutates a page a published version references: it builds
+// replacement pages off to the side, publishes with a single atomic
+// version swap, and hands the replaced pages here.  A retired page is
+// *logically* free — no current or future version references it — but a
+// reader that pinned an older version may still be traversing it, so
+// returning it to the device free list immediately would let the next
+// Allocate() recycle the id and write fresh bytes under that reader.
 //
 // EpochManager closes that window with the classic epoch scheme:
 //
@@ -88,8 +87,7 @@ class EpochGuard {
 };
 
 /// \brief Reader registry plus per-epoch limbo lists of retired pages.
-/// One per versioned structure (DynamicPRTree owns one; standalone trees
-/// served through the COW updaters share one explicitly).
+/// DynamicPRTree owns one; it is the only versioned structure.
 class EpochManager {
  public:
   /// \param device  device the retired pages return to (not owned).

@@ -29,6 +29,12 @@ size_t RecordPayloadLen(uint32_t dim) {
   return 2 * static_cast<size_t>(dim) * sizeof(double) + sizeof(RecordTail);
 }
 
+/// At most this many shadowed-out page ids are logged per op's intent
+/// frame (also clamped to what fits one frame page).  Intents are advisory
+/// — recovery's reachability sweep reclaims leaked pages whether or not
+/// they were logged — so overflow drops ids, never fails the op.
+constexpr size_t kMaxIntents = 64;
+
 /// Largest page-id count an intent frame can carry on this block size.
 size_t MaxIntentIds(size_t block_size) {
   const size_t usable =
@@ -354,8 +360,8 @@ Status JournalWriter::CommitOp(PageId root, int32_t height, uint64_t size,
   }
   staged_.clear();
   if (retired != nullptr && !retired->empty()) {
-    const size_t cap = std::min<size_t>(
-        opts_.max_intents, MaxIntentIds(device_->block_size()));
+    const size_t cap =
+        std::min(kMaxIntents, MaxIntentIds(device_->block_size()));
     const size_t n = std::min(retired->size(), cap);
     PRTREE_RETURN_NOT_OK(AppendFrame(JournalFrameType::kIntent,
                                      static_cast<uint32_t>(n),

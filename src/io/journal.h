@@ -80,12 +80,6 @@ struct JournalOptions {
   /// low.  Must fit the head page: region_pages <= (block_size - 32) / 4.
   uint32_t region_pages = 64;
 
-  /// At most this many shadowed-out page ids are logged per op's intent
-  /// frame (also clamped to what fits one frame page).  Intents are
-  /// advisory — recovery's reachability sweep reclaims leaked pages whether
-  /// or not they were logged — so overflow drops ids, never fails the op.
-  uint32_t max_intents = 64;
-
   /// Call device->Sync() after every commit write.  Off by default: the
   /// crash model this journal is tested under (process kill / dropped
   /// writes) preserves acknowledged block writes, and a per-op fsync would

@@ -231,7 +231,7 @@ Status UringBlockDevice::DoWriteBatch(BlockWriteRequest* reqs, size_t n,
 
 Status OpenFileBackedDevice(const std::string& kind, const std::string& path,
                             const FileDeviceOptions& opts,
-                            std::unique_ptr<BlockDevice>* out) {
+                            std::unique_ptr<FileBlockDevice>* out) {
   out->reset();
   if (kind == "uring") {
     UringDeviceOptions uopts;
@@ -241,12 +241,7 @@ Status OpenFileBackedDevice(const std::string& kind, const std::string& path,
     *out = std::move(dev);
     return Status::OK();
   }
-  if (kind == "file") {
-    std::unique_ptr<FileBlockDevice> dev;
-    PRTREE_RETURN_NOT_OK(FileBlockDevice::Open(path, opts, &dev));
-    *out = std::move(dev);
-    return Status::OK();
-  }
+  if (kind == "file") return FileBlockDevice::Open(path, opts, out);
   return Status::InvalidArgument("unknown file-backed device kind '" + kind +
                                  "' (file|uring)");
 }

@@ -133,15 +133,15 @@ class UringBlockDevice final : public FileBlockDevice {
 };
 
 /// \brief Opens `path` as a file-backed device of `kind` — "file" (plain
-/// pread/pwrite) or "uring" (io_uring-batched ReadBatch/WriteBatch) —
-/// type-erased to the BlockDevice interface.  The kinds share one on-disk
-/// format, so either opens files the other wrote.  Any other kind is
+/// pread/pwrite) or "uring" (io_uring-batched ReadBatch/WriteBatch, a
+/// FileBlockDevice subclass).  The kinds share one on-disk format, so
+/// either opens files the other wrote.  Any other kind is
 /// InvalidArgument.  This is the one switch the drivers (harness,
-/// quickstart, prtree_tool) share; new backend knobs thread through here
-/// once.
+/// quickstart, prtree_tool) and JournaledTree share; new backend knobs
+/// thread through here once.
 Status OpenFileBackedDevice(const std::string& kind, const std::string& path,
                             const FileDeviceOptions& opts,
-                            std::unique_ptr<BlockDevice>* out);
+                            std::unique_ptr<FileBlockDevice>* out);
 
 }  // namespace prtree
 

@@ -1,9 +1,9 @@
 // JournaledTree: a crash-consistent dynamic R-tree on a file-backed device.
 //
 // Ties the pieces together — a FileBlockDevice (or its io_uring subclass),
-// an RTree, a Guttman or R* updater running in journaled copy-on-write
-// mode (rtree/update_io.h), and the update journal (io/journal.h) — into
-// the durability story the pieces individually only enable:
+// an RTree, a Guttman updater running in journaled copy-on-write mode
+// (rtree/update_io.h), and the update journal (io/journal.h) — into the
+// durability story the pieces individually only enable:
 //
 //   Create()  fresh device + empty tree + bootstrap checkpoint.
 //   Insert()/Delete()  one journaled op each: record frame staged, tree
@@ -12,19 +12,24 @@
 //             anywhere and the tree recovers to exactly the ops whose
 //             commit landed — a prefix of the applied sequence.
 //   Open()    recovery: validate the anchor, scan the journal, point the
-//             tree at the newest durable commit, discard (truncate) any
-//             torn tail, sweep pages nothing reaches back to the free
-//             list, and rotate to a fresh journal epoch.
+//             tree at the newest durable commit, validate it, discard
+//             (truncate) any torn tail, sweep pages nothing reaches back
+//             to the free list, and rotate to a fresh journal epoch.  A
+//             journal-less file is validated before its first checkpoint,
+//             so one that fails is refused unmodified.
 //
 // Concurrency: Insert/Delete/Checkpoint serialise on an internal mutex —
-// the updaters are single-writer by design, so an 8-thread update storm
-// is safe but not parallel (tools/crash_torture drives exactly that).
-// Queries need no lock: read through tree().Query* as usual.
+// the updater is single-writer by design, so an 8-thread update storm is
+// safe but not parallel (tools/crash_torture drives exactly that).
+// Queries through tree() must not overlap Insert, Delete or Checkpoint:
+// an op rewrites the tree's root fields, and a checkpoint frees the pages
+// earlier ops replaced, which a running query may still be reading.
+// Snapshot reads under writes are DynamicPRTree's (core/dynamic_prtree.h).
 //
 // Recovery state machine (docs/DURABILITY.md spells out each arrow):
 //
-//   read meta ──no anchor──▶ plain AttachTree ──▶ bootstrap checkpoint
-//      │ anchor
+//   read meta ──no anchor──▶ plain AttachTree ─▶ validate tree
+//      │ anchor                 ─▶ bootstrap checkpoint
 //      ▼
 //   adopt orphan pages ─▶ scan journal ─▶ root := last commit (else meta)
 //      ─▶ validate tree ─▶ reachability sweep ─▶ adopt + checkpoint
@@ -48,7 +53,6 @@
 #include "io/journal.h"
 #include "io/uring_block_device.h"
 #include "rtree/persist.h"
-#include "rtree/rstar.h"
 #include "rtree/rtree.h"
 #include "rtree/update.h"
 #include "rtree/validate.h"
@@ -64,18 +68,10 @@ class JournaledTree {
   struct Options {
     /// "file" (pread/pwrite) or "uring" (io_uring-batched) — the two
     /// file-backed backends share one on-disk format, so a tree written
-    /// under either recovers under the other.
+    /// under either recovers under the other (OpenFileBackedDevice).
     std::string backend = "file";
     FileDeviceOptions device;
     JournalOptions journal;
-
-    /// Updater heuristic: Guttman (default) or R*.
-    bool use_rstar = false;
-    SplitPolicy policy = SplitPolicy::kQuadratic;
-    double min_fill = 0.4;
-
-    /// Run ValidateTree on the recovered tree inside Open().
-    bool validate_on_open = true;
 
     /// Checkpoint in the destructor so a clean close leaves an empty
     /// journal (and a plain AttachTree-compatible file).  Tests that
@@ -108,7 +104,8 @@ class JournaledTree {
     o.device.truncate = true;
     o.device.must_exist = false;
     std::unique_ptr<JournaledTree> t(new JournaledTree(o));
-    PRTREE_RETURN_NOT_OK(OpenDevice(o, path, &t->device_));
+    PRTREE_RETURN_NOT_OK(
+        OpenFileBackedDevice(o.backend, path, o.device, &t->device_));
     t->Init();
     PRTREE_RETURN_NOT_OK(t->journal_->Checkpoint(t->MetaBuilderFn()));
     *out = std::move(t);
@@ -130,7 +127,8 @@ class JournaledTree {
     o.device.truncate = false;
     o.device.must_exist = true;
     std::unique_ptr<JournaledTree> t(new JournaledTree(o));
-    PRTREE_RETURN_NOT_OK(OpenDevice(o, path, &t->device_));
+    PRTREE_RETURN_NOT_OK(
+        OpenFileBackedDevice(o.backend, path, o.device, &t->device_));
     t->Init();
     FileBlockDevice* dev = t->device_.get();
 
@@ -154,18 +152,16 @@ class JournaledTree {
     PRTREE_RETURN_NOT_OK(ReadJournalAnchor(*dev, &anchor, &anchor_present));
     if (!anchor_present) {
       // Journal-less index: the plain attach path (with its staleness
-      // checks) applies, then the bootstrap checkpoint journals it.
+      // checks) applies, then the bootstrap checkpoint journals it — only
+      // once the tree validates, so a refused file is left untouched.
       if (meta.journal_epoch != 0) {
         return Status::Corruption(
             "tree metadata names a journal epoch but the device holds no "
             "journal anchor");
       }
       PRTREE_RETURN_NOT_OK(AttachTree(dev, &*t->tree_));
-      t->tree_->Publish();
+      PRTREE_RETURN_NOT_OK(ValidateTree(*t->tree_));
       PRTREE_RETURN_NOT_OK(t->journal_->Checkpoint(t->MetaBuilderFn()));
-      if (o.validate_on_open) {
-        PRTREE_RETURN_NOT_OK(ValidateTree(*t->tree_));
-      }
       *out = std::move(t);
       return Status::OK();
     }
@@ -199,10 +195,7 @@ class JournaledTree {
       }
       t->tree_->SetRoot(root, height, size);
     }
-    t->tree_->Publish();
-    if (o.validate_on_open) {
-      PRTREE_RETURN_NOT_OK(ValidateTree(*t->tree_));
-    }
+    PRTREE_RETURN_NOT_OK(ValidateTree(*t->tree_));
 
     // Everything the recovered tree and the scanned journal region do not
     // reach goes back to the free list: uncommitted shadow pages, pages
@@ -248,11 +241,7 @@ class JournaledTree {
   Status Insert(const RecordT& rec) {
     std::lock_guard<std::mutex> lock(mu_);
     PRTREE_RETURN_NOT_OK(MaybeCheckpointLocked());
-    if (rstar_ != nullptr) {
-      rstar_->Insert(rec);
-    } else {
-      guttman_->Insert(rec);
-    }
+    updater_->Insert(rec);
     ++dirty_ops_;
     return Status::OK();
   }
@@ -261,8 +250,7 @@ class JournaledTree {
   Status Delete(const RecordT& rec, bool* deleted = nullptr) {
     std::lock_guard<std::mutex> lock(mu_);
     PRTREE_RETURN_NOT_OK(MaybeCheckpointLocked());
-    const bool d =
-        rstar_ != nullptr ? rstar_->Delete(rec) : guttman_->Delete(rec);
+    const bool d = updater_->Delete(rec);
     if (deleted != nullptr) *deleted = d;
     if (d) ++dirty_ops_;
     return Status::OK();
@@ -284,35 +272,11 @@ class JournaledTree {
  private:
   explicit JournaledTree(const Options& opts) : opts_(opts) {}
 
-  static Status OpenDevice(const Options& o, const std::string& path,
-                           std::unique_ptr<FileBlockDevice>* dev) {
-    if (o.backend == "uring") {
-      UringDeviceOptions uopts;
-      uopts.file = o.device;
-      std::unique_ptr<UringBlockDevice> u;
-      PRTREE_RETURN_NOT_OK(UringBlockDevice::Open(path, uopts, &u));
-      *dev = std::move(u);
-      return Status::OK();
-    }
-    if (o.backend == "file") {
-      return FileBlockDevice::Open(path, o.device, dev);
-    }
-    return Status::InvalidArgument("unknown journaled-tree backend '" +
-                                   o.backend + "' (file|uring)");
-  }
-
   void Init() {
     tree_.emplace(device_.get());
     journal_ = std::make_unique<JournalWriter>(device_.get(), opts_.journal);
-    if (opts_.use_rstar) {
-      rstar_ = std::make_unique<RStarUpdater<D>>(
-          &*tree_, opts_.min_fill, /*reinsert_frac=*/0.3,
-          /*pool=*/nullptr, /*epochs=*/nullptr, journal_.get());
-    } else {
-      guttman_ = std::make_unique<RTreeUpdater<D>>(
-          &*tree_, opts_.policy, opts_.min_fill, /*pool=*/nullptr,
-          /*epochs=*/nullptr, journal_.get());
-    }
+    updater_.emplace(&*tree_, SplitPolicy::kQuadratic, /*min_fill=*/0.4,
+                     /*pool=*/nullptr, journal_.get());
   }
 
   JournalWriter::MetaBuilder MetaBuilderFn() {
@@ -383,8 +347,7 @@ class JournaledTree {
   std::unique_ptr<FileBlockDevice> device_;
   std::optional<RTree<D>> tree_;
   std::unique_ptr<JournalWriter> journal_;
-  std::unique_ptr<RTreeUpdater<D>> guttman_;  // null when use_rstar
-  std::unique_ptr<RStarUpdater<D>> rstar_;    // null unless use_rstar
+  std::optional<RTreeUpdater<D>> updater_;
   std::mutex mu_;           // serialises updates and checkpoints
   uint64_t dirty_ops_ = 0;  // committed ops since the last checkpoint
 };

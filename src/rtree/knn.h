@@ -67,10 +67,11 @@ Real MinDist(const std::array<Real, D>& p, const Rect<D>& r) {
 /// (and counted toward `k`); filtered records never become candidates.
 /// Seeds are reported as given, without `keep`.  Roots equal to
 /// kInvalidPageId (empty trees) are skipped.  Only the pages under
-/// `roots` are read — never `tree`'s own root/height/size — so MVCC
-/// readers may pass published roots captured under an EpochGuard while a
-/// copy-on-write updater runs.  `k` may exceed the record count, and
-/// `k == 0` returns empty without reading a page.
+/// `roots` are read — never `tree`'s own root/height/size — so a
+/// DynamicPRTree snapshot reader may pass the level roots of a version
+/// pinned under an EpochGuard while the writer builds new levels.  `k` may
+/// exceed the record count, and `k == 0` returns empty without reading a
+/// page.
 ///
 /// `stats` (optional) receives node visit counters for the whole search:
 /// every root, plus each non-root node whose MINDIST is <= the k-th

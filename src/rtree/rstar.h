@@ -41,21 +41,18 @@ class RStarUpdater {
   ///                         (R* recommends 0.4).
   /// \param reinsert_frac    fraction of entries force-reinserted on the
   ///                         first overflow per level (R* recommends 0.3).
-  /// \param epochs           optional: switches both the R* insert path
-  ///                         and the delegated Guttman delete path to
-  ///                         copy-on-write for snapshot readers.
-  /// \param journal          optional: logs both paths through the update
-  ///                         journal (io/journal.h).  Mutually exclusive
-  ///                         with `epochs`.
+  /// \param pool             optional read cache over the tree's pages,
+  ///                         shared with the delegated delete path; every
+  ///                         page either path writes or frees is
+  ///                         invalidated in it.
+  ///
+  /// Writes land in place (UpdaterIO's journal-less mode).
   explicit RStarUpdater(RTree<D>* tree, double min_fill = 0.4,
                         double reinsert_frac = 0.3,
-                        BufferPool* pool = nullptr,
-                        EpochManager* epochs = nullptr,
-                        JournalWriter* journal = nullptr)
+                        BufferPool* pool = nullptr)
       : tree_(tree),
-        guttman_(tree, SplitPolicy::kQuadratic, min_fill, pool, epochs,
-                 journal),
-        io_(tree, pool, epochs, journal) {
+        guttman_(tree, SplitPolicy::kQuadratic, min_fill, pool),
+        io_(tree, pool, /*journal=*/nullptr) {
     PRTREE_CHECK(min_fill > 0.0 && min_fill <= 0.5);
     PRTREE_CHECK(reinsert_frac > 0.0 && reinsert_frac < 0.5);
     min_entries_ = std::max<size_t>(
@@ -96,7 +93,7 @@ class RStarUpdater {
   };
 
   struct InsertResult {
-    PageId page;  // id now holding the node (shadow under copy-on-write)
+    PageId page;  // id holding the node (written in place)
     RectT mbr;
     std::optional<std::pair<RectT, PageId>> split;
   };
@@ -115,11 +112,7 @@ class RStarUpdater {
     PRTREE_CHECK(target_level <= tree_->height());
     InsertResult res =
         InsertRec(tree_->root(), tree_->height(), rect, id, target_level);
-    if (res.split.has_value()) {
-      GrowRoot(res.page, res.mbr, *res.split);
-    } else if (res.page != tree_->root()) {
-      tree_->SetRoot(res.page, tree_->height(), tree_->size());
-    }
+    if (res.split.has_value()) GrowRoot(res.page, res.mbr, *res.split);
   }
 
   InsertResult InsertRec(PageId page, int level, const RectT& rect,

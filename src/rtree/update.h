@@ -31,10 +31,10 @@ enum class SplitPolicy {
 /// \brief Dynamic insert/delete on an RTree, per Guttman.
 ///
 /// Writes go through UpdaterIO: in place (invalidating any BufferPool
-/// frame) by default, copy-on-write when an EpochManager makes the tree
-/// multi-versioned — then every op builds its replacement pages off to
-/// the side, publishes the new root atomically, and retires the pages it
-/// shadowed, so snapshot readers are never disturbed.
+/// frame) by default, journaled copy-on-write when a JournalWriter is
+/// attached — then every op builds its replacement pages off to the side
+/// and commits the new root through the journal, so a crash recovers the
+/// last committed tree (rtree/journaled_tree.h).
 template <int D>
 class RTreeUpdater {
  public:
@@ -46,17 +46,15 @@ class RTreeUpdater {
   /// \param min_fill minimum node occupancy after deletion and the floor
   ///                 for split groups, as a fraction of capacity.  Guttman
   ///                 requires m <= capacity/2; 0.4 is the customary value.
-  /// \param epochs   optional: switches the write path to copy-on-write
-  ///                 for epoch-protected snapshot readers.
+  /// \param pool     optional read cache over the tree's pages; every
+  ///                 page an op writes or frees is invalidated in it.
   /// \param journal  optional: logs every op through the update journal
   ///                 (copy-on-write, commit-at-EndOp — io/journal.h).
-  ///                 Mutually exclusive with `epochs`.
   explicit RTreeUpdater(RTree<D>* tree,
                         SplitPolicy policy = SplitPolicy::kQuadratic,
                         double min_fill = 0.4, BufferPool* pool = nullptr,
-                        EpochManager* epochs = nullptr,
                         JournalWriter* journal = nullptr)
-      : tree_(tree), policy_(policy), io_(tree, pool, epochs, journal) {
+      : tree_(tree), policy_(policy), io_(tree, pool, journal) {
     PRTREE_CHECK(min_fill > 0.0 && min_fill <= 0.5);
     min_entries_ = std::max<size_t>(
         1, static_cast<size_t>(min_fill *
@@ -149,8 +147,8 @@ class RTreeUpdater {
     if (res.split.has_value()) {
       GrowRoot(res.page, res.mbr, *res.split);
     } else if (res.page != tree_->root()) {
-      // Copy-on-write shadowed the root itself; re-point (writer-private
-      // until EndOp publishes).
+      // Copy-on-write shadowed the root itself; re-point (EndOp commits
+      // the new root).
       tree_->SetRoot(res.page, tree_->height(), tree_->size());
     }
   }

@@ -1,59 +1,45 @@
 // Shared node-I/O helper for the dynamic updaters (rtree/update.h,
 // rtree/rstar.h).  Both previously carried identical copies of the
 // pool-read-then-copy and write-then-invalidate plumbing; it lives here
-// once now, which is also the single place where copy-on-write shadowing
-// happens when an EpochManager makes the tree multi-versioned — and the
-// single seam through which BOTH updaters log to the update journal.
+// once now, which is also the single seam through which an updater logs to
+// the update journal.
 //
-// Three modes:
+// Two modes:
 //
-//  * Plain (no EpochManager, no journal): byte-for-byte the historical
-//    behaviour.  Write() updates the page in place and invalidates the
-//    pool frame; Release() invalidates and frees immediately.  The
-//    device-op sequence (Read/Write/Allocate/Free order) is exactly what
-//    the pre-MVCC updaters issued, so page-id layouts and I/O counters
-//    stay identical.
+//  * In place (no journal): byte-for-byte the historical behaviour.
+//    Write() updates the page in place and invalidates the pool frame;
+//    Release() invalidates and frees immediately.  The device-op sequence
+//    (Read/Write/Allocate/Free order) is exactly what the updaters have
+//    always issued, so page-id layouts and I/O counters stay identical.
 //
-//  * MVCC (EpochManager attached): a snapshot reader may hold the current
-//    published root at any moment, so no page that version can reach is
-//    ever overwritten.  Write() shadows: the new bytes go to a freshly
+//  * Journaled copy-on-write (JournalWriter attached, io/journal.h): no
+//    page the newest COMMITTED version on disk can reach is ever
+//    overwritten.  Write() shadows: the new bytes go to a freshly
 //    allocated page and the old id is queued for retirement.  Pages
-//    allocated within the current op (tracked in `fresh_`) are invisible
-//    to every published version until EndOp(), so they may be rewritten
-//    in place — that keeps an op's page count proportional to the path it
-//    touches rather than the number of writes it issues.  EndOp()
-//    publishes the tree's new root (RTree::Publish, a release-store) and
-//    only then hands the replaced pages to EpochManager::Retire, so a
-//    reader can never load a root whose subtree is already being freed.
+//    allocated within the current op (tracked in `fresh_`) are unknown to
+//    every committed version until EndOp(), so they may be rewritten in
+//    place — that keeps an op's page count proportional to the path it
+//    touches rather than the number of writes it issues.  The updater
+//    opens each op with BeginInsert()/BeginDelete(), which stages the
+//    logical record; EndOp() either commits the op through the journal —
+//    the commit frame's block write is the durable point, and the replaced
+//    pages defer into the journal's free list — or aborts the staged
+//    record when the op never wrote (delete miss).  Crash anywhere inside
+//    an op and recovery restores the previous committed root, whose pages
+//    are all still byte-intact.
 //
-//  * Journaled (JournalWriter attached, io/journal.h): the same
-//    copy-on-write discipline, but the version being protected is the
-//    newest COMMITTED one on disk rather than a concurrent reader's.  The
-//    updater opens each op with BeginInsert()/BeginDelete(), which stages
-//    the logical record; EndOp() publishes and then either commits the op
-//    through the journal — the commit frame's block write is the durable
-//    point, and the replaced pages defer into the journal's free list —
-//    or aborts the staged record when the op never wrote (delete miss).
-//    Crash anywhere inside an op and recovery restores the previous
-//    committed root, whose pages are all still byte-intact.
-//
-// Pool discipline: in-place writes (plain mode, or fresh pages the
-// updater itself re-read through the pool) invalidate their frame right
-// away; shadowed-out pages keep their frames — the bytes stay accurate
-// for snapshot readers — and are invalidated at epoch-drain time by the
-// manager itself (the pool is attached on construction).  In journal mode
-// shadowed-out pages invalidate immediately: no concurrent reader holds
-// them, they merely await their deferred free.
+// Pool discipline: every page an op writes, allocates, shadows out or
+// releases has its frame invalidated at once, so the pool never serves
+// bytes the tree no longer holds under that id.  No query may overlap an
+// op: snapshot reads under writes are DynamicPRTree's (io/epoch.h).
 
 #ifndef PRTREE_RTREE_UPDATE_IO_H_
 #define PRTREE_RTREE_UPDATE_IO_H_
 
 #include <cstring>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
-#include "io/epoch.h"
 #include "io/journal.h"
 #include "rtree/rtree.h"
 
@@ -64,50 +50,20 @@ class UpdaterIO {
  public:
   /// \param tree     tree whose nodes are read/written (not owned).
   /// \param pool     optional read cache over the tree's pages.
-  /// \param epochs   optional: presence switches on copy-on-write for
-  ///                 snapshot readers.  Must manage the same device as
-  ///                 `tree`.
   /// \param journal  optional: presence switches on copy-on-write for
   ///                 crash consistency and logs every op through the
-  ///                 journal.  Mutually exclusive with `epochs` for now —
-  ///                 combining them needs retire-lists ordered across two
-  ///                 reclaimers (see docs/DURABILITY.md).
-  UpdaterIO(RTree<D>* tree, BufferPool* pool, EpochManager* epochs,
-            JournalWriter* journal = nullptr)
-      : tree_(tree), pool_(pool), epochs_(epochs), journal_(journal) {
-    PRTREE_CHECK(epochs_ == nullptr || journal_ == nullptr);
-    if (epochs_ != nullptr && pool_ != nullptr) epochs_->AttachPool(pool_);
-  }
+  ///                 journal.
+  UpdaterIO(RTree<D>* tree, BufferPool* pool, JournalWriter* journal)
+      : tree_(tree), pool_(pool), journal_(journal) {}
 
-  bool mvcc() const { return epochs_ != nullptr; }
-  bool journaled() const { return journal_ != nullptr; }
-
-  /// Copy-on-write is on whenever some other agent — a snapshot reader or
-  /// the last durable commit — may still need the current pages' bytes.
-  bool cow() const { return epochs_ != nullptr || journal_ != nullptr; }
-
-  /// Marks the start of one logical update op (one Insert/Delete).
-  void BeginOp() {
-    PRTREE_CHECK(retired_.empty());  // missing EndOp on the previous op
-    fresh_.clear();
-    wrote_ = false;
-  }
-
-  /// BeginOp() plus staging the op's logical record in the journal.  The
-  /// record reaches the device only inside EndOp()'s commit.
+  /// Marks the start of one logical Insert/Delete and, when journaled,
+  /// stages the op's logical record.  The record reaches the device only
+  /// inside EndOp()'s commit.
   void BeginInsert(const Record<D>& rec) {
-    BeginOp();
-    if (journal_ != nullptr) {
-      journal_->StageRecord(JournalFrameType::kInsert, D,
-                            rec.rect.lo.data(), rec.rect.hi.data(), rec.id);
-    }
+    BeginOp(JournalFrameType::kInsert, rec);
   }
   void BeginDelete(const Record<D>& rec) {
-    BeginOp();
-    if (journal_ != nullptr) {
-      journal_->StageRecord(JournalFrameType::kDelete, D,
-                            rec.rect.lo.data(), rec.rect.hi.data(), rec.id);
-    }
+    BeginOp(JournalFrameType::kDelete, rec);
   }
 
   /// Reads `page` into the private working buffer `buf`, through the pool
@@ -130,14 +86,14 @@ class UpdaterIO {
   /// parent entry — or the root — at the returned id).
   PageId Write(PageId page, const std::byte* buf) {
     wrote_ = true;
-    if (!cow() || fresh_.count(page) != 0) {
-      AbortIfError(tree_->device()->Write(page, buf));
-      if (pool_ != nullptr) pool_->Invalidate(page);
-      return page;
+    if (journal_ != nullptr && fresh_.count(page) == 0) {
+      PageId shadow = WriteNew(buf);
+      Retire(page);
+      return shadow;
     }
-    PageId shadow = WriteNew(buf);
-    RetireCow(page);
-    return shadow;
+    AbortIfError(tree_->device()->Write(page, buf));
+    if (pool_ != nullptr) pool_->Invalidate(page);
+    return page;
   }
 
   /// Allocates a fresh page, writes `buf` there, returns its id.
@@ -145,66 +101,64 @@ class UpdaterIO {
     wrote_ = true;
     PageId page = tree_->device()->Allocate();
     AbortIfError(tree_->device()->Write(page, buf));
-    if (cow()) {
-      fresh_.insert(page);
-      // Snapshot readers never hold fresh pages, but a pool frame from a
-      // previous tenant of this id may be stale.
-      if (epochs_ == nullptr && pool_ != nullptr) pool_->Invalidate(page);
-    } else if (pool_ != nullptr) {
-      pool_->Invalidate(page);
-    }
+    if (journal_ != nullptr) fresh_.insert(page);
+    // A pool frame from a previous tenant of this id may be stale.
+    if (pool_ != nullptr) pool_->Invalidate(page);
     return page;
   }
 
   /// The node at `page` left the tree (condensed away, shrunk root).
-  /// Plain mode frees it immediately; under copy-on-write a page the
-  /// protected version may reference is queued for retirement instead,
-  /// while a page allocated within this op — never published or committed
-  /// — is freed eagerly.
+  /// In place it is freed immediately; under copy-on-write a page the
+  /// committed version may reference is queued for retirement instead,
+  /// while a page allocated within this op — never committed — is freed
+  /// eagerly.
   void Release(PageId page) {
     wrote_ = true;
-    if (cow() && fresh_.erase(page) == 0) {
-      RetireCow(page);
+    if (journal_ != nullptr && fresh_.erase(page) == 0) {
+      Retire(page);
       return;
     }
     if (pool_ != nullptr) pool_->Invalidate(page);
     tree_->device()->Free(page);
   }
 
-  /// Publishes the op — new readers now see the updated tree — then
-  /// reclaims or logs the pages it replaced.  Publish-before-retire is the
-  /// MVCC linchpin: pages retire only after no new reader can reach them.
-  /// In journal mode the commit frame lands after Publish too, so the
-  /// in-memory tree is never behind what a crash would recover.
+  /// Ends the op.  Journaled, it commits the op with the tree's new root
+  /// and hands the replaced pages to the journal's deferred-free list — or
+  /// aborts the staged record when nothing was written.  In place it is a
+  /// no-op.
   void EndOp() {
-    tree_->Publish();
-    if (journal_ != nullptr) {
-      if (wrote_) {
-        AbortIfError(journal_->CommitOp(tree_->root(), tree_->height(),
-                                        tree_->size(), &retired_));
-      } else {
-        journal_->AbortOp();  // delete miss: nothing durable to do
-      }
-      retired_.clear();
-    } else if (epochs_ != nullptr && !retired_.empty()) {
-      epochs_->Retire(std::move(retired_));
-      retired_.clear();
+    if (journal_ == nullptr) return;
+    if (wrote_) {
+      AbortIfError(journal_->CommitOp(tree_->root(), tree_->height(),
+                                      tree_->size(), &retired_));
+    } else {
+      journal_->AbortOp();  // delete miss: nothing durable to do
     }
+    retired_.clear();
     fresh_.clear();
   }
 
  private:
-  /// A replaced page under copy-on-write: queue for retirement.  Journal
-  /// mode invalidates the pool frame right away (no snapshot reader needs
-  /// it; the page just waits for its post-commit deferred free).
-  void RetireCow(PageId page) {
+  void BeginOp(JournalFrameType type, const Record<D>& rec) {
+    PRTREE_CHECK(retired_.empty());  // missing EndOp on the previous op
+    fresh_.clear();
+    wrote_ = false;
+    if (journal_ != nullptr) {
+      journal_->StageRecord(type, D, rec.rect.lo.data(), rec.rect.hi.data(),
+                            rec.id);
+    }
+  }
+
+  /// A replaced page under copy-on-write: queued until EndOp() defers it
+  /// to the journal.  Its pool frame dies now — the page only waits for
+  /// its post-commit free.
+  void Retire(PageId page) {
     retired_.push_back(page);
-    if (epochs_ == nullptr && pool_ != nullptr) pool_->Invalidate(page);
+    if (pool_ != nullptr) pool_->Invalidate(page);
   }
 
   RTree<D>* tree_;
   BufferPool* pool_;
-  EpochManager* epochs_;
   JournalWriter* journal_;
   std::unordered_set<PageId> fresh_;  // allocated by the op in flight
   std::vector<PageId> retired_;       // replaced pages awaiting EndOp

@@ -20,7 +20,9 @@
 //     the same op and query sequences produce byte-identical demand
 //     stats and QueryStats with the journal on or off.
 //   * persist.h integration: AttachTree refuses a device with unapplied
-//     journal frames and accepts it again after recovery's checkpoint.
+//     journal frames and accepts it again after recovery's checkpoint; a
+//     journal-less index that fails validation is refused by Open without
+//     a byte of it changing.
 
 #include "rtree/journaled_tree.h"
 
@@ -33,6 +35,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <random>
 #include <string>
@@ -150,6 +154,12 @@ void RunCrashChild(const std::string& path, const std::string& backend,
   if (WIFEXITED(wstatus)) {
     ASSERT_NE(WEXITSTATUS(wstatus), 3) << "child Create failed";
   }
+}
+
+// The file at `path`, byte for byte.
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 size_t CountReachable(FileBlockDevice* dev, PageId root) {
@@ -397,6 +407,43 @@ TEST_F(CrashRecoveryTest, AttachTreeRefusesDirtyJournalAcceptsCleanOne) {
   ASSERT_TRUE(AttachTree(dev.get(), &tree).ok());
   EXPECT_EQ(tree.size(), ExpectedAfter(ops, ops.size()).size());
   EXPECT_TRUE(ValidateTree(tree).ok());
+}
+
+TEST_F(CrashRecoveryTest, FailedUpgradeOpenLeavesFileUnchanged) {
+  // A plain, journal-less index whose root's first entry MBR no longer
+  // covers its child: AttachTree accepts it, ValidateTree does not.
+  {
+    FileDeviceOptions dopts;
+    dopts.block_size = 1024;
+    dopts.truncate = true;
+    std::unique_ptr<FileBlockDevice> dev;
+    ASSERT_TRUE(FileBlockDevice::Open(path_, dopts, &dev).ok());
+    RTree<2> tree(dev.get());
+    RTreeUpdater<2> upd(&tree);
+    for (uint32_t id = 1; id <= 400; ++id) {
+      upd.Insert(Record2{RectFor(id), id});
+    }
+    ASSERT_GE(tree.height(), 1);
+    std::vector<std::byte> buf(dev->block_size());
+    ASSERT_TRUE(dev->Read(tree.root(), buf.data()).ok());
+    NodeView<2> root(buf.data(), buf.size());
+    Rect2 r = root.GetRect(0);
+    r.hi = r.lo;  // collapse
+    root.SetEntry(0, r, root.GetId(0));
+    ASSERT_TRUE(dev->Write(tree.root(), buf.data()).ok());
+    ASSERT_TRUE(PersistTree(tree, dev.get()).ok());
+  }
+  const std::string before = FileBytes(path_);
+  ASSERT_FALSE(before.empty());
+
+  std::unique_ptr<JournaledTree<2>> t;
+  Status st = JournaledTree<2>::Open(path_, MakeOpts("file"), &t);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_EQ(t, nullptr);
+  // Refused before the bootstrap checkpoint: no journal region, no anchor.
+  const std::string after = FileBytes(path_);
+  EXPECT_EQ(after.size(), before.size());
+  EXPECT_TRUE(after == before) << "Open modified a file it refused";
 }
 
 TEST_F(CrashRecoveryTest, DemandCountersIdenticalWithJournalOnOrOff) {

@@ -5,6 +5,7 @@
 #include <map>
 #include <vector>
 
+#include "rtree/rstar.h"
 #include "rtree/validate.h"
 #include "tests/test_util.h"
 
@@ -175,21 +176,54 @@ TEST_P(UpdateFuzzTest, MixedInsertDeleteQueryAgreesWithModel) {
 INSTANTIATE_TEST_SUITE_P(Seeds, UpdateFuzzTest,
                          ::testing::Values(1, 7, 13, 2024));
 
-TEST(RTreeUpdateTest, PoolInvalidationKeepsCachedQueriesFresh) {
-  MemoryBlockDevice dev(512);
-  RTree<2> tree(&dev);
-  BufferPool pool(&dev, 4096);
-  RTreeUpdater<2> upd(&tree, SplitPolicy::kQuadratic, 0.4, &pool);
-  auto data = RandomRects<2>(800, 107);
+// Interleaves queries through `pool` with `upd`'s inserts of `data`, then
+// with deletes of every other record, checking each against brute force:
+// a stale pool frame would lose or resurrect records.
+template <typename Updater>
+void ExpectPooledQueriesFresh(const std::vector<Record2>& data,
+                              RTree<2>* tree, BufferPool* pool,
+                              Updater* upd) {
+  const Rect2 everything = MakeRect(-1, -1, 2, 2);
+  std::vector<Record2> live;
   for (const auto& rec : data) {
-    upd.Insert(rec);
+    upd->Insert(rec);
+    live.push_back(rec);
     if (rec.id % 97 == 0) {
-      // Interleave cached queries with updates; stale frames would lose
-      // records.
-      Rect2 w = MakeRect(0, 0, 1, 1);
-      auto got = tree.QueryToVector(w, &pool);
-      EXPECT_EQ(got.size(), rec.id + 1);
+      EXPECT_EQ(SortedIds(tree->QueryToVector(everything, pool)),
+                BruteForceQuery(live, everything));
     }
+  }
+  for (size_t i = 0; i < data.size(); i += 2) {
+    EXPECT_TRUE(upd->Delete(data[i]));
+    if (i % 98 == 0 || i + 2 >= data.size()) {
+      live.clear();
+      for (size_t j = 0; j < data.size(); ++j) {
+        if (j % 2 == 1 || j > i) live.push_back(data[j]);
+      }
+      EXPECT_EQ(SortedIds(tree->QueryToVector(everything, pool)),
+                BruteForceQuery(live, everything));
+    }
+  }
+  EXPECT_TRUE(ValidateTree(*tree).ok());
+}
+
+TEST(RTreeUpdateTest, PoolInvalidationKeepsCachedQueriesFresh) {
+  auto data = RandomRects<2>(800, 107);
+  {
+    SCOPED_TRACE("Guttman");
+    MemoryBlockDevice dev(512);
+    RTree<2> tree(&dev);
+    BufferPool pool(&dev, 4096);
+    RTreeUpdater<2> upd(&tree, SplitPolicy::kQuadratic, 0.4, &pool);
+    ExpectPooledQueriesFresh(data, &tree, &pool, &upd);
+  }
+  {
+    SCOPED_TRACE("R*");
+    MemoryBlockDevice dev(512);
+    RTree<2> tree(&dev);
+    BufferPool pool(&dev, 4096);
+    RStarUpdater<2> upd(&tree, 0.4, 0.3, &pool);
+    ExpectPooledQueriesFresh(data, &tree, &pool, &upd);
   }
 }
 

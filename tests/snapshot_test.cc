@@ -1,14 +1,12 @@
 // Snapshot reads under concurrent writes: the epoch-based MVCC layer.
 //
-// Covers the three tentpole guarantees end to end:
+// Covers two guarantees end to end:
 //  * a reader holding a SnapshotHandle observes an immutable record set —
 //    and byte-identical QueryStats — regardless of concurrent update
 //    traffic (8-thread storm included);
 //  * pages retired by a version swap sit in limbo exactly until the last
 //    reader epoch drains, then return to the device free list (the device
-//    allocation count provably returns to its baseline);
-//  * the copy-on-write updaters (Guttman and R*) publish once per logical
-//    op, so a pinned published root always names a complete tree.
+//    allocation count provably returns to its baseline).
 
 #include <atomic>
 #include <thread>
@@ -18,8 +16,6 @@
 
 #include "core/dynamic_prtree.h"
 #include "io/epoch.h"
-#include "rtree/rstar.h"
-#include "rtree/update.h"
 #include "tests/test_util.h"
 
 namespace prtree {
@@ -114,87 +110,6 @@ TEST(EpochManagerTest, AttachedPoolFramesDieAtDrainNotRetire) {
   PageGuard g;
   ASSERT_TRUE(pool.Pin(recycled, &g).ok());
   EXPECT_EQ(g.data()[0], std::byte{0xBB});  // not the stale frame
-}
-
-// ---- copy-on-write updaters over a standalone RTree --------------------
-
-TEST(CowUpdaterTest, PinnedPublishedRootIsFrozenAcrossInserts) {
-  MemoryBlockDevice dev(512);
-  EpochManager mgr(&dev);
-  RTree<2> tree(&dev);
-  RTreeUpdater<2> updater(&tree, SplitPolicy::kQuadratic, 0.4,
-                          /*pool=*/nullptr, &mgr);
-  auto data = RandomRects<2>(120, 7);
-  const Rect<2> everything = MakeRect(-1, -1, 2, 2);
-
-  for (size_t i = 0; i < 60; ++i) updater.Insert(data[i]);
-  EpochGuard guard = mgr.Enter();
-  PageId pinned = tree.published_root();
-
-  std::vector<Record2> before;
-  QueryStats qs_before = tree.QueryFrom(pinned, everything,
-                                        [&](const Record2& r) {
-                                          before.push_back(r);
-                                        });
-  ASSERT_EQ(before.size(), 60u);
-
-  for (size_t i = 60; i < data.size(); ++i) updater.Insert(data[i]);
-
-  // The pinned root still names the complete 60-record tree, with the
-  // exact same traversal counters.
-  std::vector<Record2> after;
-  QueryStats qs_after = tree.QueryFrom(pinned, everything,
-                                       [&](const Record2& r) {
-                                         after.push_back(r);
-                                       });
-  EXPECT_EQ(SortedIds(after), SortedIds(before));
-  EXPECT_TRUE(SameStats(qs_after, qs_before));
-
-  // The live tree sees all 120.
-  EXPECT_EQ(tree.size(), data.size());
-  auto live = SortedIds(tree.QueryToVector(everything));
-  EXPECT_EQ(live, BruteForceQuery(data, everything));
-
-  guard.Release();
-  EXPECT_EQ(mgr.limbo_pages(), 0u);
-}
-
-TEST(CowUpdaterTest, RStarInsertGuttmanDeleteUnderSnapshot) {
-  MemoryBlockDevice dev(512);
-  EpochManager mgr(&dev);
-  BufferPool pool(&dev, 64);
-  RTree<2> tree(&dev);
-  RStarUpdater<2> updater(&tree, 0.4, 0.3, &pool, &mgr);
-  auto data = RandomRects<2>(150, 11);
-  const Rect<2> everything = MakeRect(-1, -1, 2, 2);
-
-  for (const auto& rec : data) updater.Insert(rec);
-  size_t allocated_full = dev.num_allocated();
-
-  EpochGuard guard = mgr.Enter();
-  PageId pinned = tree.published_root();
-  auto before = SortedIds(tree.QueryToVector(everything, &pool));
-  ASSERT_EQ(before.size(), data.size());
-
-  for (size_t i = 0; i < data.size(); i += 2) {
-    EXPECT_TRUE(updater.Delete(data[i]));
-  }
-
-  std::vector<Record2> snap;
-  tree.QueryFrom(pinned, everything,
-                 [&](const Record2& r) { snap.push_back(r); }, &pool);
-  EXPECT_EQ(SortedIds(snap), before);  // deletions invisible to the pin
-
-  guard.Release();
-  EXPECT_EQ(mgr.limbo_pages(), 0u);
-  // Everything the delete storm shadowed or condensed has been reclaimed:
-  // the device holds no more pages than the fully populated tree did.
-  EXPECT_LE(dev.num_allocated(), allocated_full);
-
-  std::vector<Record2> kept;
-  for (size_t i = 1; i < data.size(); i += 2) kept.push_back(data[i]);
-  EXPECT_EQ(SortedIds(tree.QueryToVector(everything, &pool)),
-            BruteForceQuery(kept, everything));
 }
 
 // ---- DynamicPRTree snapshots -------------------------------------------
