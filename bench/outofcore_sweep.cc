@@ -23,7 +23,7 @@
 //   --seed=<uint64>      generator seed
 //   --device=file|uring  storage backend (default file)
 //   --path=<file>        device file path (default: anonymous temp file)
-//   --budgets=a,b,...    pool budgets as fractions (default
+//   --budgets=a,b,...    pool budgets as fractions in (0, 1] (default
 //                        0.0625,0.125,0.25,0.5)
 //   --repeats=<count>    timing repeats per point, minimum kept (default 3)
 //   --direct             request O_DIRECT: misses pay real device latency
@@ -60,6 +60,9 @@
 //                        doubling from A and always includes B
 //                        (10M..100M -> 10M,20M,40M,80M,100M).  Writes
 //                        BENCH_scale.json (--out overrides).
+//
+// A malformed --budgets or --records value (junk, trailing characters, a
+// budget outside (0, 1], a count below 1, a range with A > B) exits 2.
 
 #include <cstdio>
 #include <cstdlib>
@@ -538,37 +541,49 @@ int RunWritePhase(const std::string& device_kind, const std::string& path,
 // window queries and kNN on both file and uring, asserting byte-identical
 // demand counters across the two backends.
 
-size_t ParseRecordCount(const std::string& tok) {
+// One record count: a number in [1, 1e18) (so it converts to size_t) with
+// an optional K/M suffix and nothing after it.
+bool ParseRecordCount(const std::string& tok, size_t* out) {
   char* end = nullptr;
   double v = std::strtod(tok.c_str(), &end);
-  if (end != nullptr) {
-    if (*end == 'K' || *end == 'k') v *= 1e3;
-    if (*end == 'M' || *end == 'm') v *= 1e6;
+  if (end == tok.c_str()) return false;
+  if (*end == 'K' || *end == 'k') {
+    v *= 1e3;
+    ++end;
+  } else if (*end == 'M' || *end == 'm') {
+    v *= 1e6;
+    ++end;
   }
-  return static_cast<size_t>(v);
+  if (*end != '\0' || !(v >= 1 && v < 1e18)) return false;
+  *out = static_cast<size_t>(v);
+  return true;
 }
 
 // "a,b,c" with K/M suffixes; "A..B" doubles from A and always ends at B.
-std::vector<size_t> ParseRecordsSpec(const std::string& spec) {
-  std::vector<size_t> out;
+// False on any field that is not a count or a range with A <= B.
+bool ParseRecordsSpec(const std::string& spec, std::vector<size_t>* out) {
+  out->clear();
   size_t pos = 0;
   while (pos <= spec.size()) {
     size_t comma = spec.find(',', pos);
     if (comma == std::string::npos) comma = spec.size();
     std::string tok = spec.substr(pos, comma - pos);
     pos = comma + 1;
-    if (tok.empty()) continue;
     size_t dots = tok.find("..");
+    size_t lo = 0, hi = 0;
     if (dots == std::string::npos) {
-      out.push_back(ParseRecordCount(tok));
+      if (!ParseRecordCount(tok, &lo)) return false;
+      out->push_back(lo);
       continue;
     }
-    size_t lo = ParseRecordCount(tok.substr(0, dots));
-    size_t hi = ParseRecordCount(tok.substr(dots + 2));
-    for (size_t v = lo; v < hi; v *= 2) out.push_back(v);
-    if (out.empty() || out.back() != hi) out.push_back(hi);
+    if (!ParseRecordCount(tok.substr(0, dots), &lo) ||
+        !ParseRecordCount(tok.substr(dots + 2), &hi) || lo > hi) {
+      return false;
+    }
+    for (size_t v = lo; v < hi; v *= 2) out->push_back(v);
+    if (out->empty() || out->back() != hi) out->push_back(hi);
   }
-  return out;
+  return true;
 }
 
 struct ScalePoint {
@@ -810,6 +825,32 @@ int RunScalePhase(const std::vector<size_t>& records, const std::string& path,
   return 0;
 }
 
+// "a,b,..." pool budgets, each a fraction in (0, 1].
+bool ParseBudgets(const char* spec, std::vector<double>* out) {
+  out->clear();
+  const char* p = spec;
+  while (true) {
+    char* end = nullptr;
+    double v = std::strtod(p, &end);
+    if (end == p || !(v > 0 && v <= 1)) return false;
+    out->push_back(v);
+    if (*end == '\0') return true;
+    if (*end != ',') return false;
+    p = end + 1;
+  }
+}
+
+int Usage(const char* problem, const char* arg) {
+  std::fprintf(stderr,
+               "%s %s\nusage: outofcore_sweep [--n=N] [--queries=Q] "
+               "[--seed=S] [--device=file|uring] [--path=FILE] "
+               "[--budgets=a,b,...] [--repeats=R] [--direct] "
+               "[--out=PATH] [--smoke] [--verify-cross-device] "
+               "[--write] [--records=SPEC]\n",
+               problem, arg);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -826,7 +867,7 @@ int main(int argc, char** argv) {
   bool verify_cross = false;
   bool write_phase = false;
   bool out_set = false;
-  std::string records_spec;
+  std::vector<size_t> records;  // --records: run the scale leg instead
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--n=", 4) == 0) {
@@ -840,13 +881,7 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--path=", 7) == 0) {
       path = arg + 7;
     } else if (std::strncmp(arg, "--budgets=", 10) == 0) {
-      budgets.clear();
-      const char* p = arg + 10;
-      char* end = nullptr;
-      while (*p != '\0') {
-        budgets.push_back(std::strtod(p, &end));
-        p = (*end == ',') ? end + 1 : end;
-      }
+      if (!ParseBudgets(arg + 10, &budgets)) return Usage("malformed", arg);
     } else if (std::strncmp(arg, "--repeats=", 10) == 0) {
       repeats = static_cast<int>(std::strtol(arg + 10, nullptr, 10));
       if (repeats < 1) repeats = 1;
@@ -862,16 +897,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--write") == 0) {
       write_phase = true;
     } else if (std::strncmp(arg, "--records=", 10) == 0) {
-      records_spec = arg + 10;
+      if (!ParseRecordsSpec(arg + 10, &records)) {
+        return Usage("malformed", arg);
+      }
     } else {
-      std::fprintf(stderr,
-                   "unknown flag %s\nusage: %s [--n=N] [--queries=Q] "
-                   "[--seed=S] [--device=file|uring] [--path=FILE] "
-                   "[--budgets=a,b,...] [--repeats=R] [--direct] "
-                   "[--out=PATH] [--smoke] [--verify-cross-device] "
-                   "[--write] [--records=SPEC]\n",
-                   arg, argv[0]);
-      return 2;
+      return Usage("unknown flag", arg);
     }
   }
   if (device_kind != "file" && device_kind != "uring") {
@@ -885,14 +915,9 @@ int main(int argc, char** argv) {
     budgets = {0.125, 0.5};
     repeats = 2;
   }
-  if (!records_spec.empty()) {
-    if (smoke) records_spec = "40K,80K";  // tiny but still two scale points
+  if (!records.empty()) {
+    if (smoke) records = {40'000, 80'000};  // tiny but still two scale points
     if (!out_set) out_path = "BENCH_scale.json";
-    std::vector<size_t> records = ParseRecordsSpec(records_spec);
-    if (records.empty()) {
-      std::fprintf(stderr, "--records spec parsed to nothing\n");
-      return 2;
-    }
     return RunScalePhase(records, path, direct_io, seed, num_queries,
                          repeats, out_path);
   }

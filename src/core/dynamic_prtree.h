@@ -56,8 +56,6 @@ struct DynamicPrTreeOptions {
   /// In-memory insertion buffer capacity; 0 derives it from the node
   /// capacity (one block's worth, the natural M-independent choice).
   size_t buffer_capacity = 0;
-  /// PR-tree construction options used for level rebuilds.
-  PrTreeOptions build;
 };
 
 /// \brief An insert/delete/query spatial index with PR-tree query
@@ -426,7 +424,7 @@ class DynamicPRTree {
       levels_[i].DetachPages(replaced);
     }
     while (levels_.size() <= target) levels_.emplace_back(env_.device);
-    AbortIfError(BulkLoadPrTree<D>(env_, all, &levels_[target], opts_.build));
+    AbortIfError(BulkLoadPrTree<D>(env_, all, &levels_[target]));
   }
 
   void RebuildAllLocked(std::vector<PageId>* replaced) {
@@ -446,7 +444,7 @@ class DynamicPRTree {
     size_t target = 0;
     while (LevelCapacity(target) < all.size()) ++target;
     while (levels_.size() <= target) levels_.emplace_back(env_.device);
-    AbortIfError(BulkLoadPrTree<D>(env_, all, &levels_[target], opts_.build));
+    AbortIfError(BulkLoadPrTree<D>(env_, all, &levels_[target]));
   }
 
   /// Appends `recs` to `out`, dropping (and consuming) tombstoned records.

@@ -120,30 +120,11 @@ struct Rect {
     return a;
   }
 
-  /// Sum of side lengths (half the perimeter for D = 2); the R*-tree margin.
-  Real Margin() const {
-    if (IsEmpty()) return 0;
-    Real m = 0;
-    for (int d = 0; d < D; ++d) m += hi[d] - lo[d];
-    return m;
-  }
-
   /// Side length in dimension `d`.
   Real Extent(int d) const { return hi[d] - lo[d]; }
 
   /// Centre coordinate in dimension `d`.
   Real Center(int d) const { return (lo[d] + hi[d]) / 2; }
-
-  /// Area of the intersection with `o` (zero if disjoint).
-  Real IntersectionArea(const Rect& o) const {
-    Real a = 1;
-    for (int d = 0; d < D; ++d) {
-      Real side = std::min(hi[d], o.hi[d]) - std::max(lo[d], o.lo[d]);
-      if (side <= 0) return 0;
-      a *= side;
-    }
-    return a;
-  }
 
   /// Increase of Area() if this rectangle were extended to cover `o`
   /// (Guttman's insertion cost).

@@ -11,42 +11,47 @@ namespace harness {
 
 namespace {
 
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+// Appends `s` as a JSON string literal: quoted, with quotes, backslashes
+// and control characters escaped.  Every quoted string goes through here
+// and is built by appending: GCC 12 misreads `"\"" + str + "\""` as an
+// overlapping memcpy and warns (-Wrestrict).
+void AppendQuoted(std::string* out, const std::string& s) {
+  out->push_back('"');
   for (char c : s) {
     switch (c) {
       case '"':
-        out += "\\\"";
+        out->append("\\\"");
         break;
       case '\\':
-        out += "\\\\";
+        out->append("\\\\");
         break;
       case '\n':
-        out += "\\n";
+        out->append("\\n");
         break;
       case '\t':
-        out += "\\t";
+        out->append("\\t");
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
+          out->append(buf);
         } else {
-          out += c;
+          out->push_back(c);
         }
     }
   }
-  return out;
+  out->push_back('"');
 }
 
-std::string CellToJson(const BenchJson::Cell& cell) {
+void AppendCell(std::string* out, const BenchJson::Cell& cell) {
   switch (cell.kind) {
     case BenchJson::Cell::Kind::kBool:
-      return cell.flag ? "true" : "false";
+      out->append(cell.flag ? "true" : "false");
+      return;
     case BenchJson::Cell::Kind::kString:
-      return "\"" + EscapeJson(cell.str) + "\"";
+      AppendQuoted(out, cell.str);
+      return;
     case BenchJson::Cell::Kind::kNumber: {
       char buf[64];
       // Counters print exactly; measured doubles keep 10 significant
@@ -62,10 +67,11 @@ std::string CellToJson(const BenchJson::Cell& cell) {
         // JSON has no NaN/Inf; null keeps the document parseable.
         std::snprintf(buf, sizeof(buf), "null");
       }
-      return buf;
+      out->append(buf);
+      return;
     }
   }
-  return "null";
+  out->append("null");
 }
 
 }  // namespace
@@ -92,23 +98,25 @@ BenchJson::Table* BenchJson::AddTable(std::string name,
 }
 
 std::string BenchJson::ToString() const {
-  std::string json = "{\n";
-  json += "  \"bench\": \"" + EscapeJson(bench_name_) + "\",\n";
-  json += "  \"params\": {";
+  std::string json = "{\n  \"bench\": ";
+  AppendQuoted(&json, bench_name_);
+  json += ",\n  \"params\": {";
   for (size_t i = 0; i < params_.size(); ++i) {
     if (i > 0) json += ", ";
-    json += "\"" + EscapeJson(params_[i].first) +
-            "\": " + CellToJson(params_[i].second);
+    AppendQuoted(&json, params_[i].first);
+    json += ": ";
+    AppendCell(&json, params_[i].second);
   }
   json += "},\n";
   json += "  \"tables\": [\n";
   for (size_t t = 0; t < tables_.size(); ++t) {
     const Table& table = *tables_[t];
-    json += "    {\"name\": \"" + EscapeJson(table.name_) + "\",\n";
-    json += "     \"columns\": [";
+    json += "    {\"name\": ";
+    AppendQuoted(&json, table.name_);
+    json += ",\n     \"columns\": [";
     for (size_t c = 0; c < table.columns_.size(); ++c) {
       if (c > 0) json += ", ";
-      json += "\"" + EscapeJson(table.columns_[c]) + "\"";
+      AppendQuoted(&json, table.columns_[c]);
     }
     json += "],\n";
     json += "     \"rows\": [\n";
@@ -116,7 +124,7 @@ std::string BenchJson::ToString() const {
       json += "       [";
       for (size_t c = 0; c < table.rows_[r].size(); ++c) {
         if (c > 0) json += ", ";
-        json += CellToJson(table.rows_[r][c]);
+        AppendCell(&json, table.rows_[r][c]);
       }
       json += r + 1 < table.rows_.size() ? "],\n" : "]\n";
     }

@@ -39,7 +39,7 @@ Status UringBlockDevice::Open(const std::string& path,
   PRTREE_RETURN_NOT_OK(dev->FinishOpen(opts.file, file.fresh));
   dev->write_batch_hint_ = std::max(1u, opts.ring_entries);
 
-  if (!opts.force_fallback && UringQueue::KernelSupport()) {
+  if (UringQueue::KernelSupport()) {
     std::unique_ptr<UringQueue> ring;
     if (UringQueue::Create(dev->fd(), opts.ring_entries, &ring).ok()) {
       const size_t block = dev->block_size();

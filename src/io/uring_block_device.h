@@ -30,8 +30,8 @@
 // false and every batch transparently takes the inherited scalar loop.
 // Semantics, accounting and on-disk bytes are identical in both modes;
 // only wall-clock differs.  Setting the PRTREE_NO_URING environment
-// variable (or UringDeviceOptions::force_fallback) forces the fallback,
-// which is how CI exercises it on io_uring-capable kernels.
+// variable forces the fallback (Open() reads it every time), which is how
+// CI and the tests exercise it on io_uring-capable kernels.
 //
 // Accounting matches the BlockDevice contract: one read (or prefetch_read,
 // per ReadKind) / one write per successful request, whichever engine
@@ -61,11 +61,6 @@ struct UringDeviceOptions {
   /// up, so write staging (and the write_batches counter) depends only on
   /// configuration, never on kernel capabilities.
   unsigned ring_entries = 64;
-
-  /// Never create a ring: behave exactly like FileBlockDevice (except for
-  /// PreferredWriteBatch(), see above).  For tests that must exercise the
-  /// fallback on io_uring-capable kernels.
-  bool force_fallback = false;
 
   /// Keep the ring but skip buffer/file registration, so the plain
   /// (non-FIXED) opcodes are exercised on registration-capable kernels.

@@ -275,8 +275,7 @@ class JournaledTree {
   void Init() {
     tree_.emplace(device_.get());
     journal_ = std::make_unique<JournalWriter>(device_.get(), opts_.journal);
-    updater_.emplace(&*tree_, SplitPolicy::kQuadratic, /*min_fill=*/0.4,
-                     /*pool=*/nullptr, journal_.get());
+    updater_.emplace(&*tree_, /*pool=*/nullptr, journal_.get());
   }
 
   JournalWriter::MetaBuilder MetaBuilderFn() {

@@ -1,12 +1,15 @@
-// Guttman's dynamic R-tree update algorithms (§1.1 [13]).
+// Guttman's dynamic R-tree update algorithms (§1.1 [13]): ChooseLeaf
+// descent, the quadratic split, and deletion with CondenseTree and
+// reinsertion, at a fixed 40% minimum fill.
 //
 // The paper bulk-loads its trees but notes that "after bulk-loading, a
 // PR-tree can be updated in O(log_B N) I/Os using the standard R-tree
 // updating algorithms, but without maintaining its query efficiency" (§1.2).
-// This module provides those standard algorithms — ChooseLeaf descent,
-// quadratic/linear node splitting, and deletion with CondenseTree and
-// reinsertion — over the shared block-based container, so the claim can be
-// measured (see bench/ablation_updates and the dynamic example).
+// This is that standard baseline, and the only update heuristic kept here:
+// the paper's own answer to updates is the logarithmic method
+// (core/dynamic_prtree.h), which bench/ablation_updates and the dynamic
+// example measure against this updater.  It is also the updater that
+// JournaledTree (rtree/journaled_tree.h) logs through the update journal.
 
 #ifndef PRTREE_RTREE_UPDATE_H_
 #define PRTREE_RTREE_UPDATE_H_
@@ -22,12 +25,6 @@
 
 namespace prtree {
 
-/// Node-splitting policy for overflowing nodes.
-enum class SplitPolicy {
-  kQuadratic,  // Guttman's quadratic-cost split (default in practice)
-  kLinear,     // Guttman's linear-cost split
-};
-
 /// \brief Dynamic insert/delete on an RTree, per Guttman.
 ///
 /// Writes go through UpdaterIO: in place (invalidating any BufferPool
@@ -42,24 +39,17 @@ class RTreeUpdater {
   using RecordT = Record<D>;
 
   /// \param tree     the tree to update (may be empty).
-  /// \param policy   node split algorithm.
-  /// \param min_fill minimum node occupancy after deletion and the floor
-  ///                 for split groups, as a fraction of capacity.  Guttman
-  ///                 requires m <= capacity/2; 0.4 is the customary value.
   /// \param pool     optional read cache over the tree's pages; every
   ///                 page an op writes or frees is invalidated in it.
   /// \param journal  optional: logs every op through the update journal
   ///                 (copy-on-write, commit-at-EndOp — io/journal.h).
-  explicit RTreeUpdater(RTree<D>* tree,
-                        SplitPolicy policy = SplitPolicy::kQuadratic,
-                        double min_fill = 0.4, BufferPool* pool = nullptr,
+  explicit RTreeUpdater(RTree<D>* tree, BufferPool* pool = nullptr,
                         JournalWriter* journal = nullptr)
-      : tree_(tree), policy_(policy), io_(tree, pool, journal) {
-    PRTREE_CHECK(min_fill > 0.0 && min_fill <= 0.5);
-    min_entries_ = std::max<size_t>(
-        1, static_cast<size_t>(min_fill *
-                               static_cast<double>(tree->capacity())));
-  }
+      : tree_(tree),
+        io_(tree, pool, journal),
+        min_entries_(std::max<size_t>(
+            1, static_cast<size_t>(kMinFill *
+                                   static_cast<double>(tree->capacity())))) {}
 
   /// \brief Inserts one record in O(log_B N) I/Os.
   void Insert(const RecordT& rec) {
@@ -96,10 +86,12 @@ class RTreeUpdater {
     return true;
   }
 
-  /// Entry floor used by condense/split decisions.
-  size_t min_entries() const { return min_entries_; }
-
  private:
+  /// Minimum node occupancy after deletion and the floor for split groups,
+  /// as a fraction of capacity.  Guttman requires m <= capacity/2; 0.4 is
+  /// the customary value.
+  static constexpr double kMinFill = 0.4;
+
   struct Orphan {
     RectT rect;
     uint32_t id;
@@ -206,7 +198,7 @@ class RTreeUpdater {
   }
 
   /// Splits an overflowing node: distributes its entries plus (rect, id)
-  /// into the old page and a fresh sibling.
+  /// into the old page and a fresh sibling by Guttman's quadratic split.
   InsertResult SplitNode(PageId page, NodeView<D>* node, std::byte* buf,
                          const RectT& rect, uint32_t id) {
     struct Entry {
@@ -221,11 +213,7 @@ class RTreeUpdater {
     entries.push_back(Entry{rect, id});
 
     std::vector<int> group_a, group_b;
-    if (policy_ == SplitPolicy::kQuadratic) {
-      QuadraticPartition(entries, &group_a, &group_b);
-    } else {
-      LinearPartition(entries, &group_a, &group_b);
-    }
+    QuadraticPartition(entries, &group_a, &group_b);
 
     uint16_t level = node->level();
     node->Format(level);
@@ -325,69 +313,6 @@ class RTreeUpdater {
         mbr_b.ExtendToCover(entries[pick].rect);
       }
       assigned[pick] = true;
-      --remaining;
-    }
-  }
-
-  template <typename Entry>
-  void LinearPartition(const std::vector<Entry>& entries,
-                       std::vector<int>* group_a,
-                       std::vector<int>* group_b) const {
-    const int n = static_cast<int>(entries.size());
-    // LinearPickSeeds: per dimension, the pair with greatest normalised
-    // separation (highest low side vs lowest high side).
-    int seed_a = 0, seed_b = 1;
-    Real best_sep = -std::numeric_limits<Real>::infinity();
-    for (int d = 0; d < D; ++d) {
-      int highest_lo = 0, lowest_hi = 0;
-      Real min_lo = entries[0].rect.lo[d], max_hi = entries[0].rect.hi[d];
-      for (int i = 1; i < n; ++i) {
-        if (entries[i].rect.lo[d] > entries[highest_lo].rect.lo[d]) {
-          highest_lo = i;
-        }
-        if (entries[i].rect.hi[d] < entries[lowest_hi].rect.hi[d]) {
-          lowest_hi = i;
-        }
-        min_lo = std::min(min_lo, entries[i].rect.lo[d]);
-        max_hi = std::max(max_hi, entries[i].rect.hi[d]);
-      }
-      if (highest_lo == lowest_hi) continue;
-      Real width = max_hi - min_lo;
-      Real sep = entries[highest_lo].rect.lo[d] -
-                 entries[lowest_hi].rect.hi[d];
-      Real norm = width > 0 ? sep / width : sep;
-      if (norm > best_sep) {
-        best_sep = norm;
-        seed_a = lowest_hi;
-        seed_b = highest_lo;
-      }
-    }
-    group_a->assign(1, seed_a);
-    group_b->assign(1, seed_b);
-    RectT mbr_a = entries[seed_a].rect;
-    RectT mbr_b = entries[seed_b].rect;
-    int remaining = n - 2;
-    for (int i = 0; i < n && remaining > 0; ++i) {
-      if (i == seed_a || i == seed_b) continue;
-      int left = remaining - 1;
-      if (group_a->size() + static_cast<size_t>(left) + 1 == min_entries_) {
-        group_a->push_back(i);
-        mbr_a.ExtendToCover(entries[i].rect);
-      } else if (group_b->size() + static_cast<size_t>(left) + 1 ==
-                 min_entries_) {
-        group_b->push_back(i);
-        mbr_b.ExtendToCover(entries[i].rect);
-      } else {
-        Real d_a = mbr_a.Enlargement(entries[i].rect);
-        Real d_b = mbr_b.Enlargement(entries[i].rect);
-        if (d_a < d_b || (d_a == d_b && group_a->size() <= group_b->size())) {
-          group_a->push_back(i);
-          mbr_a.ExtendToCover(entries[i].rect);
-        } else {
-          group_b->push_back(i);
-          mbr_b.ExtendToCover(entries[i].rect);
-        }
-      }
       --remaining;
     }
   }
@@ -496,7 +421,6 @@ class RTreeUpdater {
   }
 
   RTree<D>* tree_;
-  SplitPolicy policy_;
   UpdaterIO<D> io_;
   NodeScanner<D> scan_;  // batched delete-descent tests (rtree/node_scan.h)
   size_t min_entries_;

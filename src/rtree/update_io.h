@@ -1,16 +1,15 @@
-// Shared node-I/O helper for the dynamic updaters (rtree/update.h,
-// rtree/rstar.h).  Both previously carried identical copies of the
-// pool-read-then-copy and write-then-invalidate plumbing; it lives here
-// once now, which is also the single seam through which an updater logs to
-// the update journal.
+// Node I/O for RTreeUpdater (rtree/update.h), its one client.  The update
+// algorithms read, write, allocate and release nodes only through this
+// class, so they need not know whether a pool caches the tree or a journal
+// makes each op crash-safe.
 //
 // Two modes:
 //
-//  * In place (no journal): byte-for-byte the historical behaviour.
-//    Write() updates the page in place and invalidates the pool frame;
-//    Release() invalidates and frees immediately.  The device-op sequence
-//    (Read/Write/Allocate/Free order) is exactly what the updaters have
-//    always issued, so page-id layouts and I/O counters stay identical.
+//  * In place (no journal): Write() updates the page in place and
+//    invalidates its pool frame; Release() invalidates and frees at once.
+//    The device-op sequence (Read/Write/Allocate/Free order) is exactly
+//    what the updater's algorithms issue, so page-id layouts and I/O
+//    counters follow from them alone.
 //
 //  * Journaled copy-on-write (JournalWriter attached, io/journal.h): no
 //    page the newest COMMITTED version on disk can reach is ever

@@ -72,23 +72,10 @@ TEST(RectTest, CoverAndExtend) {
 TEST(RectTest, AreaMarginExtent) {
   Rect2 a = MakeRect(0, 0, 2, 3);
   EXPECT_DOUBLE_EQ(a.Area(), 6);
-  EXPECT_DOUBLE_EQ(a.Margin(), 5);
   EXPECT_DOUBLE_EQ(a.Extent(0), 2);
   EXPECT_DOUBLE_EQ(a.Extent(1), 3);
   EXPECT_DOUBLE_EQ(a.Center(0), 1);
   EXPECT_DOUBLE_EQ(a.Center(1), 1.5);
-}
-
-TEST(RectTest, IntersectionArea) {
-  Rect2 a = MakeRect(0, 0, 2, 2);
-  Rect2 b = MakeRect(1, 1, 3, 3);
-  EXPECT_DOUBLE_EQ(a.IntersectionArea(b), 1);
-  EXPECT_DOUBLE_EQ(b.IntersectionArea(a), 1);
-  Rect2 c = MakeRect(5, 5, 6, 6);
-  EXPECT_DOUBLE_EQ(a.IntersectionArea(c), 0);
-  // Touching edge: zero-area intersection.
-  Rect2 d = MakeRect(2, 0, 3, 2);
-  EXPECT_DOUBLE_EQ(a.IntersectionArea(d), 0);
 }
 
 TEST(RectTest, Enlargement) {
@@ -111,7 +98,6 @@ TEST(RectTest, ThreeDimensional) {
   a.lo = {0, 0, 0};
   a.hi = {1, 2, 3};
   EXPECT_DOUBLE_EQ(a.Area(), 6);
-  EXPECT_DOUBLE_EQ(a.Margin(), 6);
   EXPECT_EQ(Rect<3>::kCorners, 6);
   Rect<3> b;
   b.lo = {0.5, 0.5, 2.9};
@@ -123,7 +109,7 @@ TEST(RectTest, ThreeDimensional) {
 }
 
 // Property sweep: Cover is commutative/associative and Intersects is
-// symmetric and consistent with IntersectionArea on random rectangles.
+// symmetric on random rectangles.
 class RectPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RectPropertyTest, AlgebraicProperties) {
@@ -136,9 +122,6 @@ TEST_P(RectPropertyTest, AlgebraicProperties) {
     EXPECT_EQ(Rect2::Cover(Rect2::Cover(a, b), c),
               Rect2::Cover(a, Rect2::Cover(b, c)));
     EXPECT_EQ(a.Intersects(b), b.Intersects(a));
-    if (a.IntersectionArea(b) > 0) {
-      EXPECT_TRUE(a.Intersects(b));
-    }
     EXPECT_TRUE(Rect2::Cover(a, b).Contains(a));
     EXPECT_TRUE(Rect2::Cover(a, b).Contains(b));
     EXPECT_GE(a.Enlargement(b), 0);

@@ -5,7 +5,7 @@
 #include <map>
 #include <vector>
 
-#include "rtree/rstar.h"
+#include "core/prtree.h"
 #include "rtree/validate.h"
 #include "tests/test_util.h"
 
@@ -30,14 +30,12 @@ TEST(RTreeInsertTest, InsertIntoEmptyTree) {
   ASSERT_TRUE(ValidateTree(tree).ok());
 }
 
-class InsertManyTest
-    : public ::testing::TestWithParam<std::tuple<SplitPolicy, size_t>> {};
+class InsertManyTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(InsertManyTest, RepeatedInsertionKeepsInvariantsAndAnswers) {
-  auto [policy, block_size] = GetParam();
-  MemoryBlockDevice dev(block_size);
+  MemoryBlockDevice dev(GetParam());
   RTree<2> tree(&dev);
-  RTreeUpdater<2> upd(&tree, policy);
+  RTreeUpdater<2> upd(&tree);
   auto data = RandomRects<2>(1500, 79);
   for (const auto& rec : data) upd.Insert(rec);
   EXPECT_EQ(tree.size(), data.size());
@@ -54,11 +52,43 @@ TEST_P(InsertManyTest, RepeatedInsertionKeepsInvariantsAndAnswers) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Policies, InsertManyTest,
-    ::testing::Combine(::testing::Values(SplitPolicy::kQuadratic,
-                                         SplitPolicy::kLinear),
-                       ::testing::Values(size_t{512}, size_t{4096})));
+INSTANTIATE_TEST_SUITE_P(BlockSizes, InsertManyTest,
+                         ::testing::Values(size_t{512}, size_t{4096}));
+
+TEST(RTreeInsertTest, ThreeDimensional) {
+  MemoryBlockDevice dev(4096);
+  RTree<3> tree(&dev);
+  RTreeUpdater<3> upd(&tree);
+  auto data = RandomRects<3>(1000, 37);
+  for (const auto& rec : data) upd.Insert(rec);
+  EXPECT_EQ(tree.size(), data.size());
+  ASSERT_TRUE(ValidateTree(tree, {.min_entries = 1}).ok());
+  Rng rng(41);
+  for (int q = 0; q < 10; ++q) {
+    Rect<3> w = RandomWindow<3>(&rng, 0.3);
+    EXPECT_EQ(SortedIds(tree.QueryToVector(w)), BruteForceQuery(data, w));
+  }
+}
+
+TEST(RTreeInsertTest, UpdatesOnBulkLoadedPrTree) {
+  // §1.2: a bulk-loaded PR-tree "can be updated in O(log_B N) I/Os using
+  // the standard R-tree updating algorithms".
+  MemoryBlockDevice dev(512);
+  RTree<2> tree(&dev);
+  auto data = RandomRects<2>(2000, 29);
+  std::vector<Record2> base(data.begin(), data.begin() + 1500);
+  std::vector<Record2> extra(data.begin() + 1500, data.end());
+  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 4u << 20}, base, &tree));
+  RTreeUpdater<2> upd(&tree);
+  for (const auto& rec : extra) upd.Insert(rec);
+  EXPECT_EQ(tree.size(), data.size());
+  ASSERT_TRUE(ValidateTree(tree, {.min_entries = 1}).ok());
+  Rng rng(31);
+  for (int q = 0; q < 20; ++q) {
+    Rect2 w = RandomWindow<2>(&rng, 0.2);
+    EXPECT_EQ(SortedIds(tree.QueryToVector(w)), BruteForceQuery(data, w));
+  }
+}
 
 TEST(RTreeInsertTest, SplitsRaiseHeightLogarithmically) {
   MemoryBlockDevice dev(512);  // fan-out 13
@@ -176,55 +206,37 @@ TEST_P(UpdateFuzzTest, MixedInsertDeleteQueryAgreesWithModel) {
 INSTANTIATE_TEST_SUITE_P(Seeds, UpdateFuzzTest,
                          ::testing::Values(1, 7, 13, 2024));
 
-// Interleaves queries through `pool` with `upd`'s inserts of `data`, then
-// with deletes of every other record, checking each against brute force:
-// a stale pool frame would lose or resurrect records.
-template <typename Updater>
-void ExpectPooledQueriesFresh(const std::vector<Record2>& data,
-                              RTree<2>* tree, BufferPool* pool,
-                              Updater* upd) {
+// Interleaves queries through a pool with inserts, then with deletes of
+// every other record, checking each against brute force: a stale pool
+// frame would lose or resurrect records.
+TEST(RTreeUpdateTest, PoolInvalidationKeepsCachedQueriesFresh) {
+  auto data = RandomRects<2>(800, 107);
+  MemoryBlockDevice dev(512);
+  RTree<2> tree(&dev);
+  BufferPool pool(&dev, 4096);
+  RTreeUpdater<2> upd(&tree, &pool);
   const Rect2 everything = MakeRect(-1, -1, 2, 2);
   std::vector<Record2> live;
   for (const auto& rec : data) {
-    upd->Insert(rec);
+    upd.Insert(rec);
     live.push_back(rec);
     if (rec.id % 97 == 0) {
-      EXPECT_EQ(SortedIds(tree->QueryToVector(everything, pool)),
+      EXPECT_EQ(SortedIds(tree.QueryToVector(everything, &pool)),
                 BruteForceQuery(live, everything));
     }
   }
   for (size_t i = 0; i < data.size(); i += 2) {
-    EXPECT_TRUE(upd->Delete(data[i]));
+    EXPECT_TRUE(upd.Delete(data[i]));
     if (i % 98 == 0 || i + 2 >= data.size()) {
       live.clear();
       for (size_t j = 0; j < data.size(); ++j) {
         if (j % 2 == 1 || j > i) live.push_back(data[j]);
       }
-      EXPECT_EQ(SortedIds(tree->QueryToVector(everything, pool)),
+      EXPECT_EQ(SortedIds(tree.QueryToVector(everything, &pool)),
                 BruteForceQuery(live, everything));
     }
   }
-  EXPECT_TRUE(ValidateTree(*tree).ok());
-}
-
-TEST(RTreeUpdateTest, PoolInvalidationKeepsCachedQueriesFresh) {
-  auto data = RandomRects<2>(800, 107);
-  {
-    SCOPED_TRACE("Guttman");
-    MemoryBlockDevice dev(512);
-    RTree<2> tree(&dev);
-    BufferPool pool(&dev, 4096);
-    RTreeUpdater<2> upd(&tree, SplitPolicy::kQuadratic, 0.4, &pool);
-    ExpectPooledQueriesFresh(data, &tree, &pool, &upd);
-  }
-  {
-    SCOPED_TRACE("R*");
-    MemoryBlockDevice dev(512);
-    RTree<2> tree(&dev);
-    BufferPool pool(&dev, 4096);
-    RStarUpdater<2> upd(&tree, 0.4, 0.3, &pool);
-    ExpectPooledQueriesFresh(data, &tree, &pool, &upd);
-  }
+  EXPECT_TRUE(ValidateTree(tree).ok());
 }
 
 }  // namespace

@@ -4,10 +4,10 @@
 // io_uring availability is a runtime property of the kernel/container, so
 // every test here must pass in BOTH modes — the suite asserts behaviour
 // (bytes, statuses, counters, on-disk format), never the engine.  The
-// fallback itself is exercised deterministically via
-// UringDeviceOptions::force_fallback and the PRTREE_NO_URING environment
-// variable, so a CI runner with io_uring still covers the no-io_uring
-// path (and one without covers it twice).  CI runs this suite under every
+// fallback itself is exercised deterministically through the
+// PRTREE_NO_URING environment variable, which Create() can set around the
+// Open, so a CI runner with io_uring still covers the no-io_uring path
+// (and one without covers it twice).  CI runs this suite under every
 // preset and once more with PRTREE_NO_URING=1.
 
 #include "io/uring_block_device.h"
@@ -19,6 +19,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "io/buffer_pool.h"
@@ -32,6 +34,29 @@ namespace {
 
 using testing_util::SortedIds;
 
+// Sets PRTREE_NO_URING for its lifetime, then restores the previous value,
+// so forcing the fallback never leaks into the rest of the process.
+class ScopedNoUring {
+ public:
+  ScopedNoUring() {
+    if (const char* v = std::getenv(kVar)) saved_ = v;
+    ::setenv(kVar, "1", 1);
+  }
+  ~ScopedNoUring() {
+    if (saved_) {
+      ::setenv(kVar, saved_->c_str(), 1);
+    } else {
+      ::unsetenv(kVar);
+    }
+  }
+  ScopedNoUring(const ScopedNoUring&) = delete;
+  ScopedNoUring& operator=(const ScopedNoUring&) = delete;
+
+ private:
+  static constexpr const char* kVar = "PRTREE_NO_URING";
+  std::optional<std::string> saved_;
+};
+
 class UringBlockDeviceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -42,14 +67,17 @@ class UringBlockDeviceTest : public ::testing::Test {
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
+  /// Opens a fresh device; `no_uring` sets PRTREE_NO_URING around the
+  /// Open, forcing the pread fallback even where the kernel has io_uring.
   std::unique_ptr<UringBlockDevice> Create(size_t block_size = 512,
-                                           bool force_fallback = false,
+                                           bool no_uring = false,
                                            unsigned ring_entries = 64) {
     UringDeviceOptions opts;
     opts.file.block_size = block_size;
     opts.file.truncate = true;
     opts.ring_entries = ring_entries;
-    opts.force_fallback = force_fallback;
+    std::optional<ScopedNoUring> scoped;
+    if (no_uring) scoped.emplace();
     std::unique_ptr<UringBlockDevice> dev;
     AbortIfError(UringBlockDevice::Open(path_, opts, &dev));
     return dev;
@@ -154,9 +182,7 @@ TEST_F(UringBlockDeviceTest, ForcedFallbackIsByteAndCounterIdentical) {
 }
 
 TEST_F(UringBlockDeviceTest, EnvVarForcesTheFallback) {
-  ::setenv("PRTREE_NO_URING", "1", 1);
-  auto dev = Create();
-  ::unsetenv("PRTREE_NO_URING");
+  auto dev = Create(512, /*no_uring=*/true);
   EXPECT_FALSE(dev->ring_active());
   // The fallback must engage cleanly: same semantics, batched reads
   // included.
@@ -172,7 +198,7 @@ TEST_F(UringBlockDeviceTest, EnvVarForcesTheFallback) {
 }
 
 TEST_F(UringBlockDeviceTest, BatchLargerThanRingDepthIsChunked) {
-  auto dev = Create(512, /*force_fallback=*/false, /*ring_entries=*/2);
+  auto dev = Create(512, /*no_uring=*/false, /*ring_entries=*/2);
   const int kPages = 33;  // forces many chunks through a depth-2 ring
   auto pages = FillPages(dev.get(), kPages);
   dev->ResetStats();
@@ -406,7 +432,7 @@ TEST_F(UringBlockDeviceTest, WriteBatchPartialFailuresNeverHarderThanScalar) {
 }
 
 TEST_F(UringBlockDeviceTest, WriteBatchLargerThanRingDepthIsChunked) {
-  auto dev = Create(512, /*force_fallback=*/false, /*ring_entries=*/2);
+  auto dev = Create(512, /*no_uring=*/false, /*ring_entries=*/2);
   const int kPages = 33;  // forces many chunks through a depth-2 ring
   std::vector<PageId> pages;
   for (int i = 0; i < kPages; ++i) pages.push_back(dev->Allocate());

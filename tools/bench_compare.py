@@ -20,13 +20,15 @@ never break an old baseline).  What a key means decides how it is gated:
  * "deterministic" must be true in the current run — the benches set it
    false when their internal cross-checks (identical trees across thread
    counts, identical traversals across devices/budgets) break;
- * latency keys (p50/p99 percentiles, any leaf ending in "_ms") are
-   echoed side-by-side with the baseline but never gated — like raw
-   seconds they do not transfer across machines, and unlike speedups the
-   mixed-workload percentiles also move with core count;
- * raw "seconds" and everything else numeric are reported but never gated:
+ * every other timing key (is_timing below: "seconds", "_ms", p50/p99
+   percentiles) is echoed side-by-side with the baseline but never gated:
    absolute wall-clock does not transfer between a laptop, a CI runner and
-   a dev box (docs/TUNING.md covers re-baselining).
+   a dev box, and the mixed-workload percentiles also move with core count
+   (docs/TUNING.md covers re-baselining);
+ * everything else is ignored.
+
+is_timing is the repo's one rule for which keys are timings: the eval
+pipeline (tools/eval/) imports it to drop timing columns before rendering.
 """
 
 import argparse
@@ -66,8 +68,16 @@ EXACT_LEAF_KEYS = {
     "journal_pages",
 }
 
-# Reported, never gated.
-INFO_LEAF_KEYS = {"seconds", "host_threads", "ring_active"}
+# A key is a timing when any part of its path contains one of these:
+# measured wall-clock (seconds, milliseconds, latency percentiles) or a
+# ratio of two wall-clock runs (speedup).
+TIMING_MARKERS = ("seconds", "_ms", "p50", "p99", "speedup")
+
+
+def is_timing(key):
+    """True if `key` (a dotted path, a leaf or a column name) is a timing:
+    machine-dependent, so never gated exactly nor rendered into docs."""
+    return any(m in key for m in TIMING_MARKERS)
 
 
 def flatten(obj, prefix=""):
@@ -87,14 +97,10 @@ def classify(path):
     leaf = path.rsplit(".", 1)[-1]
     if leaf == "deterministic":
         return "deterministic"
-    if "speedup" in path:
-        return "speedup"
-    if leaf.endswith("_ms") or "p50" in leaf or "p99" in leaf:
-        return "latency"
+    if is_timing(path):
+        return "speedup" if "speedup" in path else "timing"
     if leaf in EXACT_LEAF_KEYS:
         return "exact"
-    if leaf in INFO_LEAF_KEYS:
-        return "info"
     return "info"
 
 
@@ -108,13 +114,13 @@ def compare(baseline, current, threshold):
         kind = classify(path)
         if kind == "info":
             continue
-        if kind == "latency":
+        if kind == "timing":
             # Echo next to the baseline for eyeballing; never gate (absolute
-            # latency is machine-bound, and a bench may drop a percentile).
+            # time is machine-bound, and a bench may drop a percentile).
             if path in cur and isinstance(cur[path], (int, float)):
                 notes.append(
                     f"{path}: {cur[path]:.4f} vs baseline "
-                    f"{base[path]:.4f} (latency, not gated)"
+                    f"{base[path]:.4f} (timing, not gated)"
                 )
             continue
         if path not in cur:
@@ -196,7 +202,7 @@ def self_test():
     assert any("missing" in f for f in fails), fails
 
     # Latency percentiles: echoed-but-never-gated, even when they drift
-    # wildly or disappear from the current run.
+    # wildly or disappear from the current run.  So is every other timing.
     lat_base = {"legs": [{"threads": 2, "window_p50_ms": 0.5,
                           "window_p99_ms": 2.0, "knn_p50_ms": 1.0}]}
     lat_cur = {"legs": [{"threads": 2, "window_p50_ms": 50.0,
@@ -204,6 +210,13 @@ def self_test():
     fails, notes = compare(lat_base, lat_cur, 0.25)
     assert fails == [], fails
     assert sum("not gated" in n for n in notes) == 2, notes
+
+    # One timing rule: a "speedup" anywhere in the path gates as a ratio,
+    # any other timing marker is echoed only.
+    assert classify("speedup_writebatch.0.1250") == "speedup"
+    assert classify("points.0.seconds") == "timing"
+    assert classify("legs.0.window_p99_ms") == "timing"
+    assert classify("points.0.leaves") == "exact"
 
     print("bench_compare self-test OK")
     return 0

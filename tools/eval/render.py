@@ -10,9 +10,10 @@ for every figure in FIGURES:
   docs/eval/<bench>[.chart].svg  hand-rolled deterministic SVG plots
 
 Only stdlib is used (the container has no matplotlib) and the output is
-byte-deterministic: timing columns (seconds / *_ms / speedup) are dropped
-before rendering, floats are formatted with fixed precision, and nothing
-depends on dict order, clocks or randomness.  Re-running the eval at the
+byte-deterministic: timing columns (seconds / *_ms / p50 / p99 / speedup,
+the rule tools/bench_compare.py's is_timing applies) are dropped before
+rendering, floats are formatted with fixed precision, and nothing depends
+on dict order, clocks or randomness.  Re-running the eval at the
 committed sizes therefore regenerates docs/eval/ byte-identically — that is
 what CI's eval-smoke job checks.
 """
@@ -20,6 +21,12 @@ what CI's eval-smoke job checks.
 import json
 import math
 import os
+import sys
+
+# The one rule for which keys are timings lives in the CI gate (tools/).
+sys.path.insert(0, os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+from bench_compare import is_timing  # noqa: E402
 
 # ----------------------------------------------------------------------------
 # Palette (light mode, validated): categorical hues are assigned to the
@@ -42,12 +49,6 @@ INK_MUTED = "#898781"
 GRID = "#e1e0d9"
 AXIS = "#c3c2b7"
 FONT = "font-family=\"system-ui,-apple-system,sans-serif\""
-
-TIMING_MARKERS = ("seconds", "_ms", "speedup")
-
-
-def is_timing(column):
-    return any(m in column for m in TIMING_MARKERS)
 
 
 def series_color(name, idx):

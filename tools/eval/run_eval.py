@@ -43,8 +43,11 @@ import subprocess
 import sys
 import tempfile
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+_EVAL_DIR = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, _EVAL_DIR)
+sys.path.insert(0, os.path.dirname(_EVAL_DIR))  # tools/, for bench_compare
 import render  # noqa: E402
+from bench_compare import is_timing  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
@@ -73,13 +76,10 @@ BENCHES = {
     "ablation_updates": {"n": 24000, "queries": 32},
 }
 
-TIMING_MARKERS = ("seconds", "_ms", "speedup")
-
-
 def strip_timing(obj):
     if isinstance(obj, dict):
         return {k: strip_timing(v) for k, v in obj.items()
-                if not any(m in k for m in TIMING_MARKERS)}
+                if not is_timing(k)}
     if isinstance(obj, list):
         return [strip_timing(v) for v in obj]
     return obj
@@ -94,8 +94,7 @@ def strip_device(doc):
     # columns, not just dict keys.
     tables = []
     for t in doc.get("tables", []):
-        keep = [i for i, c in enumerate(t["columns"])
-                if not any(m in c for m in TIMING_MARKERS)]
+        keep = [i for i, c in enumerate(t["columns"]) if not is_timing(c)]
         tables.append({"name": t["name"],
                        "columns": [t["columns"][i] for i in keep],
                        "rows": [[r[i] for i in keep] for r in t["rows"]]})
