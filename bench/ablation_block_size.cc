@@ -25,9 +25,9 @@ int main(int argc, char** argv) {
               "n=%zu) ===\n", n);
   auto data = workload::MakeSize(n, 0.01, opts.seed);
 
-  BenchJson json("ablation_block_size");
+  FigureJson json("ablation_block_size");
   AddBenchParams(opts, n, &json);
-  BenchJson::Table* jt = json.AddTable(
+  FigureJson::Table* jt = json.AddTable(
       "block_size", {"block_size", "fanout", "build_io", "leaves_per_query",
                      "pct_of_optimal"});
 

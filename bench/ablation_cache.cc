@@ -25,9 +25,9 @@ int main(int argc, char** argv) {
   auto data = workload::MakeTigerLike(n, workload::TigerRegion::kEastern,
                                       opts.seed);
 
-  BenchJson json("ablation_cache");
+  FigureJson json("ablation_cache");
   AddBenchParams(opts, n, &json);
-  BenchJson::Table* jt = json.AddTable(
+  FigureJson::Table* jt = json.AddTable(
       "cache", {"variant", "reads_cached", "reads_cold", "overhead_pct"});
 
   TablePrinter table({"tree", "reads/query (cached)", "reads/query (cold)",

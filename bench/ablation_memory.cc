@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
               static_cast<double>(n * sizeof(Record2)) / (1u << 20));
   auto data = workload::MakeSize(n, 0.01, opts.seed);
 
-  BenchJson json("ablation_memory");
+  FigureJson json("ablation_memory");
   AddBenchParams(opts, n, &json);
-  BenchJson::Table* jt = json.AddTable(
+  FigureJson::Table* jt = json.AddTable(
       "memory", {"memory_kb", "pr_io", "pr_seconds", "h_io", "pr_over_h"});
 
   TablePrinter table({"memory budget", "PR I/Os", "PR seconds", "H I/Os",

@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
               "(ASPECT(1000), n=%zu) ===\n", n);
   auto data = workload::MakeAspect(n, 1000, opts.seed);
 
-  BenchJson json("ablation_priority_size");
+  FigureJson json("ablation_priority_size");
   AddBenchParams(opts, n, &json);
-  BenchJson::Table* jt = json.AddTable(
+  FigureJson::Table* jt = json.AddTable(
       "priority_fill", {"fill", "leaves_per_query", "pct_of_optimal",
                         "leaves", "utilization_pct"});
 

@@ -22,10 +22,10 @@ int main(int argc, char** argv) {
   std::printf("=== Ablation: Theorem 1 query bound on the worst-case grid "
               "(B=%zu) ===\n", rows);
 
-  BenchJson json("ablation_query_bound");
+  FigureJson json("ablation_query_bound");
   AddBenchParams(opts, opts.n, &json);
   json.Param("rows", static_cast<unsigned long long>(rows));
-  BenchJson::Table* jt = json.AddTable(
+  FigureJson::Table* jt = json.AddTable(
       "bound", {"n", "sqrt_n_over_b", "pr_worst_leaves", "pr_constant",
                 "h_worst_leaves", "h_per_mille"});
 

@@ -77,9 +77,9 @@ int main(int argc, char** argv) {
                                                      opts.queries,
                                                      opts.seed + 21);
 
-  BenchJson json("ablation_updates");
+  FigureJson json("ablation_updates");
   AddBenchParams(opts, n, &json);
-  BenchJson::Table* jt = json.AddTable(
+  FigureJson::Table* jt = json.AddTable(
       "updates", {"configuration", "records", "leaves_per_query"});
 
   double a_leaves = AvgLeaves(tree_a, &dev_a, queries);

@@ -53,10 +53,10 @@ inline VariantSet BuildAllVariants(const std::vector<Record2>& data,
 inline void AddQueryRow(const VariantSet& set,
                         const std::vector<Rect2>& queries,
                         const std::string& label, TablePrinter* table,
-                        BenchJson::Table* json_table = nullptr,
+                        FigureJson::Table* json_table = nullptr,
                         double x_value = 0) {
   std::vector<std::string> row{label};
-  std::vector<BenchJson::Cell> json_row{x_value};
+  std::vector<BenchJson> json_row{x_value};
   bool first = true;
   for (size_t i = 0; i < set.indexes.size(); ++i) {
     QueryMeasurement m = MeasureQueries(set.indexes[i], queries);

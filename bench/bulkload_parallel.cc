@@ -14,11 +14,12 @@
 //   --smoke         tiny run (n=20k, threads 1/2) for the ctest tier1 label
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "harness/bench_json.h"
+#include "harness/experiment.h"
 #include "rtree/bulk_loader.h"
 #include "rtree/validate.h"
 #include "util/parallel.h"
@@ -26,19 +27,23 @@
 #include "workload/datasets.h"
 
 using namespace prtree;  // NOLINT
+using harness::BenchJson;
 
 namespace {
 
-struct RunResult {
-  std::string loader;
-  int threads = 1;
-  double seconds = 0;
-  uint64_t io_blocks = 0;
-  double speedup = 1.0;
-  // Determinism fingerprint.
+// What every thread count must reproduce: the same tree, built with the
+// same I/O.
+struct Fingerprint {
   PageId root = kInvalidPageId;
   int height = 0;
   uint64_t num_nodes = 0;
+  uint64_t io_blocks = 0;
+  bool operator==(const Fingerprint&) const = default;
+};
+
+struct RunResult {
+  double seconds = 0;
+  Fingerprint tree;
 };
 
 struct LoaderConfig {
@@ -67,14 +72,11 @@ RunResult BuildOnce(const LoaderConfig& cfg, const std::vector<Record2>& data,
   Timer timer;
   AbortIfError(loader->Build(&device, &input, &tree));
   RunResult r;
-  r.loader = cfg.label;
-  r.threads = threads;
   r.seconds = timer.Seconds();
-  r.io_blocks = device.stats().Total();
-  r.root = tree.root();
-  r.height = tree.height();
-  TreeStats ts = tree.ComputeStats();
-  r.num_nodes = ts.num_nodes;
+  r.tree.io_blocks = device.stats().Total();
+  r.tree.root = tree.root();
+  r.tree.height = tree.height();
+  r.tree.num_nodes = tree.ComputeStats().num_nodes;
   AbortIfError(ValidateTree(tree));
   return r;
 }
@@ -87,22 +89,20 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_bulkload.json";
   bool smoke = false;
   std::vector<int> thread_counts = {1, 2, 4, 8};
+  const std::string usage =
+      std::string(argv[0]) + " [--n=N] [--seed=S] [--out=PATH] [--smoke]";
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--n=", 4) == 0) {
-      n = std::strtoull(arg + 4, nullptr, 10);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      out_path = arg + 6;
+    const char* value = nullptr;
+    if (harness::NumberFlag(arg, "--n=", &n, usage) ||
+        harness::NumberFlag(arg, "--seed=", &seed, usage, /*min=*/0)) {
+      // Parsed in place.
+    } else if ((value = harness::FlagValue(arg, "--out=")) != nullptr) {
+      out_path = value;
     } else if (std::strcmp(arg, "--smoke") == 0) {
       smoke = true;
     } else {
-      std::fprintf(stderr,
-                   "unknown flag %s\nusage: %s [--n=N] [--seed=S] "
-                   "[--out=PATH] [--smoke]\n",
-                   arg, argv[0]);
-      return 2;
+      harness::UsageExit("unknown flag", arg, usage);
     }
   }
   if (smoke) {
@@ -138,66 +138,43 @@ int main(int argc, char** argv) {
               HardwareThreads(), smoke ? " (smoke)" : "");
 
   bool deterministic = true;
-  std::string json = "{\n  \"bench\": \"bulkload_parallel\",\n";
-  json += "  \"n\": " + std::to_string(n) + ",\n";
-  json += "  \"host_threads\": " + std::to_string(HardwareThreads()) + ",\n";
-  json += "  \"datasets\": [\n";
-
-  for (size_t d = 0; d < datasets.size(); ++d) {
-    const auto& spec = datasets[d];
+  BenchJson doc = BenchJson::Document("bulkload_parallel");
+  doc["n"] = n;
+  doc["host_threads"] = HardwareThreads();
+  for (const auto& spec : datasets) {
     std::printf("\n--- %s (%zu rectangles) ---\n", spec.name,
                 spec.data.size());
     std::printf("%-10s %8s %10s %12s %9s\n", "loader", "threads", "seconds",
                 "io blocks", "speedup");
-    json += "    {\"name\": \"" + std::string(spec.name) + "\", \"runs\": [\n";
-    bool first_run = true;
+    BenchJson& set = doc["datasets"].Push(BenchJson::Object());
+    set["name"] = spec.name;
     for (const auto& cfg : configs) {
       RunResult base;
       for (int t : thread_counts) {
         RunResult r = BuildOnce(cfg, spec.data, t);
         if (t == thread_counts.front()) {
           base = r;
-        } else if (r.root != base.root || r.height != base.height ||
-                   r.num_nodes != base.num_nodes ||
-                   r.io_blocks != base.io_blocks) {
+        } else if (!(r.tree == base.tree)) {
           deterministic = false;
           std::printf("!! %s: threads=%d differs from threads=%d\n",
                       cfg.label.c_str(), t, thread_counts.front());
         }
-        r.speedup = base.seconds > 0 ? base.seconds / r.seconds : 1.0;
+        const double speedup =
+            base.seconds > 0 ? base.seconds / r.seconds : 1.0;
         std::printf("%-10s %8d %10.3f %12llu %8.2fx\n", cfg.label.c_str(), t,
-                    r.seconds, static_cast<unsigned long long>(r.io_blocks),
-                    r.speedup);
-        if (!first_run) json += ",\n";
-        first_run = false;
-        char buf[256];
-        std::snprintf(buf, sizeof(buf),
-                      "      {\"loader\": \"%s\", \"threads\": %d, "
-                      "\"seconds\": %.6f, \"io_blocks\": %llu, "
-                      "\"speedup\": %.3f}",
-                      cfg.label.c_str(), t, r.seconds,
-                      static_cast<unsigned long long>(r.io_blocks), r.speedup);
-        json += buf;
+                    r.seconds,
+                    static_cast<unsigned long long>(r.tree.io_blocks),
+                    speedup);
+        BenchJson& run = set["runs"].Push(BenchJson::Object());
+        run["loader"] = cfg.label;
+        run["threads"] = t;
+        run["seconds"] = r.seconds;
+        run["io_blocks"] = r.tree.io_blocks;
+        run["speedup"] = speedup;
       }
     }
-    json += "\n    ]}";
-    json += (d + 1 < datasets.size()) ? ",\n" : "\n";
   }
-  json += "  ],\n";
-  json += std::string("  \"deterministic\": ") +
-          (deterministic ? "true" : "false") + "\n}\n";
-
-  if (FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  if (!deterministic) {
-    std::fprintf(stderr, "DETERMINISM CHECK FAILED\n");
-    return 1;
-  }
-  return 0;
+  return harness::WriteGated(&doc, out_path, deterministic,
+                             "determinism (every thread count builds the "
+                             "same tree)");
 }

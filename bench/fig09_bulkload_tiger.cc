@@ -38,9 +38,9 @@ int main(int argc, char** argv) {
       {"Eastern", workload::TigerRegion::kEastern, opts.ScaledN()},
   };
 
-  BenchJson json("fig09_bulkload_tiger");
+  FigureJson json("fig09_bulkload_tiger");
   AddBenchParams(opts, opts.ScaledN(), &json);
-  BenchJson::Table* jt = json.AddTable(
+  FigureJson::Table* jt = json.AddTable(
       "build", {"region", "variant", "records", "io_blocks",
                 "blocks_per_record", "seconds", "utilization_pct"});
 

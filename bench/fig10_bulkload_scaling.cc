@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
   auto full = workload::MakeTigerLike(opts.ScaledN(),
                                       workload::TigerRegion::kEastern,
                                       opts.seed);
-  BenchJson json("fig10_bulkload_scaling");
+  FigureJson json("fig10_bulkload_scaling");
   AddBenchParams(opts, opts.ScaledN(), &json);
-  BenchJson::Table* jt = json.AddTable(
+  FigureJson::Table* jt = json.AddTable(
       "build_io", {"records", "H_io", "H4_io", "PR_io", "TGS_io",
                    "tgs_over_pr", "pr_over_h"});
 

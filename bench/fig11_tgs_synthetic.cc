@@ -35,11 +35,11 @@ int main(int argc, char** argv) {
     return BuildIndex(v, data, /*memory_bytes=*/0, opts.threads, spec);
   };
 
-  BenchJson json("fig11_tgs_synthetic");
+  FigureJson json("fig11_tgs_synthetic");
   AddBenchParams(opts, n, &json);
-  BenchJson::Table* jref =
+  FigureJson::Table* jref =
       json.AddTable("reference", {"variant", "io_blocks", "seconds"});
-  BenchJson::Table* jt = json.AddTable(
+  FigureJson::Table* jt = json.AddTable(
       "tgs_build", {"dataset", "tgs_io", "tgs_seconds", "tgs_over_pr_io",
                     "pr_io"});
 

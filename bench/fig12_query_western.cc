@@ -23,9 +23,9 @@ int main(int argc, char** argv) {
   VariantSet set = BuildAllVariants(data, opts);
   Rect2 extent = set.indexes.front().tree->Mbr();
 
-  BenchJson json("fig12_query_western");
+  FigureJson json("fig12_query_western");
   AddBenchParams(opts, n, &json);
-  BenchJson::Table* jt =
+  FigureJson::Table* jt =
       json.AddTable("query_cost", QueryJsonColumns(set, "query_area_pct"));
 
   TablePrinter table(QueryTableHeaders(set, "query area %"));

@@ -20,9 +20,9 @@ int main(int argc, char** argv) {
   VariantSet set = BuildAllVariants(data, opts);
   Rect2 extent = set.indexes.front().tree->Mbr();
 
-  BenchJson json("fig13_query_eastern");
+  FigureJson json("fig13_query_eastern");
   AddBenchParams(opts, n, &json);
-  BenchJson::Table* jt =
+  FigureJson::Table* jt =
       json.AddTable("query_cost", QueryJsonColumns(set, "query_area_pct"));
 
   TablePrinter table(QueryTableHeaders(set, "query area %"));

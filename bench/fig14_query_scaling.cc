@@ -23,9 +23,9 @@ int main(int argc, char** argv) {
                                       workload::TigerRegion::kEastern,
                                       opts.seed);
 
-  BenchJson json("fig14_query_scaling");
+  FigureJson json("fig14_query_scaling");
   AddBenchParams(opts, opts.ScaledN(), &json);
-  BenchJson::Table* jt = nullptr;
+  FigureJson::Table* jt = nullptr;
 
   TablePrinter table({"records", "avg T", "TGS %T/B", "PR %T/B", "H %T/B",
                       "H4 %T/B"});

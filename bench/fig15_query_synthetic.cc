@@ -34,14 +34,14 @@ int main(int argc, char** argv) {
               "(n=%zu, area-0.01 queries, %zu queries/point) ===\n",
               n, opts.queries);
   int qseed = 400;
-  BenchJson json("fig15_query_synthetic");
+  FigureJson json("fig15_query_synthetic");
   AddBenchParams(opts, n, &json);
   json.Param("family", family);
 
   if (family == "all" || family == "size") {
     TablePrinter table({"max_side", "avg T", "TGS %T/B", "PR %T/B",
                         "H %T/B", "H4 %T/B"});
-    BenchJson::Table* jt = nullptr;
+    FigureJson::Table* jt = nullptr;
     for (double max_side : {0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2}) {
       auto data = workload::MakeSize(n, max_side, opts.seed);
       VariantSet set = BuildAllVariants(data, opts);
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   if (family == "all" || family == "aspect") {
     TablePrinter table({"aspect", "avg T", "TGS %T/B", "PR %T/B", "H %T/B",
                         "H4 %T/B"});
-    BenchJson::Table* jt = nullptr;
+    FigureJson::Table* jt = nullptr;
     for (double aspect : {1e1, 1e2, 1e3, 1e4, 1e5}) {
       auto data = workload::MakeAspect(n, aspect, opts.seed);
       VariantSet set = BuildAllVariants(data, opts);
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   if (family == "all" || family == "skewed") {
     TablePrinter table({"c", "avg T", "TGS %T/B", "PR %T/B", "H %T/B",
                         "H4 %T/B"});
-    BenchJson::Table* jt = nullptr;
+    FigureJson::Table* jt = nullptr;
     for (int c : {1, 3, 5, 7, 9}) {
       auto data = workload::MakeSkewed(n, c, opts.seed);
       VariantSet set = BuildAllVariants(data, opts);

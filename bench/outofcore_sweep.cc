@@ -61,9 +61,15 @@
 //                        (10M..100M -> 10M,20M,40M,80M,100M).  Writes
 //                        BENCH_scale.json (--out overrides).
 //
-// A malformed --budgets or --records value (junk, trailing characters, a
-// budget outside (0, 1], a count below 1, a range with A > B) exits 2.
+// A malformed value (a count that is not a whole integer >= 1, junk or
+// trailing characters, a budget outside (0, 1], a range with A > B) exits 2.
+//
+// All three legs share one skeleton (RunLegs): the same points on two
+// devices, each device opened through harness::OpenDeviceOrDie (which
+// records "device", "ring_active" and "direct_io" into the leg), timed
+// best-of-repeats, and cross-checked point by point.
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -74,10 +80,10 @@
 #include <unistd.h>
 
 #include "core/prtree.h"
+#include "harness/bench_json.h"
 #include "harness/experiment.h"
 #include "io/buffer_pool.h"
 #include "io/stream.h"
-#include "io/uring_block_device.h"
 #include "io/write_stager.h"
 #include "rtree/knn.h"
 #include "util/random.h"
@@ -86,230 +92,193 @@
 #include "workload/queries.h"
 
 using namespace prtree;  // NOLINT
+using harness::BenchJson;
 
 namespace {
 
-struct SweepPoint {
-  double budget_frac = 0;
-  size_t capacity = 0;
-  bool readahead = false;
-  double seconds = 0;
-  uint64_t leaves = 0;
-  uint64_t internal = 0;
-  uint64_t results = 0;
-  uint64_t pool_hits = 0;
-  uint64_t pool_misses = 0;
-  uint64_t demand_reads = 0;
-  uint64_t prefetch_reads = 0;
-  uint64_t prefetch_staged = 0;
-  uint64_t prefetch_useful = 0;
+struct Options {
+  size_t n = 300'000;
+  size_t queries = 256;
+  uint64_t seed = 1;
+  std::string device = "file";
+  std::string path;
+  std::vector<double> budgets = {0.0625, 0.125, 0.25, 0.5};
+  int repeats = 3;
+  bool direct_io = false;
+  bool verify_cross = false;
+  std::vector<size_t> records;  // --records: the scale leg
+  std::string out_path;
 };
 
-struct SweepResult {
-  std::string device;
-  bool ring_active = false;
-  bool direct_io = false;  // negotiated, not requested
+// The legs' shared skeleton.  Each device kind in `kinds` gets one leg
+// object in `legs`; `point(l, i, &leg)` runs point i of leg l, opening its
+// device through OpenDeviceOrDie(..., &leg), appends its JSON and returns
+// the part that must not depend on the device (its JSON without the wall
+// clock).  Which blocks an algorithm reads and writes is its property, not
+// the backend's (§3.3), so RunLegs returns false — after naming the point —
+// when any leg's counters differ from the first leg's.
+template <typename Point>
+bool RunLegs(const std::vector<std::string>& kinds, size_t points,
+             BenchJson* legs, Point point) {
+  std::vector<BenchJson> first;
+  bool same = true;
+  for (size_t l = 0; l < kinds.size(); ++l) {
+    BenchJson& leg = legs->Push(BenchJson::Object());
+    for (size_t i = 0; i < points; ++i) {
+      BenchJson counters = point(l, i, &leg);
+      if (l == 0) {
+        first.push_back(std::move(counters));
+      } else if (!(counters == first[i])) {
+        std::fprintf(stderr, "!! point %zu: %s and %s disagree\n", i,
+                     kinds[0].c_str(), kinds[l].c_str());
+        same = false;
+      }
+    }
+  }
+  return same;
+}
+
+// The budget keys of the speedup maps ("0.1250").
+std::string BudgetKey(double budget) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.4f", budget);
+  return buf;
+}
+
+std::string Hex64(uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+constexpr uint64_t kFnvBasis = 1469598103934665603ull;
+constexpr uint64_t kFnvPrime = 1099511628211ull;
+
+// ---------------------------------------------------------------------------
+// The budget sweep: per budget, readahead off then on, over one tree per
+// device.
+
+int RunSweep(const Options& o) {
+  auto data = workload::MakeSize(o.n, 0.001, o.seed);
+  auto queries = workload::MakeSquareQueries(MakeRect(0, 0, 1, 1), 0.01,
+                                             o.queries, o.seed + 17);
+  std::vector<std::string> kinds = {o.device};
+  if (o.verify_cross) kinds.push_back(o.device == "file" ? "uring" : "file");
+  std::printf("=== outofcore_sweep: n=%zu, queries=%zu, device=%s ===\n", o.n,
+              o.queries, o.device.c_str());
+
+  BenchJson doc = BenchJson::Document("outofcore_sweep");
+  doc["n"] = o.n;
+  doc["queries"] = o.queries;
   harness::BuiltIndex index;
-  std::vector<SweepPoint> points;
-};
-
-SweepPoint RunPoint(const harness::BuiltIndex& index,
-                    const std::vector<Rect2>& queries, double frac,
-                    bool readahead, int repeats) {
-  SweepPoint pt;
-  pt.budget_frac = frac;
-  pt.readahead = readahead;
-  pt.capacity = std::max<size_t>(
-      4, static_cast<size_t>(frac *
-                             static_cast<double>(index.tree_stats.num_nodes)));
-
-  // Each repeat is a fresh pool over the same device (the out-of-core
-  // state of interest), timed whole; the minimum is the noise-robust
-  // statistic.  The counters are recorded once — they are deterministic,
-  // so every repeat produces the identical set.
-  pt.seconds = 0;
-  for (int rep = 0; rep < repeats; ++rep) {
-    BufferPool pool(index.device.get(), pt.capacity);
-    pool.set_readahead(readahead);
-    index.device->ResetStats();
-    uint64_t leaves = 0, internal = 0, results = 0;
-
-    Timer timer;
-    for (const Rect2& q : queries) {
-      QueryStats qs = index.tree->Query(q, [](const Record2&) {}, &pool);
-      leaves += qs.leaves_visited;
-      internal += qs.internal_visited;
-      results += qs.results;
+  std::array<uint64_t, 3> ref{};  // leaves/internal/results of point 0
+  bool uniform = true;
+  bool same = RunLegs(kinds, o.budgets.size(), &doc["sweeps"],
+                      [&](size_t l, size_t b, BenchJson* leg) {
+    if (b == 0) {
+      // The cross-check device is an anonymous temp file: never clobber
+      // --path.
+      index = harness::BuildIndex(
+          harness::Variant::kPrTree, data, /*memory_bytes=*/0,
+          /*threads=*/1, {kinds[l], l == 0 ? o.path : "", o.direct_io}, leg);
+      (*leg)["tree_nodes"] = index.tree_stats.num_nodes;
+      (*leg)["tree_leaves"] = index.tree_stats.num_leaves;
+      std::printf("--- %s device: %llu nodes, %llu leaves ---\n",
+                  kinds[l].c_str(),
+                  static_cast<unsigned long long>(index.tree_stats.num_nodes),
+                  static_cast<unsigned long long>(
+                      index.tree_stats.num_leaves));
+      std::printf("%8s %9s %10s %10s %12s %12s %14s\n", "budget", "frames",
+                  "readahead", "seconds", "leaf I/Os", "demand reads",
+                  "prefetch reads");
     }
-    double seconds = timer.Seconds();
-    if (rep == 0 || seconds < pt.seconds) pt.seconds = seconds;
-
-    IoStats io = index.device->stats();
-    pt.leaves = leaves;
-    pt.internal = internal;
-    pt.results = results;
-    pt.demand_reads = io.reads;
-    pt.prefetch_reads = io.prefetch_reads;
-    pt.pool_hits = pool.hits();
-    pt.pool_misses = pool.misses();
-    pt.prefetch_staged = pool.prefetch_staged();
-    pt.prefetch_useful = pool.prefetch_useful();
-  }
-  return pt;
-}
-
-SweepResult RunSweep(const std::string& device_kind, const std::string& path,
-                     bool direct_io, const std::vector<Record2>& data,
-                     const std::vector<Rect2>& queries,
-                     const std::vector<double>& budgets, int repeats) {
-  SweepResult r;
-  r.device = device_kind;
-  harness::DeviceSpec spec;
-  spec.kind = device_kind;
-  spec.path = path;
-  spec.direct_io = direct_io;
-  r.index = harness::BuildIndex(harness::Variant::kPrTree, data,
-                                /*memory_bytes=*/0, /*threads=*/1, spec);
-  if (auto* uring =
-          dynamic_cast<UringBlockDevice*>(r.index.device.get())) {
-    r.ring_active = uring->ring_active();
-  }
-  if (auto* file = dynamic_cast<FileBlockDevice*>(r.index.device.get())) {
-    r.direct_io = file->direct_io();
-  }
-  std::printf("--- %s device (%s%s): %llu nodes, %llu leaves ---\n",
-              device_kind.c_str(),
-              r.ring_active ? "io_uring active" : "pread path",
-              r.direct_io ? ", O_DIRECT" : "",
-              static_cast<unsigned long long>(r.index.tree_stats.num_nodes),
-              static_cast<unsigned long long>(r.index.tree_stats.num_leaves));
-  std::printf("%8s %9s %10s %10s %12s %12s %14s %9s\n", "budget", "frames",
-              "readahead", "seconds", "leaf I/Os", "pool misses",
-              "prefetch(use%)", "speedup");
-  for (double frac : budgets) {
-    SweepPoint scalar =
-        RunPoint(r.index, queries, frac, /*readahead=*/false, repeats);
-    SweepPoint ahead =
-        RunPoint(r.index, queries, frac, /*readahead=*/true, repeats);
-    double speedup =
-        ahead.seconds > 0 ? scalar.seconds / ahead.seconds : 1.0;
-    for (const SweepPoint* pt : {&scalar, &ahead}) {
-      double use = pt->prefetch_staged > 0
-                       ? 100.0 * static_cast<double>(pt->prefetch_useful) /
-                             static_cast<double>(pt->prefetch_staged)
-                       : 0.0;
-      std::printf("%8.4f %9zu %10s %10.3f %12llu %12llu %8llu(%3.0f%%) %8.2fx\n",
-                  pt->budget_frac, pt->capacity, pt->readahead ? "on" : "off",
-                  pt->seconds, static_cast<unsigned long long>(pt->leaves),
-                  static_cast<unsigned long long>(pt->pool_misses),
-                  static_cast<unsigned long long>(pt->prefetch_staged), use,
-                  pt->readahead ? speedup : 1.0);
+    const double frac = o.budgets[b];
+    const size_t capacity = std::max<size_t>(
+        4, static_cast<size_t>(
+               frac * static_cast<double>(index.tree_stats.num_nodes)));
+    BenchJson counters;
+    double seconds[2];
+    for (int ahead = 0; ahead < 2; ++ahead) {
+      BenchJson& p = (*leg)["points"].Push(BenchJson::Object());
+      p["budget"] = frac;
+      p["capacity"] = capacity;
+      p["readahead"] = ahead == 1;
+      p["seconds"] = BenchJson();  // set after the repeats
+      // Each repeat is a fresh pool over the same device (the out-of-core
+      // state of interest); the counters are deterministic, so every
+      // repeat records the same set.
+      uint64_t leaves = 0, internal = 0, results = 0;
+      IoStats io;
+      seconds[ahead] = harness::BestOfRepeats(o.repeats, [&] {
+        BufferPool pool(index.device.get(), capacity);
+        pool.set_readahead(ahead == 1);
+        index.device->ResetStats();
+        leaves = internal = results = 0;
+        Timer timer;
+        for (const Rect2& q : queries) {
+          QueryStats qs = index.tree->Query(q, [](const Record2&) {}, &pool);
+          leaves += qs.leaves_visited;
+          internal += qs.internal_visited;
+          results += qs.results;
+        }
+        const double s = timer.Seconds();
+        io = index.device->stats();
+        p["leaves"] = leaves;
+        p["results"] = results;
+        p["pool_hits"] = pool.hits();
+        p["pool_misses"] = pool.misses();
+        p["demand_reads"] = io.reads;
+        p["prefetch_reads"] = io.prefetch_reads;
+        p["prefetch_staged"] = pool.prefetch_staged();
+        p["prefetch_useful"] = pool.prefetch_useful();
+        return s;
+      });
+      counters.Push(p);
+      p["seconds"] = seconds[ahead];
+      // The §3.3 invariant: budget and readahead change when blocks are
+      // read, never what the traversal visits or returns.
+      const std::array<uint64_t, 3> traversal = {leaves, internal, results};
+      if (b == 0 && ahead == 0) {
+        ref = traversal;
+      } else if (traversal != ref) {
+        std::fprintf(stderr,
+                     "!! %s: budget %.4f readahead=%d changed the traversal "
+                     "(leaves %llu vs %llu)\n",
+                     kinds[l].c_str(), frac, ahead,
+                     static_cast<unsigned long long>(leaves),
+                     static_cast<unsigned long long>(ref[0]));
+        uniform = false;
+      }
+      std::printf("%8.4f %9zu %10s %10.3f %12llu %12llu %14llu\n", frac,
+                  capacity, ahead ? "on" : "off", seconds[ahead],
+                  static_cast<unsigned long long>(leaves),
+                  static_cast<unsigned long long>(io.reads),
+                  static_cast<unsigned long long>(io.prefetch_reads));
     }
-    r.points.push_back(scalar);
-    r.points.push_back(ahead);
+    // Wall-clock ratios of two same-machine, same-device runs: the only
+    // timing numbers stable enough to gate on (machine speed cancels).
+    (*leg)["speedup_readahead"][BudgetKey(frac)] =
+        seconds[1] > 0 ? seconds[0] / seconds[1] : 1.0;
+    return counters;
+  });
+  if (same && o.verify_cross) {
+    std::printf("cross-device check: file and uring agree on every leaf "
+                "I/O, result and transfer count\n");
   }
-  return r;
-}
-
-/// The §3.3 invariant this sweep must never bend: readahead and budget
-/// change when blocks are read, never what the traversal visits or
-/// returns.  Every point of a sweep must agree on leaves/internal/results.
-bool CheckUniform(const SweepResult& r) {
-  bool ok = true;
-  for (const SweepPoint& pt : r.points) {
-    if (pt.leaves != r.points[0].leaves ||
-        pt.internal != r.points[0].internal ||
-        pt.results != r.points[0].results) {
-      std::fprintf(stderr,
-                   "!! %s: budget %.4f readahead=%d changed the traversal "
-                   "(leaves %llu vs %llu)\n",
-                   r.device.c_str(), pt.budget_frac, pt.readahead ? 1 : 0,
-                   static_cast<unsigned long long>(pt.leaves),
-                   static_cast<unsigned long long>(r.points[0].leaves));
-      ok = false;
-    }
-  }
-  return ok;
-}
-
-std::string JsonForSweep(const SweepResult& r,
-                         const std::vector<double>& budgets) {
-  char buf[512];
-  std::string json = "  {\n";
-  json += "    \"device\": \"" + r.device + "\",\n";
-  json += std::string("    \"ring_active\": ") +
-          (r.ring_active ? "true" : "false") + ",\n";
-  json += std::string("    \"direct_io\": ") +
-          (r.direct_io ? "true" : "false") + ",\n";
-  std::snprintf(buf, sizeof(buf),
-                "    \"tree_nodes\": %llu,\n    \"tree_leaves\": %llu,\n",
-                static_cast<unsigned long long>(r.index.tree_stats.num_nodes),
-                static_cast<unsigned long long>(
-                    r.index.tree_stats.num_leaves));
-  json += buf;
-  json += "    \"points\": [\n";
-  for (size_t i = 0; i < r.points.size(); ++i) {
-    const SweepPoint& pt = r.points[i];
-    std::snprintf(
-        buf, sizeof(buf),
-        "      {\"budget\": %.4f, \"capacity\": %zu, \"readahead\": %s, "
-        "\"seconds\": %.6f, \"leaves\": %llu, \"results\": %llu, "
-        "\"pool_hits\": %llu, \"pool_misses\": %llu, \"demand_reads\": %llu, "
-        "\"prefetch_reads\": %llu, \"prefetch_staged\": %llu, "
-        "\"prefetch_useful\": %llu}%s\n",
-        pt.budget_frac, pt.capacity, pt.readahead ? "true" : "false",
-        pt.seconds, static_cast<unsigned long long>(pt.leaves),
-        static_cast<unsigned long long>(pt.results),
-        static_cast<unsigned long long>(pt.pool_hits),
-        static_cast<unsigned long long>(pt.pool_misses),
-        static_cast<unsigned long long>(pt.demand_reads),
-        static_cast<unsigned long long>(pt.prefetch_reads),
-        static_cast<unsigned long long>(pt.prefetch_staged),
-        static_cast<unsigned long long>(pt.prefetch_useful),
-        i + 1 < r.points.size() ? "," : "");
-    json += buf;
-  }
-  json += "    ],\n";
-  // Wall-clock ratios of two same-machine, same-device runs: the only
-  // timing numbers stable enough to gate on (machine speed cancels).
-  json += "    \"speedup_readahead\": {";
-  for (size_t b = 0; b < budgets.size(); ++b) {
-    const SweepPoint& scalar = r.points[2 * b];
-    const SweepPoint& ahead = r.points[2 * b + 1];
-    std::snprintf(buf, sizeof(buf), "%s\"%.4f\": %.3f",
-                  b == 0 ? "" : ", ", budgets[b],
-                  ahead.seconds > 0 ? scalar.seconds / ahead.seconds : 1.0);
-    json += buf;
-  }
-  json += "}\n  }";
-  return json;
+  return harness::WriteGated(&doc, o.out_path, uniform && same,
+                             "determinism (traversal uniform across budgets "
+                             "and readahead, identical across devices)");
 }
 
 // ---------------------------------------------------------------------------
-// --write: the build-phase leg.  Same PR-tree grid build, scalar pwrites vs
-// staged WriteBatch submissions, byte-identity asserted via an FNV-64 hash
-// of the closed device file.
-
-struct WritePoint {
-  double budget_frac = 0;
-  size_t memory_bytes = 0;
-  double seconds = 0;
-  uint64_t writes = 0;
-  uint64_t demand_reads = 0;
-  uint64_t write_batches = 0;
-  uint64_t io_blocks = 0;  // reads + writes: the paper's build cost (§3.3)
-  uint64_t file_hash = 0;  // FNV-64 of the device file after Sync + close
-};
-
-struct WriteLeg {
-  std::string device;
-  bool ring_active = false;
-  bool direct_io = false;
-  std::vector<WritePoint> points;
-};
+// --write: the build-phase leg.  The same PR-tree grid build through scalar
+// pwrites (leg 0, the plain file backend) and through staged WriteBatch
+// submissions (leg 1, --device), byte-identity asserted via an FNV-64 hash
+// of each closed device file.
 
 uint64_t FnvHashFile(const std::string& path) {
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kFnvBasis;
   FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return 0;
   std::vector<unsigned char> buf(1 << 16);
@@ -317,105 +286,22 @@ uint64_t FnvHashFile(const std::string& path) {
   while ((got = std::fread(buf.data(), 1, buf.size(), f)) > 0) {
     for (size_t i = 0; i < got; ++i) {
       h ^= buf[i];
-      h *= 1099511628211ull;
+      h *= kFnvPrime;
     }
   }
   std::fclose(f);
   return h;
 }
 
-WriteLeg RunWriteLeg(const std::string& device_kind, const std::string& path,
-                     bool direct_io, const std::vector<Record2>& data,
-                     const std::vector<double>& budgets, int repeats) {
-  WriteLeg leg;
-  leg.device = device_kind;
-  const size_t data_bytes = data.size() * sizeof(Record2);
-  for (double frac : budgets) {
-    WritePoint pt;
-    pt.budget_frac = frac;
-    pt.memory_bytes = std::max<size_t>(
-        1u << 20, static_cast<size_t>(frac * static_cast<double>(data_bytes)));
-    for (int rep = 0; rep < repeats; ++rep) {
-      std::remove(path.c_str());
-      harness::DeviceSpec spec;
-      spec.kind = device_kind;
-      spec.path = path;
-      spec.direct_io = direct_io;
-      auto dev = harness::OpenDeviceOrDie(spec, kDefaultBlockSize);
-      if (auto* uring = dynamic_cast<UringBlockDevice*>(dev.get())) {
-        leg.ring_active = uring->ring_active();
-      }
-      if (auto* file = dynamic_cast<FileBlockDevice*>(dev.get())) {
-        leg.direct_io = file->direct_io();
-      }
-      WorkEnv env{dev.get(), pt.memory_bytes};
-      PrTreeOptions opts;
-      opts.force_grid = true;  // always the external, write-heavy path
-      dev->ResetStats();
-      Timer timer;
-      RTree<2> tree(dev.get());
-      AbortIfError(BulkLoadPrTree<2>(env, data, &tree, opts));
-      AbortIfError(dev->Sync());
-      double seconds = timer.Seconds();
-      if (rep == 0 || seconds < pt.seconds) pt.seconds = seconds;
-      IoStats io = dev->stats();
-      pt.writes = io.writes;
-      pt.demand_reads = io.reads;
-      pt.write_batches = io.write_batches;
-      pt.io_blocks = io.Total();
-      dev.reset();  // close before hashing: the file is the artifact
-      pt.file_hash = FnvHashFile(path);
-    }
-    leg.points.push_back(pt);
-  }
-  std::remove(path.c_str());
-  return leg;
-}
-
-std::string JsonForWriteLeg(const WriteLeg& leg) {
-  char buf[512];
-  std::string json = "  {\n";
-  json += "    \"device\": \"" + leg.device + "\",\n";
-  json += std::string("    \"ring_active\": ") +
-          (leg.ring_active ? "true" : "false") + ",\n";
-  json += std::string("    \"direct_io\": ") +
-          (leg.direct_io ? "true" : "false") + ",\n";
-  json += "    \"points\": [\n";
-  for (size_t i = 0; i < leg.points.size(); ++i) {
-    const WritePoint& pt = leg.points[i];
-    std::snprintf(
-        buf, sizeof(buf),
-        "      {\"budget\": %.4f, \"seconds\": %.6f, \"writes\": %llu, "
-        "\"demand_reads\": %llu, \"write_batches\": %llu, "
-        "\"io_blocks\": %llu, \"file_hash\": \"%016llx\"}%s\n",
-        pt.budget_frac, pt.seconds,
-        static_cast<unsigned long long>(pt.writes),
-        static_cast<unsigned long long>(pt.demand_reads),
-        static_cast<unsigned long long>(pt.write_batches),
-        static_cast<unsigned long long>(pt.io_blocks),
-        static_cast<unsigned long long>(pt.file_hash),
-        i + 1 < leg.points.size() ? "," : "");
-    json += buf;
-  }
-  json += "    ]\n  }";
-  return json;
-}
-
-// Isolated write-engine microbenchmark: the same page train written once
-// through the scalar Write() loop and once through staged WriteBatch
-// submissions, a fresh device each time.  The full build legs above mix in
-// the pipeline's demand *reads* (untouched by batching), so their ratio is
-// Amdahl-diluted; this one measures the write path alone.
-double MicroWriteSeconds(const std::string& device_kind,
-                         const std::string& path, bool direct_io,
-                         bool batched, size_t pages, int repeats) {
-  double best = 0;
-  for (int rep = 0; rep < repeats; ++rep) {
-    std::remove(path.c_str());
-    harness::DeviceSpec spec;
-    spec.kind = device_kind;
-    spec.path = path;
-    spec.direct_io = direct_io;
+// Isolated write-engine microbenchmark: the same page train written through
+// the scalar Write() loop or through staged WriteBatch submissions, a fresh
+// device each repeat.  The full build legs mix in the pipeline's demand
+// *reads* (untouched by batching), so their ratio is Amdahl-diluted; this
+// one measures the write path alone.
+double MicroWriteSeconds(const harness::DeviceSpec& spec, bool batched,
+                         size_t pages, int repeats) {
+  double best = harness::BestOfRepeats(repeats, [&] {
+    std::remove(spec.path.c_str());
     auto dev = harness::OpenDeviceOrDie(spec, kDefaultBlockSize);
     std::vector<std::byte> buf(kDefaultBlockSize);
     std::vector<PageId> ids;
@@ -430,116 +316,106 @@ double MicroWriteSeconds(const std::string& device_kind,
       }
     }
     AbortIfError(dev->Sync());
-    double seconds = timer.Seconds();
-    if (rep == 0 || seconds < best) best = seconds;
-    dev.reset();
-  }
-  std::remove(path.c_str());
+    return timer.Seconds();
+  });
+  std::remove(spec.path.c_str());
   return best;
 }
 
-int RunWritePhase(const std::string& device_kind, const std::string& path,
-                  bool direct_io, size_t n, uint64_t seed,
-                  const std::vector<double>& budgets, int repeats,
-                  const std::string& out_path) {
-  auto data = workload::MakeSize(n, 0.001, seed);
-  std::string base = path.empty()
-                         ? "/tmp/prtree_writepath." +
-                               std::to_string(static_cast<long>(getpid()))
-                         : path;
-
+int RunWrite(const Options& o) {
+  auto data = workload::MakeSize(o.n, 0.001, o.seed);
+  const size_t data_bytes = data.size() * sizeof(Record2);
+  const std::string base =
+      o.path.empty() ? "/tmp/prtree_writepath." +
+                           std::to_string(static_cast<long>(getpid()))
+                     : o.path;
+  const std::vector<std::string> kinds = {"file", o.device};
+  const std::string paths[2] = {base + ".scalar", base + ".batched"};
   std::printf("=== outofcore_sweep --write: n=%zu, scalar file vs batched "
-              "%s ===\n", n, device_kind.c_str());
-  WriteLeg scalar = RunWriteLeg("file", base + ".scalar", /*direct_io=*/
-                                direct_io, data, budgets, repeats);
-  WriteLeg batched =
-      RunWriteLeg(device_kind, base + ".batched", direct_io, data, budgets,
-                  repeats);
+              "%s ===\n", o.n, o.device.c_str());
+  std::printf("%7s %8s %10s %12s %9s %17s\n", "device", "budget", "seconds",
+              "io_blocks", "batches", "file hash");
 
-  bool ok = true;
-  std::printf("%8s %10s %10s %8s %12s %9s %8s\n", "budget", "scalar s",
-              "batched s", "speedup", "io_blocks", "batches", "bytes");
-  for (size_t b = 0; b < budgets.size(); ++b) {
-    const WritePoint& s = scalar.points[b];
-    const WritePoint& u = batched.points[b];
-    bool same = s.file_hash == u.file_hash && s.writes == u.writes &&
-                s.demand_reads == u.demand_reads &&
-                s.io_blocks == u.io_blocks;
-    if (!same) {
-      std::fprintf(stderr,
-                   "!! budget %.4f: batched build diverged from scalar "
-                   "(hash %016llx vs %016llx, writes %llu vs %llu)\n",
-                   s.budget_frac,
-                   static_cast<unsigned long long>(u.file_hash),
-                   static_cast<unsigned long long>(s.file_hash),
-                   static_cast<unsigned long long>(u.writes),
-                   static_cast<unsigned long long>(s.writes));
-      ok = false;
-    }
-    std::printf("%8.4f %10.3f %10.3f %7.2fx %12llu %9llu %8s\n",
-                s.budget_frac, s.seconds, u.seconds,
-                u.seconds > 0 ? s.seconds / u.seconds : 1.0,
-                static_cast<unsigned long long>(s.io_blocks),
-                static_cast<unsigned long long>(u.write_batches),
-                same ? "equal" : "DIFFER");
+  BenchJson doc = BenchJson::Document("writepath");
+  doc["n"] = o.n;
+  const size_t micro_pages = std::max<size_t>(1024, o.n / 40);
+  doc["micro_pages"] = micro_pages;
+  std::vector<double> seconds[2];
+  bool same = RunLegs(kinds, o.budgets.size(), &doc["legs"],
+                      [&](size_t l, size_t b, BenchJson* leg) {
+    const size_t memory = std::max<size_t>(
+        1u << 20,
+        static_cast<size_t>(o.budgets[b] * static_cast<double>(data_bytes)));
+    BenchJson p = BenchJson::Object();
+    p["budget"] = o.budgets[b];
+    p["seconds"] = BenchJson();  // set after the repeats
+    IoStats io;
+    uint64_t hash = 0;
+    const double s = harness::BestOfRepeats(o.repeats, [&] {
+      std::remove(paths[l].c_str());
+      auto dev = harness::OpenDeviceOrDie({kinds[l], paths[l], o.direct_io},
+                                          kDefaultBlockSize, leg);
+      WorkEnv env{dev.get(), memory};
+      PrTreeOptions opts;
+      opts.force_grid = true;  // always the external, write-heavy path
+      dev->ResetStats();
+      Timer timer;
+      RTree<2> tree(dev.get());
+      AbortIfError(BulkLoadPrTree<2>(env, data, &tree, opts));
+      AbortIfError(dev->Sync());
+      const double build_seconds = timer.Seconds();
+      io = dev->stats();
+      dev.reset();  // close before hashing: the file is the artifact
+      hash = FnvHashFile(paths[l]);
+      return build_seconds;
+    });
+    p["writes"] = io.writes;
+    p["demand_reads"] = io.reads;
+    p["write_batches"] = io.write_batches;
+    p["io_blocks"] = io.Total();
+    p["file_hash"] = Hex64(hash);
+    // Batching may move wall clock and the batch count, nothing else.
+    BenchJson counters = p;
+    counters["write_batches"] = BenchJson();
+    p["seconds"] = s;
+    seconds[l].push_back(s);
+    std::printf("%7s %8.4f %10.3f %12llu %9llu %17s\n", kinds[l].c_str(),
+                o.budgets[b], s, static_cast<unsigned long long>(io.Total()),
+                static_cast<unsigned long long>(io.write_batches),
+                Hex64(hash).c_str());
+    (*leg)["points"].Push(std::move(p));
+    return counters;
+  });
+
+  // Same-machine wall-clock ratios, the only gateable timing numbers.
+  for (size_t b = 0; b < o.budgets.size(); ++b) {
+    const double speedup =
+        seconds[1][b] > 0 ? seconds[0][b] / seconds[1][b] : 1.0;
+    doc["speedup_writebatch"][BudgetKey(o.budgets[b])] = speedup;
+    std::printf("budget %.4f: batched build %.2fx\n", o.budgets[b], speedup);
   }
-
-  const size_t micro_pages = std::max<size_t>(1024, n / 40);
-  double micro_scalar = MicroWriteSeconds("file", base + ".scalar",
-                                          direct_io, /*batched=*/false,
-                                          micro_pages, repeats);
-  double micro_batched = MicroWriteSeconds(device_kind, base + ".batched",
-                                           direct_io, /*batched=*/true,
-                                           micro_pages, repeats);
-  double micro_speedup =
+  const double micro_scalar = MicroWriteSeconds(
+      {"file", paths[0], o.direct_io}, /*batched=*/false, micro_pages,
+      o.repeats);
+  const double micro_batched = MicroWriteSeconds(
+      {o.device, paths[1], o.direct_io}, /*batched=*/true, micro_pages,
+      o.repeats);
+  const double micro_speedup =
       micro_batched > 0 ? micro_scalar / micro_batched : 1.0;
+  doc["speedup_writebatch_micro"] = micro_speedup;
   std::printf("write-only micro (%zu pages): scalar %.3fs, batched %.3fs "
               "-> %.2fx\n", micro_pages, micro_scalar, micro_batched,
               micro_speedup);
-
-  std::string json = "{\n  \"bench\": \"writepath\",\n";
-  json += "  \"n\": " + std::to_string(n) + ",\n";
-  json += "  \"micro_pages\": " + std::to_string(micro_pages) + ",\n";
-  json += "  \"legs\": [\n" + JsonForWriteLeg(scalar) + ",\n" +
-          JsonForWriteLeg(batched) + "\n  ],\n";
-  // Same-machine wall-clock ratio, the only gateable timing number.
-  json += "  \"speedup_writebatch\": {";
-  char buf[64];
-  for (size_t b = 0; b < budgets.size(); ++b) {
-    const WritePoint& s = scalar.points[b];
-    const WritePoint& u = batched.points[b];
-    std::snprintf(buf, sizeof(buf), "%s\"%.4f\": %.3f", b == 0 ? "" : ", ",
-                  budgets[b], u.seconds > 0 ? s.seconds / u.seconds : 1.0);
-    json += buf;
-  }
-  json += "},\n";
-  std::snprintf(buf, sizeof(buf), "  \"speedup_writebatch_micro\": %.3f,\n",
-                micro_speedup);
-  json += buf;
-  json += std::string("  \"deterministic\": ") + (ok ? "true" : "false") +
-          "\n}\n";
-
-  if (FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  if (!ok) {
-    std::fprintf(stderr, "BYTE-IDENTITY CHECK FAILED\n");
-    return 1;
-  }
-  return 0;
+  return harness::WriteGated(&doc, o.out_path, same,
+                             "byte-identity (batched build vs scalar: file "
+                             "hash and demand counters)");
 }
 
 // ---------------------------------------------------------------------------
 // --records: the out-of-core scale leg.  Dataset sizes are parsed from a
 // K/M-suffixed spec; each point streams the seeded generator straight into
 // a device-resident Stream (no in-RAM dataset), grid-builds, then measures
-// window queries and kNN on both file and uring, asserting byte-identical
-// demand counters across the two backends.
+// window queries and kNN, on the file leg and on the uring leg.
 
 // One record count: a number in [1, 1e18) (so it converts to size_t) with
 // an optional K/M suffix and nothing after it.
@@ -586,243 +462,128 @@ bool ParseRecordsSpec(const std::string& spec, std::vector<size_t>* out) {
   return true;
 }
 
-struct ScalePoint {
-  size_t records = 0;
-  // Build phase (grid path, paper-proportional memory budget).
-  double build_seconds = 0;
-  uint64_t build_io = 0;
-  uint64_t build_writes = 0;
-  uint64_t tree_nodes = 0;
-  uint64_t tree_leaves = 0;
-  // Window phase (readahead pool at a fraction of the tree).
-  double window_seconds = 0;
-  uint64_t window_leaves = 0;
-  uint64_t window_results = 0;
-  uint64_t window_demand_reads = 0;
-  uint64_t window_prefetch_reads = 0;
-  // kNN phase (same pool configuration).
-  double knn_seconds = 0;
-  uint64_t knn_leaves = 0;
-  uint64_t knn_results = 0;
-  uint64_t knn_digest = 0;  // FNV over neighbor ids + distance bits
-};
-
-struct ScaleLeg {
-  std::string device;
-  bool ring_active = false;
-  bool direct_io = false;
-  std::vector<ScalePoint> points;
-};
-
-ScalePoint RunScalePoint(const std::string& device_kind,
-                         const std::string& path, bool direct_io, size_t n,
-                         uint64_t seed, size_t num_queries, size_t num_knn,
-                         size_t k, double pool_frac, ScaleLeg* leg) {
-  ScalePoint pt;
-  pt.records = n;
-  harness::DeviceSpec spec;
-  spec.kind = device_kind;
-  spec.path = path;
-  spec.direct_io = direct_io;
-  auto dev = harness::OpenDeviceOrDie(spec, kDefaultBlockSize);
-  if (auto* uring = dynamic_cast<UringBlockDevice*>(dev.get())) {
-    leg->ring_active = uring->ring_active();
-  }
-  if (auto* file = dynamic_cast<FileBlockDevice*>(dev.get())) {
-    leg->direct_io = file->direct_io();
-  }
-
-  // Stage the dataset straight from the generator: the only RAM cost is
-  // the stream's one-block write buffer.
-  Stream<Record2> input(dev.get());
-  {
-    auto gen = workload::NewSizeGenerator(n, 0.001, seed);
-    Record2 rec;
-    while (gen->Next(&rec)) input.Push(rec);
-    input.Flush();
-  }
-
-  WorkEnv env{dev.get(), harness::ScaledMemoryBudget(n)};
-  PrTreeOptions opts;
-  opts.force_grid = true;  // always the external, write-heavy path
-  dev->ResetStats();
-  Timer build_timer;
-  RTree<2> tree(dev.get());
-  AbortIfError(BulkLoadPrTree<2>(env, &input, &tree, opts));
-  pt.build_seconds = build_timer.Seconds();
-  IoStats build_io = dev->stats();
-  pt.build_io = build_io.Total();
-  pt.build_writes = build_io.writes;
-  TreeStats ts = tree.ComputeStats();
-  pt.tree_nodes = ts.num_nodes;
-  pt.tree_leaves = ts.num_leaves;
-
-  // Out-of-core query state: the pool holds a fraction of the tree, with
-  // frontier readahead on (the uring backend's batched path).
-  size_t capacity = std::max<size_t>(
-      4, static_cast<size_t>(pool_frac * static_cast<double>(ts.num_nodes)));
-  auto queries = workload::MakeSquareQueries(tree.Mbr(), 0.01, num_queries,
-                                             seed + 17);
-  {
-    BufferPool pool(dev.get(), capacity);
-    pool.set_readahead(true);
-    dev->ResetStats();
-    Timer timer;
-    for (const Rect2& q : queries) {
-      QueryStats qs = tree.Query(q, [](const Record2&) {}, &pool);
-      pt.window_leaves += qs.leaves_visited;
-      pt.window_results += qs.results;
-    }
-    pt.window_seconds = timer.Seconds();
-    IoStats io = dev->stats();
-    pt.window_demand_reads = io.reads;
-    pt.window_prefetch_reads = io.prefetch_reads;
-  }
-
-  Rng rng(seed + 31);
-  {
-    BufferPool pool(dev.get(), capacity);
-    pool.set_readahead(true);
-    uint64_t digest = 1469598103934665603ull;
-    Timer timer;
-    for (size_t i = 0; i < num_knn; ++i) {
-      std::array<Real, 2> p{rng.Uniform(0, 1), rng.Uniform(0, 1)};
-      QueryStats qs;
-      auto neighbors = KnnSearch<2>(tree, p, k, &qs, &pool);
-      pt.knn_leaves += qs.leaves_visited;
-      pt.knn_results += neighbors.size();
-      for (const auto& nb : neighbors) {
-        uint64_t bits;
-        static_assert(sizeof(nb.distance) <= sizeof(bits));
-        bits = 0;
-        std::memcpy(&bits, &nb.distance, sizeof(nb.distance));
-        digest ^= nb.record.id;
-        digest *= 1099511628211ull;
-        digest ^= bits;
-        digest *= 1099511628211ull;
-      }
-    }
-    pt.knn_seconds = timer.Seconds();
-    pt.knn_digest = digest;
-  }
-  return pt;
-}
-
-std::string JsonForScaleLeg(const ScaleLeg& leg) {
-  char buf[640];
-  std::string json = "  {\n";
-  json += "    \"device\": \"" + leg.device + "\",\n";
-  json += std::string("    \"ring_active\": ") +
-          (leg.ring_active ? "true" : "false") + ",\n";
-  json += std::string("    \"direct_io\": ") +
-          (leg.direct_io ? "true" : "false") + ",\n";
-  json += "    \"points\": [\n";
-  for (size_t i = 0; i < leg.points.size(); ++i) {
-    const ScalePoint& pt = leg.points[i];
-    std::snprintf(
-        buf, sizeof(buf),
-        "      {\"n\": %zu,\n"
-        "       \"build\": {\"seconds\": %.6f, \"io_blocks\": %llu, "
-        "\"writes\": %llu, \"tree_nodes\": %llu, \"tree_leaves\": %llu},\n"
-        "       \"window\": {\"seconds\": %.6f, \"leaves\": %llu, "
-        "\"results\": %llu, \"demand_reads\": %llu, "
-        "\"prefetch_reads\": %llu},\n"
-        "       \"knn\": {\"seconds\": %.6f, \"leaves\": %llu, "
-        "\"knn_results\": %llu, \"digest\": \"%016llx\"}}%s\n",
-        pt.records, pt.build_seconds,
-        static_cast<unsigned long long>(pt.build_io),
-        static_cast<unsigned long long>(pt.build_writes),
-        static_cast<unsigned long long>(pt.tree_nodes),
-        static_cast<unsigned long long>(pt.tree_leaves), pt.window_seconds,
-        static_cast<unsigned long long>(pt.window_leaves),
-        static_cast<unsigned long long>(pt.window_results),
-        static_cast<unsigned long long>(pt.window_demand_reads),
-        static_cast<unsigned long long>(pt.window_prefetch_reads),
-        pt.knn_seconds, static_cast<unsigned long long>(pt.knn_leaves),
-        static_cast<unsigned long long>(pt.knn_results),
-        static_cast<unsigned long long>(pt.knn_digest),
-        i + 1 < leg.points.size() ? "," : "");
-    json += buf;
-  }
-  json += "    ]\n  }";
-  return json;
-}
-
-int RunScalePhase(const std::vector<size_t>& records, const std::string& path,
-                  bool direct_io, uint64_t seed, size_t num_queries,
-                  int repeats, const std::string& out_path) {
-  (void)repeats;  // each point is one full build — repeats would double it
-  const size_t num_knn = std::min<size_t>(num_queries, 64);
+int RunScale(const Options& o) {
+  const size_t num_knn = std::min<size_t>(o.queries, 64);
   const size_t k = 10;
   const double pool_frac = 0.125;
+  const std::vector<std::string> kinds = {"file", "uring"};
   std::printf("=== outofcore_sweep --records: %zu sizes, file+uring, "
-              "streamed build + window + kNN ===\n", records.size());
+              "streamed build + window + kNN ===\n", o.records.size());
+  std::printf("%12s %7s %10s %12s %12s %17s\n", "records", "dev", "build s",
+              "build I/O", "demand reads", "knn digest");
 
-  ScaleLeg file_leg{"file", false, false, {}};
-  ScaleLeg uring_leg{"uring", false, false, {}};
-  bool ok = true;
-  std::printf("%12s %7s %10s %12s %10s %12s %10s %6s\n", "records", "dev",
-              "build s", "build I/O", "window s", "demand reads", "knn s",
-              "agree");
-  for (size_t n : records) {
-    ScalePoint fp = RunScalePoint(
-        "file", path.empty() ? "" : path + ".file", direct_io, n, seed,
-        num_queries, num_knn, k, pool_frac, &file_leg);
-    ScalePoint up = RunScalePoint(
-        "uring", path.empty() ? "" : path + ".uring", direct_io, n, seed,
-        num_queries, num_knn, k, pool_frac, &uring_leg);
-    // The §3.3 invariant at scale: which blocks the build writes and the
-    // traversals demand is a property of the algorithm, not the backend.
-    bool same = fp.build_io == up.build_io &&
-                fp.build_writes == up.build_writes &&
-                fp.tree_nodes == up.tree_nodes &&
-                fp.tree_leaves == up.tree_leaves &&
-                fp.window_leaves == up.window_leaves &&
-                fp.window_results == up.window_results &&
-                fp.window_demand_reads == up.window_demand_reads &&
-                fp.window_prefetch_reads == up.window_prefetch_reads &&
-                fp.knn_leaves == up.knn_leaves &&
-                fp.knn_results == up.knn_results &&
-                fp.knn_digest == up.knn_digest;
-    if (!same) {
-      std::fprintf(stderr,
-                   "!! n=%zu: file and uring disagree on demand counters\n",
-                   n);
-      ok = false;
+  BenchJson doc = BenchJson::Document("scale_sweep");
+  doc["queries"] = o.queries;
+  doc["knn"] = num_knn;
+  doc["k"] = k;
+  bool same = RunLegs(kinds, o.records.size(), &doc["legs"],
+                      [&](size_t l, size_t i, BenchJson* leg) {
+    const size_t n = o.records[i];
+    auto dev = harness::OpenDeviceOrDie(
+        {kinds[l], o.path.empty() ? "" : o.path + "." + kinds[l],
+         o.direct_io},
+        kDefaultBlockSize, leg);
+    // Stage the dataset straight from the generator: the only RAM cost is
+    // the stream's one-block write buffer.
+    Stream<Record2> input(dev.get());
+    {
+      auto gen = workload::NewSizeGenerator(n, 0.001, o.seed);
+      Record2 rec;
+      while (gen->Next(&rec)) input.Push(rec);
+      input.Flush();
     }
-    for (const ScalePoint* pt : {&fp, &up}) {
-      std::printf("%12zu %7s %10.3f %12llu %10.3f %12llu %10.3f %6s\n",
-                  n, pt == &fp ? "file" : "uring", pt->build_seconds,
-                  static_cast<unsigned long long>(pt->build_io),
-                  pt->window_seconds,
-                  static_cast<unsigned long long>(pt->window_demand_reads),
-                  pt->knn_seconds, same ? "yes" : "NO");
-    }
-    file_leg.points.push_back(fp);
-    uring_leg.points.push_back(up);
-  }
 
-  std::string json = "{\n  \"bench\": \"scale_sweep\",\n";
-  json += "  \"queries\": " + std::to_string(num_queries) + ",\n";
-  json += "  \"knn\": " + std::to_string(num_knn) + ",\n";
-  json += "  \"k\": " + std::to_string(k) + ",\n";
-  json += "  \"legs\": [\n" + JsonForScaleLeg(file_leg) + ",\n" +
-          JsonForScaleLeg(uring_leg) + "\n  ],\n";
-  json += std::string("  \"deterministic\": ") + (ok ? "true" : "false") +
-          "\n}\n";
-  if (FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  if (!ok) {
-    std::fprintf(stderr, "CROSS-DEVICE IDENTITY CHECK FAILED\n");
-    return 1;
-  }
-  return 0;
+    WorkEnv env{dev.get(), harness::ScaledMemoryBudget(n)};
+    PrTreeOptions opts;
+    opts.force_grid = true;  // always the external, write-heavy path
+    dev->ResetStats();
+    Timer build_timer;
+    RTree<2> tree(dev.get());
+    AbortIfError(BulkLoadPrTree<2>(env, &input, &tree, opts));
+    const double build_seconds = build_timer.Seconds();
+    const IoStats build_io = dev->stats();
+    const TreeStats ts = tree.ComputeStats();
+    BenchJson p = BenchJson::Object();
+    p["n"] = n;
+    BenchJson& build = p["build"];
+    build["seconds"] = build_seconds;
+    build["io_blocks"] = build_io.Total();
+    build["writes"] = build_io.writes;
+    build["tree_nodes"] = ts.num_nodes;
+    build["tree_leaves"] = ts.num_leaves;
+
+    // Out-of-core query state: the pool holds a fraction of the tree, with
+    // frontier readahead on (the uring backend's batched path).
+    const size_t capacity = std::max<size_t>(
+        4, static_cast<size_t>(pool_frac * static_cast<double>(ts.num_nodes)));
+    auto queries = workload::MakeSquareQueries(tree.Mbr(), 0.01, o.queries,
+                                               o.seed + 17);
+    IoStats window_io;
+    {
+      BufferPool pool(dev.get(), capacity);
+      pool.set_readahead(true);
+      dev->ResetStats();
+      uint64_t leaves = 0, results = 0;
+      Timer timer;
+      for (const Rect2& q : queries) {
+        QueryStats qs = tree.Query(q, [](const Record2&) {}, &pool);
+        leaves += qs.leaves_visited;
+        results += qs.results;
+      }
+      BenchJson& window = p["window"];
+      window["seconds"] = timer.Seconds();
+      window_io = dev->stats();
+      window["leaves"] = leaves;
+      window["results"] = results;
+      window["demand_reads"] = window_io.reads;
+      window["prefetch_reads"] = window_io.prefetch_reads;
+    }
+
+    // kNN digest: FNV over neighbour ids and distance bits.
+    uint64_t digest = kFnvBasis;
+    {
+      Rng rng(o.seed + 31);
+      BufferPool pool(dev.get(), capacity);
+      pool.set_readahead(true);
+      uint64_t leaves = 0, results = 0;
+      Timer timer;
+      for (size_t q = 0; q < num_knn; ++q) {
+        std::array<Real, 2> at{rng.Uniform(0, 1), rng.Uniform(0, 1)};
+        QueryStats qs;
+        auto neighbors = KnnSearch<2>(tree, at, k, &qs, &pool);
+        leaves += qs.leaves_visited;
+        results += neighbors.size();
+        for (const auto& nb : neighbors) {
+          uint64_t bits = 0;
+          static_assert(sizeof(nb.distance) <= sizeof(bits));
+          std::memcpy(&bits, &nb.distance, sizeof(nb.distance));
+          digest ^= nb.record.id;
+          digest *= kFnvPrime;
+          digest ^= bits;
+          digest *= kFnvPrime;
+        }
+      }
+      BenchJson& knn = p["knn"];
+      knn["seconds"] = timer.Seconds();
+      knn["leaves"] = leaves;
+      knn["knn_results"] = results;
+      knn["digest"] = Hex64(digest);
+    }
+    std::printf("%12zu %7s %10.3f %12llu %12llu %17s\n", n,
+                kinds[l].c_str(), build_seconds,
+                static_cast<unsigned long long>(build_io.Total()),
+                static_cast<unsigned long long>(window_io.reads),
+                Hex64(digest).c_str());
+
+    BenchJson counters = p;
+    counters["build"]["seconds"] = counters["window"]["seconds"] =
+        counters["knn"]["seconds"] = BenchJson();
+    (*leg)["points"].Push(std::move(p));
+    return counters;
+  });
+  return harness::WriteGated(&doc, o.out_path, same,
+                             "cross-device identity (file vs uring demand "
+                             "counters and kNN digest)");
 }
 
 // "a,b,..." pool budgets, each a fraction in (0, 1].
@@ -840,155 +601,72 @@ bool ParseBudgets(const char* spec, std::vector<double>* out) {
   }
 }
 
-int Usage(const char* problem, const char* arg) {
-  std::fprintf(stderr,
-               "%s %s\nusage: outofcore_sweep [--n=N] [--queries=Q] "
-               "[--seed=S] [--device=file|uring] [--path=FILE] "
-               "[--budgets=a,b,...] [--repeats=R] [--direct] "
-               "[--out=PATH] [--smoke] [--verify-cross-device] "
-               "[--write] [--records=SPEC]\n",
-               problem, arg);
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  size_t n = 300'000;
-  size_t num_queries = 256;
-  uint64_t seed = 1;
-  std::string device_kind = "file";
-  std::string path;
-  std::string out_path = "BENCH_outofcore.json";
-  std::vector<double> budgets = {0.0625, 0.125, 0.25, 0.5};
-  int repeats = 3;
-  bool direct_io = false;
+  const std::string usage =
+      "outofcore_sweep [--n=N] [--queries=Q] [--seed=S] "
+      "[--device=file|uring] [--path=FILE] [--budgets=a,b,...] "
+      "[--repeats=R] [--direct] [--out=PATH] [--smoke] "
+      "[--verify-cross-device] [--write] [--records=SPEC]";
+  Options o;
   bool smoke = false;
-  bool verify_cross = false;
-  bool write_phase = false;
-  bool out_set = false;
-  std::vector<size_t> records;  // --records: run the scale leg instead
+  bool write = false;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--n=", 4) == 0) {
-      n = std::strtoull(arg + 4, nullptr, 10);
-    } else if (std::strncmp(arg, "--queries=", 10) == 0) {
-      num_queries = std::strtoull(arg + 10, nullptr, 10);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strncmp(arg, "--device=", 9) == 0) {
-      device_kind = arg + 9;
-    } else if (std::strncmp(arg, "--path=", 7) == 0) {
-      path = arg + 7;
-    } else if (std::strncmp(arg, "--budgets=", 10) == 0) {
-      if (!ParseBudgets(arg + 10, &budgets)) return Usage("malformed", arg);
-    } else if (std::strncmp(arg, "--repeats=", 10) == 0) {
-      repeats = static_cast<int>(std::strtol(arg + 10, nullptr, 10));
-      if (repeats < 1) repeats = 1;
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      out_path = arg + 6;
-      out_set = true;
+    const char* value = nullptr;
+    if (harness::NumberFlag(arg, "--n=", &o.n, usage) ||
+        harness::NumberFlag(arg, "--queries=", &o.queries, usage) ||
+        harness::NumberFlag(arg, "--seed=", &o.seed, usage, /*min=*/0) ||
+        harness::NumberFlag(arg, "--repeats=", &o.repeats, usage)) {
+      // Parsed in place.
+    } else if ((value = harness::FlagValue(arg, "--device=")) != nullptr) {
+      o.device = value;
+    } else if ((value = harness::FlagValue(arg, "--path=")) != nullptr) {
+      o.path = value;
+    } else if ((value = harness::FlagValue(arg, "--budgets=")) != nullptr) {
+      if (!ParseBudgets(value, &o.budgets)) {
+        harness::UsageExit("malformed", arg, usage);
+      }
+    } else if ((value = harness::FlagValue(arg, "--records=")) != nullptr) {
+      if (!ParseRecordsSpec(value, &o.records)) {
+        harness::UsageExit("malformed", arg, usage);
+      }
+    } else if ((value = harness::FlagValue(arg, "--out=")) != nullptr) {
+      o.out_path = value;
     } else if (std::strcmp(arg, "--direct") == 0) {
-      direct_io = true;
+      o.direct_io = true;
     } else if (std::strcmp(arg, "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(arg, "--verify-cross-device") == 0) {
-      verify_cross = true;
+      o.verify_cross = true;
     } else if (std::strcmp(arg, "--write") == 0) {
-      write_phase = true;
-    } else if (std::strncmp(arg, "--records=", 10) == 0) {
-      if (!ParseRecordsSpec(arg + 10, &records)) {
-        return Usage("malformed", arg);
-      }
+      write = true;
     } else {
-      return Usage("unknown flag", arg);
+      harness::UsageExit("unknown flag", arg, usage);
     }
   }
-  if (device_kind != "file" && device_kind != "uring") {
+  if (o.device != "file" && o.device != "uring") {
     std::fprintf(stderr, "--device must be file or uring (the sweep "
                          "measures real storage)\n");
     return 2;
   }
   if (smoke) {
-    n = 40'000;
-    num_queries = 64;
-    budgets = {0.125, 0.5};
-    repeats = 2;
+    o.n = 40'000;
+    o.queries = 64;
+    o.budgets = {0.125, 0.5};
+    o.repeats = 2;
+    // Tiny but still two scale points.
+    if (!o.records.empty()) o.records = {40'000, 80'000};
   }
-  if (!records.empty()) {
-    if (smoke) records = {40'000, 80'000};  // tiny but still two scale points
-    if (!out_set) out_path = "BENCH_scale.json";
-    return RunScalePhase(records, path, direct_io, seed, num_queries,
-                         repeats, out_path);
+  if (!o.records.empty()) {
+    if (o.out_path.empty()) o.out_path = "BENCH_scale.json";
+    return RunScale(o);
   }
-  if (write_phase) {
-    if (!out_set) out_path = "BENCH_writepath.json";
-    return RunWritePhase(device_kind, path, direct_io, n, seed, budgets,
-                         repeats, out_path);
+  if (write) {
+    if (o.out_path.empty()) o.out_path = "BENCH_writepath.json";
+    return RunWrite(o);
   }
-
-  auto data = workload::MakeSize(n, 0.001, seed);
-  auto queries = workload::MakeSquareQueries(MakeRect(0, 0, 1, 1), 0.01,
-                                             num_queries, seed + 17);
-
-  std::printf("=== outofcore_sweep: n=%zu, queries=%zu, device=%s%s ===\n",
-              n, num_queries, device_kind.c_str(), smoke ? " (smoke)" : "");
-
-  SweepResult primary =
-      RunSweep(device_kind, path, direct_io, data, queries, budgets, repeats);
-  bool ok = CheckUniform(primary);
-
-  std::vector<SweepResult> sweeps;
-  sweeps.push_back(std::move(primary));
-
-  if (verify_cross) {
-    std::string other = device_kind == "file" ? "uring" : "file";
-    // Anonymous temp device for the cross-check: never clobber --path.
-    SweepResult secondary =
-        RunSweep(other, "", direct_io, data, queries, budgets, repeats);
-    ok = CheckUniform(secondary) && ok;
-    for (size_t i = 0; i < secondary.points.size(); ++i) {
-      const SweepPoint& a = sweeps[0].points[i];
-      const SweepPoint& b = secondary.points[i];
-      if (a.leaves != b.leaves || a.results != b.results ||
-          a.demand_reads != b.demand_reads ||
-          a.prefetch_reads != b.prefetch_reads) {
-        std::fprintf(stderr,
-                     "!! cross-device mismatch at budget %.4f readahead=%d\n",
-                     a.budget_frac, a.readahead ? 1 : 0);
-        ok = false;
-      }
-    }
-    if (ok) {
-      std::printf("cross-device check: file and uring agree on every "
-                  "leaf I/O, result and transfer count\n");
-    }
-    sweeps.push_back(std::move(secondary));
-  }
-
-  std::string json = "{\n  \"bench\": \"outofcore_sweep\",\n";
-  json += "  \"n\": " + std::to_string(n) + ",\n";
-  json += "  \"queries\": " + std::to_string(num_queries) + ",\n";
-  json += "  \"sweeps\": [\n";
-  for (size_t i = 0; i < sweeps.size(); ++i) {
-    json += JsonForSweep(sweeps[i], budgets);
-    json += i + 1 < sweeps.size() ? ",\n" : "\n";
-  }
-  json += "  ],\n";
-  json += std::string("  \"deterministic\": ") + (ok ? "true" : "false") +
-          "\n}\n";
-
-  if (FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  if (!ok) {
-    std::fprintf(stderr, "DETERMINISM CHECK FAILED\n");
-    return 1;
-  }
-  return 0;
+  if (o.out_path.empty()) o.out_path = "BENCH_outofcore.json";
+  return RunSweep(o);
 }

@@ -32,14 +32,13 @@
 //   --smoke           tiny run for the ctest tier1 label (checks the
 //                     cross-leg identity contract, never gates speed)
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "geom/rect_batch.h"
+#include "harness/bench_json.h"
 #include "harness/experiment.h"
 #include "io/buffer_pool.h"
 #include "rtree/knn.h"
@@ -49,14 +48,12 @@
 #include "workload/queries.h"
 
 using namespace prtree;  // NOLINT
+using harness::BenchJson;
 
 namespace {
 
-struct LegResult {
-  const char* layout = "";  // "v1" / "v2"
-  std::string simd;         // "scalar" / "avx2" / "neon"
-  double window_seconds = 0;
-  double knn_seconds = 0;
+// Everything a leg must reproduce bit for bit; only the clock may differ.
+struct LegCounters {
   uint64_t leaves = 0;
   uint64_t internal = 0;
   uint64_t results = 0;
@@ -64,6 +61,15 @@ struct LegResult {
   uint64_t knn_internal = 0;
   uint64_t knn_results = 0;
   uint64_t knn_digest = 0;  // FNV over result ids + distance bits
+  bool operator==(const LegCounters&) const = default;
+};
+
+struct LegResult {
+  const char* layout = "";  // "v1" / "v2"
+  std::string simd;         // "scalar" / "avx2" / "neon"
+  double window_seconds = 0;
+  double knn_seconds = 0;
+  LegCounters c;
 };
 
 // FNV-1a over the exact bytes that must match across legs: neighbour ids
@@ -93,52 +99,44 @@ LegResult RunLeg(const harness::BuiltIndex& index, const char* layout,
                   static_cast<size_t>(index.tree_stats.num_nodes) + 16);
   index.tree->CacheInternalNodes(&pool);
 
-  auto window_pass = [&](bool record) {
-    uint64_t leaves = 0, internal = 0, results = 0;
+  auto window_pass = [&] {
+    LegCounters& c = leg.c;
+    c.leaves = c.internal = c.results = 0;
     for (const Rect2& q : windows) {
       QueryStats qs = index.tree->Query(q, [](const Record2&) {}, &pool);
-      leaves += qs.leaves_visited;
-      internal += qs.internal_visited;
-      results += qs.results;
-    }
-    if (record) {
-      leg.leaves = leaves;
-      leg.internal = internal;
-      leg.results = results;
+      c.leaves += qs.leaves_visited;
+      c.internal += qs.internal_visited;
+      c.results += qs.results;
     }
   };
-  auto knn_pass = [&](bool record) {
-    uint64_t leaves = 0, internal = 0, results = 0, digest = 1469598103934665603ull;
+  auto knn_pass = [&] {
+    LegCounters& c = leg.c;
+    c.knn_leaves = c.knn_internal = c.knn_results = 0;
+    c.knn_digest = 1469598103934665603ull;
     for (const auto& p : knn_points) {
       QueryStats qs;
       auto neighbors = KnnSearch<2>(*index.tree, p, k, &qs, &pool);
-      leaves += qs.leaves_visited;
-      internal += qs.internal_visited;
-      results += qs.results;
+      c.knn_leaves += qs.leaves_visited;
+      c.knn_internal += qs.internal_visited;
+      c.knn_results += qs.results;
       for (const auto& nb : neighbors) {
-        DigestNeighbor(&digest, nb.record.id, nb.distance);
+        DigestNeighbor(&c.knn_digest, nb.record.id, nb.distance);
       }
-    }
-    if (record) {
-      leg.knn_leaves = leaves;
-      leg.knn_internal = internal;
-      leg.knn_results = results;
-      leg.knn_digest = digest;
     }
   };
 
-  window_pass(/*record=*/true);  // warmup + counter capture
-  knn_pass(/*record=*/true);
-  for (int rep = 0; rep < repeats; ++rep) {
-    Timer tw;
-    window_pass(/*record=*/false);
-    double ws = tw.Seconds();
-    if (rep == 0 || ws < leg.window_seconds) leg.window_seconds = ws;
-    Timer tk;
-    knn_pass(/*record=*/false);
-    double ks = tk.Seconds();
-    if (rep == 0 || ks < leg.knn_seconds) leg.knn_seconds = ks;
-  }
+  window_pass();  // warmup: every node resident before the clock starts
+  knn_pass();
+  leg.window_seconds = harness::BestOfRepeats(repeats, [&] {
+    Timer timer;
+    window_pass();
+    return timer.Seconds();
+  });
+  leg.knn_seconds = harness::BestOfRepeats(repeats, [&] {
+    Timer timer;
+    knn_pass();
+    return timer.Seconds();
+  });
   return leg;
 }
 
@@ -154,34 +152,27 @@ int main(int argc, char** argv) {
   int repeats = 5;
   std::string out_path = "BENCH_warmquery.json";
   bool smoke = false;
+  const std::string usage =
+      std::string(argv[0]) +
+      " [--n=N] [--queries=Q] [--qarea=F] [--knn=K] [--k=NB] [--seed=S] "
+      "[--repeats=R] [--out=PATH] [--smoke]";
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--n=", 4) == 0) {
-      n = std::strtoull(arg + 4, nullptr, 10);
-    } else if (std::strncmp(arg, "--queries=", 10) == 0) {
-      num_queries = std::strtoull(arg + 10, nullptr, 10);
-    } else if (std::strncmp(arg, "--qarea=", 8) == 0) {
-      qarea = std::strtod(arg + 8, nullptr);
-    } else if (std::strncmp(arg, "--knn=", 6) == 0) {
-      num_knn = std::strtoull(arg + 6, nullptr, 10);
-    } else if (std::strncmp(arg, "--k=", 4) == 0) {
-      k = std::strtoull(arg + 4, nullptr, 10);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strncmp(arg, "--repeats=", 10) == 0) {
-      repeats = static_cast<int>(std::strtol(arg + 10, nullptr, 10));
-      if (repeats < 1) repeats = 1;
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      out_path = arg + 6;
+    const char* value = nullptr;
+    if (harness::NumberFlag(arg, "--n=", &n, usage) ||
+        harness::NumberFlag(arg, "--queries=", &num_queries, usage) ||
+        harness::NumberFlag(arg, "--qarea=", &qarea, usage) ||
+        harness::NumberFlag(arg, "--knn=", &num_knn, usage) ||
+        harness::NumberFlag(arg, "--k=", &k, usage) ||
+        harness::NumberFlag(arg, "--seed=", &seed, usage, /*min=*/0) ||
+        harness::NumberFlag(arg, "--repeats=", &repeats, usage)) {
+      // Parsed in place.
+    } else if ((value = harness::FlagValue(arg, "--out=")) != nullptr) {
+      out_path = value;
     } else if (std::strcmp(arg, "--smoke") == 0) {
       smoke = true;
     } else {
-      std::fprintf(stderr,
-                   "unknown flag %s\nusage: %s [--n=N] [--queries=Q] "
-                   "[--qarea=F] [--knn=K] [--k=NB] [--seed=S] [--repeats=R] "
-                   "[--out=PATH] [--smoke]\n",
-                   arg, argv[0]);
-      return 2;
+      harness::UsageExit("unknown flag", arg, usage);
     }
   }
   if (smoke) {
@@ -233,9 +224,9 @@ int main(int argc, char** argv) {
   for (const LegResult& leg : legs) {
     std::printf("%4s %8s %12.4f %12.4f %12llu %12llu %14llx\n", leg.layout,
                 leg.simd.c_str(), leg.window_seconds, leg.knn_seconds,
-                static_cast<unsigned long long>(leg.leaves),
-                static_cast<unsigned long long>(leg.results),
-                static_cast<unsigned long long>(leg.knn_digest));
+                static_cast<unsigned long long>(leg.c.leaves),
+                static_cast<unsigned long long>(leg.c.results),
+                static_cast<unsigned long long>(leg.c.knn_digest));
   }
 
   // The identity contract: every leg visits the same nodes, returns the
@@ -244,11 +235,7 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (const LegResult& leg : legs) {
     const LegResult& ref = legs[0];
-    if (leg.leaves != ref.leaves || leg.internal != ref.internal ||
-        leg.results != ref.results || leg.knn_leaves != ref.knn_leaves ||
-        leg.knn_internal != ref.knn_internal ||
-        leg.knn_results != ref.knn_results ||
-        leg.knn_digest != ref.knn_digest) {
+    if (!(leg.c == ref.c)) {
       std::fprintf(stderr, "!! leg %s/%s diverged from %s/%s\n", leg.layout,
                    leg.simd.c_str(), ref.layout, ref.simd.c_str());
       ok = false;
@@ -273,53 +260,28 @@ int main(int argc, char** argv) {
   std::printf("warm knn speedup    (v2-%s over v1-scalar): %.2fx\n",
               best.simd.c_str(), knn_speedup);
 
-  std::string json = "{\n  \"bench\": \"query_warm\",\n";
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "  \"n\": %zu,\n  \"queries\": %zu,\n  \"knn_queries\": %zu,\n"
-                "  \"k\": %zu,\n  \"capacity\": %zu,\n"
-                "  \"tree_nodes\": %llu,\n  \"tree_leaves\": %llu,\n"
-                "  \"simd\": \"%s\",\n",
-                n, num_queries, num_knn, k, v2.tree->capacity(),
-                static_cast<unsigned long long>(v2.tree_stats.num_nodes),
-                static_cast<unsigned long long>(v2.tree_stats.num_leaves),
-                legs[3].simd.c_str());
-  json += buf;
-  json += "  \"legs\": [\n";
-  for (size_t i = 0; i < legs.size(); ++i) {
-    const LegResult& leg = legs[i];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"layout\": \"%s\", \"simd\": \"%s\", "
-        "\"window_seconds\": %.6f, \"knn_seconds\": %.6f, "
-        "\"leaves\": %llu, \"results\": %llu, \"knn_results\": %llu}%s\n",
-        leg.layout, leg.simd.c_str(), leg.window_seconds, leg.knn_seconds,
-        static_cast<unsigned long long>(leg.leaves),
-        static_cast<unsigned long long>(leg.results),
-        static_cast<unsigned long long>(leg.knn_results),
-        i + 1 < legs.size() ? "," : "");
-    json += buf;
+  BenchJson doc = BenchJson::Document("query_warm");
+  doc["n"] = n;
+  doc["queries"] = num_queries;
+  doc["knn_queries"] = num_knn;
+  doc["k"] = k;
+  doc["capacity"] = v2.tree->capacity();
+  doc["tree_nodes"] = v2.tree_stats.num_nodes;
+  doc["tree_leaves"] = v2.tree_stats.num_leaves;
+  doc["simd"] = legs[3].simd;
+  for (const LegResult& leg : legs) {
+    BenchJson& j = doc["legs"].Push(BenchJson::Object());
+    j["layout"] = leg.layout;
+    j["simd"] = leg.simd;
+    j["window_seconds"] = leg.window_seconds;
+    j["knn_seconds"] = leg.knn_seconds;
+    j["leaves"] = leg.c.leaves;
+    j["results"] = leg.c.results;
+    j["knn_results"] = leg.c.knn_results;
   }
-  json += "  ],\n";
-  std::snprintf(buf, sizeof(buf),
-                "  \"speedup_simd_window\": %.3f,\n"
-                "  \"speedup_simd_knn\": %.3f,\n",
-                window_speedup, knn_speedup);
-  json += buf;
-  json += std::string("  \"deterministic\": ") + (ok ? "true" : "false") +
-          "\n}\n";
-
-  if (FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  if (!ok) {
-    std::fprintf(stderr, "IDENTITY CHECK FAILED\n");
-    return 1;
-  }
-  return 0;
+  doc["speedup_simd_window"] = window_speedup;
+  doc["speedup_simd_knn"] = knn_speedup;
+  return harness::WriteGated(&doc, out_path, ok,
+                             "identity (every layout x SIMD leg and both "
+                             "builds agree bit for bit)");
 }

@@ -35,11 +35,11 @@ int main(int argc, char** argv) {
 
   auto data = workload::MakeCluster(clusters, per_cluster, opts.seed);
 
-  BenchJson json("table1_cluster");
+  FigureJson json("table1_cluster");
   AddBenchParams(opts, n, &json);
   json.Param("clusters", static_cast<unsigned long long>(clusters));
   json.Param("per_cluster", static_cast<unsigned long long>(per_cluster));
-  BenchJson::Table* jt = json.AddTable(
+  FigureJson::Table* jt = json.AddTable(
       "cluster_query", {"variant", "avg_leaf_io", "pct_tree_visited",
                         "avg_results", "build_io"});
 

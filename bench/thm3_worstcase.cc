@@ -30,11 +30,11 @@ int main(int argc, char** argv) {
     queries.push_back(MakeRect(-1, y, static_cast<double>(columns) + 1, y));
   }
 
-  BenchJson json("thm3_worstcase");
+  FigureJson json("thm3_worstcase");
   AddBenchParams(opts, n, &json);
   json.Param("columns", static_cast<unsigned long long>(columns));
   json.Param("rows", static_cast<unsigned long long>(rows));
-  BenchJson::Table* jt = json.AddTable(
+  FigureJson::Table* jt = json.AddTable(
       "worstcase", {"variant", "avg_leaves", "pct_leaves", "results"});
 
   TablePrinter table({"tree", "leaves visited (avg)", "% of leaves",

@@ -45,6 +45,7 @@
 #include "rtree/journaled_tree.h"
 #include "rtree/update.h"
 #include "rtree/validate.h"
+#include "harness/bench_json.h"
 #include "harness/experiment.h"
 #include "io/block_device.h"
 #include "io/buffer_pool.h"
@@ -360,22 +361,10 @@ MixedLeg RunMixedLeg(const std::vector<Record2>& base,
 // The wall-clock ratio journal-off/journal-on is the one timing number
 // exported (a same-machine ratio, gated with a floored baseline).
 
-struct JournalLeg {
-  size_t ops = 0;
-  uint64_t final_size = 0;
-  uint64_t demand_reads = 0;
-  uint64_t writes = 0;
-  uint64_t meta_reads = 0;
-  uint64_t meta_writes = 0;
-  uint64_t committed = 0;
-  size_t journal_pages = 0;
-  double on_seconds = 0.0;
-  double off_seconds = 0.0;
-  bool identical = false;  // demand counters matched across the two legs
-};
-
-JournalLeg RunJournalLeg(size_t n_ops, uint64_t seed,
-                         const std::string& scratch) {
+// Fills `leg` (the document's "journal" object) and returns whether the
+// demand counters matched across the two runs.
+bool RunJournalLeg(size_t n_ops, uint64_t seed, const std::string& scratch,
+                   BenchJson* leg) {
   struct JOp {
     bool insert;
     Record2 rec;
@@ -409,12 +398,10 @@ JournalLeg RunJournalLeg(size_t n_ops, uint64_t seed,
     }
   }
 
-  JournalLeg leg;
-  leg.ops = n_ops;
-
   // Journal OFF: plain in-place updates on a bare file device.
   const std::string off_path = scratch + ".off";
   IoStats off_stats;
+  double off_seconds = 0;
   {
     FileDeviceOptions dopts;
     dopts.block_size = 4096;
@@ -432,12 +419,13 @@ JournalLeg RunJournalLeg(size_t n_ops, uint64_t seed,
         updater.Delete(op.rec);
       }
     }
-    leg.off_seconds = timer.Seconds();
+    off_seconds = timer.Seconds();
     off_stats = dev->stats();
   }
   std::remove(off_path.c_str());
 
   // Journal ON: every op staged, committed and durable.
+  bool identical = false;
   {
     JournaledTree<2>::Options topts;
     topts.device.block_size = 4096;
@@ -452,22 +440,28 @@ JournalLeg RunJournalLeg(size_t n_ops, uint64_t seed,
         AbortIfError(t->Delete(op.rec));
       }
     }
-    leg.on_seconds = timer.Seconds();
+    const double on_seconds = timer.Seconds();
     const IoStats on_stats = t->device()->stats();
     AbortIfError(ValidateTree(t->tree()));
-    leg.final_size = t->tree().size();
-    leg.demand_reads = on_stats.reads;
-    leg.writes = on_stats.writes;
-    leg.meta_reads = on_stats.meta_reads;
-    leg.meta_writes = on_stats.meta_writes;
-    leg.committed = t->journal().committed_ops();
-    leg.journal_pages = t->journal().journal_pages();
-    leg.identical = on_stats.reads == off_stats.reads &&
-                    on_stats.writes == off_stats.writes &&
-                    off_stats.meta_writes == 0;
+    identical = on_stats.reads == off_stats.reads &&
+                on_stats.writes == off_stats.writes &&
+                off_stats.meta_writes == 0;
+    BenchJson& j = *leg;
+    j["ops"] = n_ops;
+    j["final_size"] = t->tree().size();
+    j["demand_reads"] = on_stats.reads;
+    j["writes"] = on_stats.writes;
+    j["meta_reads"] = on_stats.meta_reads;
+    j["meta_writes"] = on_stats.meta_writes;
+    j["committed"] = t->journal().committed_ops();
+    j["journal_pages"] = t->journal().journal_pages();
+    j["journal_speedup"] = on_seconds > 0 ? off_seconds / on_seconds : 0.0;
+    j["seconds"] = on_seconds;
+    j["deterministic"] = identical;
+    std::printf("journal: %s", j.ToString().c_str());
   }
   std::remove(scratch.c_str());
-  return leg;
+  return identical;
 }
 
 int RunMixed(const BenchOptions& opts, const Mix& mix, size_t n,
@@ -527,86 +521,37 @@ int RunMixed(const BenchOptions& opts, const Mix& mix, size_t n,
   }
   table.Print();
 
-  std::string json = "{\n  \"bench\": \"throughput_mixed\",\n";
-  json += "  \"n\": " + std::to_string(n) + ",\n";
-  json += "  \"host_threads\": " + std::to_string(HardwareThreads()) + ",\n";
-  json += "  \"mix\": {\"insert\": " + std::to_string(mix.insert) +
-          ", \"delete\": " + std::to_string(mix.del) +
-          ", \"window\": " + std::to_string(mix.window) +
-          ", \"knn\": " + std::to_string(mix.knn) + "},\n";
-  json += "  \"serial\": {\"final_size\": " +
-          std::to_string(serial.final_size) +
-          ", \"results\": " + std::to_string(serial.results) +
-          ", \"leaves\": " + std::to_string(serial.leaves) +
-          ", \"knn_results\": " + std::to_string(serial.knn_results) +
-          "},\n";
-  json += "  \"legs\": [\n";
-  for (size_t i = 0; i < legs.size(); ++i) {
-    const MixedLeg& leg = legs[i];
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"threads\": %d, \"ops\": %zu, \"final_size\": %llu, "
-        "\"seconds\": %.6f, \"window_p50_ms\": %.4f, "
-        "\"window_p99_ms\": %.4f, \"knn_p50_ms\": %.4f, "
-        "\"knn_p99_ms\": %.4f}%s\n",
-        leg.threads, leg.ops,
-        static_cast<unsigned long long>(leg.final_size), leg.seconds,
-        leg.window_p50_ms, leg.window_p99_ms, leg.knn_p50_ms,
-        leg.knn_p99_ms, i + 1 < legs.size() ? "," : "");
-    json += buf;
+  BenchJson doc = BenchJson::Document("throughput_mixed");
+  doc["n"] = n;
+  doc["host_threads"] = HardwareThreads();
+  doc["mix"]["insert"] = mix.insert;
+  doc["mix"]["delete"] = mix.del;
+  doc["mix"]["window"] = mix.window;
+  doc["mix"]["knn"] = mix.knn;
+  doc["serial"]["final_size"] = serial.final_size;
+  doc["serial"]["results"] = serial.results;
+  doc["serial"]["leaves"] = serial.leaves;
+  doc["serial"]["knn_results"] = serial.knn_results;
+  for (const MixedLeg& leg : legs) {
+    BenchJson& j = doc["legs"].Push(BenchJson::Object());
+    j["threads"] = leg.threads;
+    j["ops"] = leg.ops;
+    j["final_size"] = leg.final_size;
+    j["seconds"] = leg.seconds;
+    j["window_p50_ms"] = leg.window_p50_ms;
+    j["window_p99_ms"] = leg.window_p99_ms;
+    j["knn_p50_ms"] = leg.knn_p50_ms;
+    j["knn_p99_ms"] = leg.knn_p99_ms;
   }
-  json += "  ],\n";
-  if (journal) {
-    JournalLeg jl = RunJournalLeg(ops_per_leg, opts.seed,
-                                  out_path + ".journal.idx");
-    if (!jl.identical) deterministic = false;
-    const double speedup =
-        jl.on_seconds > 0 ? jl.off_seconds / jl.on_seconds : 0.0;
-    std::printf("journal: %zu ops committed=%llu final_size=%llu "
-                "demand r/w=%llu/%llu meta r/w=%llu/%llu "
-                "off/on=%.2fx%s\n",
-                jl.ops, static_cast<unsigned long long>(jl.committed),
-                static_cast<unsigned long long>(jl.final_size),
-                static_cast<unsigned long long>(jl.demand_reads),
-                static_cast<unsigned long long>(jl.writes),
-                static_cast<unsigned long long>(jl.meta_reads),
-                static_cast<unsigned long long>(jl.meta_writes), speedup,
-                jl.identical ? "" : "  [DEMAND COUNTERS DIVERGED]");
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"journal\": {\"ops\": %zu, \"final_size\": %llu, "
-        "\"demand_reads\": %llu, \"writes\": %llu, \"meta_reads\": %llu, "
-        "\"meta_writes\": %llu, \"committed\": %llu, "
-        "\"journal_pages\": %zu, \"journal_speedup\": %.4f, "
-        "\"seconds\": %.6f, \"deterministic\": %s},\n",
-        jl.ops, static_cast<unsigned long long>(jl.final_size),
-        static_cast<unsigned long long>(jl.demand_reads),
-        static_cast<unsigned long long>(jl.writes),
-        static_cast<unsigned long long>(jl.meta_reads),
-        static_cast<unsigned long long>(jl.meta_writes),
-        static_cast<unsigned long long>(jl.committed), jl.journal_pages,
-        speedup, jl.on_seconds, jl.identical ? "true" : "false");
-    json += buf;
+  if (journal &&
+      !RunJournalLeg(ops_per_leg, opts.seed, out_path + ".journal.idx",
+                     &doc["journal"])) {
+    deterministic = false;
   }
-  json += std::string("  \"deterministic\": ") +
-          (deterministic ? "true" : "false") + "\n}\n";
-  if (FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  if (!deterministic) {
-    std::fprintf(stderr, "FAIL: mixed-workload determinism cross-checks "
-                         "(serial reproduction / final size / frozen "
-                         "snapshot) did not hold\n");
-    return 1;
-  }
-  return 0;
+  return WriteGated(&doc, out_path, deterministic,
+                    "mixed-workload determinism (serial reproduction, "
+                    "interleaving-free final sizes, frozen snapshot, "
+                    "journal demand counters)");
 }
 
 }  // namespace
@@ -620,9 +565,15 @@ int main(int argc, char** argv) {
   Mix mix;
   int threads_max = 16;
   std::string out_path = "BENCH_mixed.json";
+  const std::string usage =
+      std::string(argv[0]) +
+      " [--mix=insert,delete,window,knn] [--threads-max=T] "
+      "[--journal=on|off] [--out=PATH] [--smoke] (plus the shared "
+      "--n/--queries/--seed/--scale flags)";
   std::vector<char*> rest = {argv[0]};
   for (int i = 1; i < argc; ++i) {
     char* arg = argv[i];
+    const char* value = nullptr;
     if (std::strncmp(arg, "--mix=", 6) == 0) {
       mix_given = true;
       if (std::sscanf(arg + 6, "%d,%d,%d,%d", &mix.insert, &mix.del,
@@ -634,14 +585,10 @@ int main(int argc, char** argv) {
                      "100: --mix=insert,delete,window,knn\n");
         return 2;
       }
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      out_path = arg + 6;
-    } else if (std::strncmp(arg, "--threads-max=", 14) == 0) {
-      threads_max = std::atoi(arg + 14);
-      if (threads_max < 1 || threads_max > 64) {
-        std::fprintf(stderr, "--threads-max must be in [1, 64]\n");
-        return 2;
-      }
+    } else if ((value = FlagValue(arg, "--out=")) != nullptr) {
+      out_path = value;
+    } else if (NumberFlag(arg, "--threads-max=", &threads_max, usage)) {
+      if (threads_max > 64) UsageExit("out of [1, 64]:", arg, usage);
     } else if (std::strcmp(arg, "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(arg, "--journal=on") == 0) {

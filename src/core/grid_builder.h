@@ -58,9 +58,6 @@ struct GridBuildOptions {
   /// Records per priority leaf (0 = capacity, the PR-tree; smaller values
   /// are the ablation toward Agarwal et al.'s size-1 priority boxes [2]).
   size_t priority_size = 0;
-  /// Memory budget override in bytes (0 = use WorkEnv's); tests shrink it
-  /// to force deep external recursion on small inputs.
-  size_t memory_override = 0;
   /// Grid resolution override (0 = derive z from the memory budget).
   size_t z_override = 0;
 };
@@ -190,9 +187,7 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
   const size_t prio =
       opts.priority_size == 0 ? opts.capacity : opts.priority_size;
   PRTREE_CHECK(prio >= 1 && prio <= b);
-  const size_t memory =
-      opts.memory_override != 0 ? opts.memory_override : env.memory_bytes;
-  WorkEnv sort_env{env.device, memory, env.pool};
+  const size_t memory = env.memory_bytes;
 
   input->Flush();
   if (input->size() == 0) return;
@@ -209,7 +204,7 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
   top.n = input->size();
   top.depth = 0;
   for (int c = 0; c < K; ++c) {
-    top.lists.push_back(ExternalSort(sort_env, input, CoordLess<D>{c}));
+    top.lists.push_back(ExternalSort(env, input, CoordLess<D>{c}));
   }
 
   std::deque<Sub> pending;

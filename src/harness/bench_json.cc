@@ -44,94 +44,106 @@ void AppendQuoted(std::string* out, const std::string& s) {
   out->push_back('"');
 }
 
-void AppendCell(std::string* out, const BenchJson::Cell& cell) {
-  switch (cell.kind) {
-    case BenchJson::Cell::Kind::kBool:
-      out->append(cell.flag ? "true" : "false");
-      return;
-    case BenchJson::Cell::Kind::kString:
-      AppendQuoted(out, cell.str);
-      return;
-    case BenchJson::Cell::Kind::kNumber: {
-      char buf[64];
-      // Counters print exactly; measured doubles keep 10 significant
-      // digits, enough that re-rendering is byte-stable run to run for
-      // any deterministic quantity.
-      if (std::isfinite(cell.num) && cell.num == std::floor(cell.num) &&
-          std::fabs(cell.num) < 9.0e15) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(cell.num));
-      } else if (std::isfinite(cell.num)) {
-        std::snprintf(buf, sizeof(buf), "%.10g", cell.num);
-      } else {
-        // JSON has no NaN/Inf; null keeps the document parseable.
-        std::snprintf(buf, sizeof(buf), "null");
-      }
-      out->append(buf);
-      return;
-    }
+void AppendNumber(std::string* out, double v) {
+  char buf[64];
+  // Counters print exactly; measured doubles keep 10 significant digits,
+  // enough that re-rendering is byte-stable run to run for any
+  // deterministic quantity.
+  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9.0e15) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+  } else if (std::isfinite(v)) {
+    std::snprintf(buf, sizeof(buf), "%.10g", v);
+  } else {
+    // JSON has no NaN/Inf; null keeps the document parseable.
+    std::snprintf(buf, sizeof(buf), "null");
   }
-  out->append("null");
+  out->append(buf);
 }
 
 }  // namespace
 
-void BenchJson::Table::AddRow(std::vector<Cell> cells) {
-  PRTREE_CHECK(cells.size() == columns_.size());
-  rows_.push_back(std::move(cells));
+BenchJson BenchJson::Object() {
+  BenchJson v;
+  v.kind_ = Kind::kObject;
+  return v;
 }
 
-BenchJson::BenchJson(std::string bench_name)
-    : bench_name_(std::move(bench_name)) {}
-
-void BenchJson::Param(const std::string& key, Cell value) {
-  params_.emplace_back(key, std::move(value));
+BenchJson BenchJson::Array() {
+  BenchJson v;
+  v.kind_ = Kind::kArray;
+  return v;
 }
 
-BenchJson::Table* BenchJson::AddTable(std::string name,
-                                      std::vector<std::string> columns) {
-  auto table = std::make_unique<Table>();
-  table->name_ = std::move(name);
-  table->columns_ = std::move(columns);
-  tables_.push_back(std::move(table));
-  return tables_.back().get();
+BenchJson BenchJson::Document(std::string bench_name) {
+  BenchJson doc;
+  doc["bench"] = std::move(bench_name);
+  return doc;
+}
+
+BenchJson& BenchJson::operator[](const std::string& key) {
+  if (kind_ == Kind::kNull) kind_ = Kind::kObject;
+  PRTREE_CHECK(kind_ == Kind::kObject);
+  for (auto& [k, v] : children_) {
+    if (k == key) return v;
+  }
+  return children_.emplace_back(key, BenchJson()).second;
+}
+
+BenchJson& BenchJson::Push(BenchJson value) {
+  if (kind_ == Kind::kNull) kind_ = Kind::kArray;
+  PRTREE_CHECK(kind_ == Kind::kArray);
+  return children_.emplace_back(std::string(), std::move(value)).second;
+}
+
+void BenchJson::Append(std::string* out, int indent) const {
+  switch (kind_) {
+    case Kind::kNull:
+      out->append("null");
+      return;
+    case Kind::kNumber:
+      AppendNumber(out, num_);
+      return;
+    case Kind::kBool:
+      out->append(flag_ ? "true" : "false");
+      return;
+    case Kind::kString:
+      AppendQuoted(out, str_);
+      return;
+    case Kind::kObject:
+    case Kind::kArray:
+      break;
+  }
+  const bool object = kind_ == Kind::kObject;
+  bool flat = true;
+  for (const auto& child : children_) {
+    const Kind k = child.second.kind_;
+    if (k == Kind::kObject || k == Kind::kArray) flat = false;
+  }
+  std::string pad;  // before each member: nothing, or a newline + indent
+  if (!flat) pad.append("\n").append(indent + 2, ' ');
+  out->push_back(object ? '{' : '[');
+  bool first = true;
+  for (const auto& [key, value] : children_) {
+    if (!first) out->append(flat ? ", " : ",");
+    first = false;
+    out->append(pad);
+    if (object) {
+      AppendQuoted(out, key);
+      out->append(": ");
+    }
+    value.Append(out, indent + 2);
+  }
+  if (!flat && !children_.empty()) {
+    out->push_back('\n');
+    out->append(indent, ' ');
+  }
+  out->push_back(object ? '}' : ']');
 }
 
 std::string BenchJson::ToString() const {
-  std::string json = "{\n  \"bench\": ";
-  AppendQuoted(&json, bench_name_);
-  json += ",\n  \"params\": {";
-  for (size_t i = 0; i < params_.size(); ++i) {
-    if (i > 0) json += ", ";
-    AppendQuoted(&json, params_[i].first);
-    json += ": ";
-    AppendCell(&json, params_[i].second);
-  }
-  json += "},\n";
-  json += "  \"tables\": [\n";
-  for (size_t t = 0; t < tables_.size(); ++t) {
-    const Table& table = *tables_[t];
-    json += "    {\"name\": ";
-    AppendQuoted(&json, table.name_);
-    json += ",\n     \"columns\": [";
-    for (size_t c = 0; c < table.columns_.size(); ++c) {
-      if (c > 0) json += ", ";
-      AppendQuoted(&json, table.columns_[c]);
-    }
-    json += "],\n";
-    json += "     \"rows\": [\n";
-    for (size_t r = 0; r < table.rows_.size(); ++r) {
-      json += "       [";
-      for (size_t c = 0; c < table.rows_[r].size(); ++c) {
-        if (c > 0) json += ", ";
-        AppendCell(&json, table.rows_[r][c]);
-      }
-      json += r + 1 < table.rows_.size() ? "],\n" : "]\n";
-    }
-    json += "     ]}";
-    json += t + 1 < tables_.size() ? ",\n" : "\n";
-  }
-  json += "  ]\n}\n";
+  std::string json;
+  Append(&json, 0);
+  json.push_back('\n');
   return json;
 }
 
@@ -147,6 +159,45 @@ bool BenchJson::WriteFile(const std::string& path) const {
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
   return true;
+}
+
+int WriteGated(BenchJson* doc, const std::string& path, bool ok,
+               const char* check) {
+  (*doc)["deterministic"] = ok;
+  if (!doc->WriteFile(path)) return 1;
+  if (!ok) {
+    std::fprintf(stderr, "FAILED: %s\n", check);
+    return 1;
+  }
+  return 0;
+}
+
+void FigureJson::Table::AddRow(std::vector<BenchJson> cells) {
+  PRTREE_CHECK(cells.size() == width_);
+  BenchJson& row = rows_->Push(BenchJson::Array());
+  for (BenchJson& cell : cells) row.Push(std::move(cell));
+}
+
+FigureJson::FigureJson(std::string bench_name)
+    : doc_(BenchJson::Document(std::move(bench_name))) {
+  doc_["params"] = BenchJson::Object();
+  doc_["tables"] = BenchJson::Array();
+}
+
+void FigureJson::Param(const std::string& key, BenchJson value) {
+  doc_["params"][key] = std::move(value);
+}
+
+FigureJson::Table* FigureJson::AddTable(std::string name,
+                                        std::vector<std::string> columns) {
+  BenchJson& table = doc_["tables"].Push(BenchJson::Object());
+  table["name"] = std::move(name);
+  BenchJson& cols = table["columns"] = BenchJson::Array();
+  for (std::string& c : columns) cols.Push(std::move(c));
+  Table& handle = tables_.emplace_back();
+  handle.rows_ = &(table["rows"] = BenchJson::Array());
+  handle.width_ = columns.size();
+  return &handle;
 }
 
 }  // namespace harness

@@ -1,100 +1,150 @@
-// Machine-readable mirror of the bench programs' human tables.
+// The one JSON writer of the bench programs.
 //
-// Every figure/table/ablation bench prints TablePrinter tables for eyes;
-// with --json=PATH (harness/experiment.h, ParseBenchFlags) the same rows
-// are captured *raw* — unformatted numbers, no percent signs or thousands
-// separators — into one uniform document that the evaluation driver
-// (tools/eval/run_eval.py) renders into the committed tables and plots
-// under docs/eval/.  Schema (docs/BENCH_FORMAT.md):
+// BenchJson is an ordered JSON document: numbers, strings, booleans and
+// null, plus objects and arrays that nest.  Object members print in
+// insertion order.  Every bench document goes through it, in one of two
+// layouts (docs/BENCH_FORMAT.md):
 //
-//   {
-//     "bench": "fig12_query_western",
-//     "params": {"n": 400000, "queries": 100, "seed": 1, "device": "memory"},
-//     "tables": [
-//       {"name": "query_cost",
-//        "columns": ["query area %", "avg T", "TGS %T/B", ...],
-//        "rows": [[0.25, 812, 104.1, ...], ...]}
-//     ]
-//   }
+//  * the figure layout (FigureJson below): with --json=PATH
+//    (harness/experiment.h, ParseBenchFlags) every figure/table/ablation
+//    bench mirrors its human tables *raw* — unformatted numbers, no percent
+//    signs or thousands separators — into
 //
-// Cells are numbers wherever the underlying quantity is numeric; columns
-// holding wall-clock keep the name "seconds" so downstream consumers can
-// identify (and drop) the only machine-dependent values.  Counter cells are
-// exact: integral values print as integers, everything else as %.10g.
+//      {
+//        "bench": "fig12_query_western",
+//        "params": {"n": 400000, "queries": 100, "seed": 1, ...},
+//        "tables": [
+//          {
+//            "name": "query_cost",
+//            "columns": ["query_area_pct", "avg_results", ...],
+//            "rows": [[0.25, 812, 104.1, ...], ...]
+//          }
+//        ]
+//      }
+//
+//    which tools/eval/run_eval.py renders into docs/eval/;
+//  * the gated layout: the regression benches (bulkload_parallel,
+//    outofcore_sweep, query_warm, throughput_concurrent) write
+//    BenchJson::Document(name) with their own nested keys to --out=PATH,
+//    ending in "deterministic" (WriteGated), and CI gates the flattened key
+//    paths against bench/baselines/ with tools/bench_compare.py.
+//
+// Numbers are exact where they count: integral values below 9e15 print as
+// integers, every other finite value as %.10g, NaN and ±Inf as null.
 
 #ifndef PRTREE_HARNESS_BENCH_JSON_H_
 #define PRTREE_HARNESS_BENCH_JSON_H_
 
-#include <memory>
+#include <list>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace prtree {
 namespace harness {
 
-/// \brief Capture-and-serialize helper for the figure benches' JSON output.
+/// \brief An ordered JSON value; objects and arrays nest.
 ///
-/// Construct with the bench name, record Param() scalars and AddTable()/
-/// AddRow() mirrors of every printed table, then WriteFile() once at the
-/// end.  All methods are no-fail; WriteFile reports I/O errors.
+/// Scalars convert implicitly, so members are set by assignment:
+/// `doc["n"] = n; doc["legs"].Push(BenchJson::Object())["device"] = "file";`
 class BenchJson {
  public:
-  /// One table cell: a number, a string, or a bool.
-  struct Cell {
-    enum class Kind { kNumber, kString, kBool };
-    Kind kind;
-    double num = 0;
-    bool flag = false;
-    std::string str;
+  BenchJson() = default;  // null
+  BenchJson(double v) : kind_(Kind::kNumber), num_(v) {}           // NOLINT
+  BenchJson(int v) : BenchJson(static_cast<double>(v)) {}          // NOLINT
+  BenchJson(unsigned v) : BenchJson(static_cast<double>(v)) {}     // NOLINT
+  BenchJson(long v) : BenchJson(static_cast<double>(v)) {}         // NOLINT
+  BenchJson(unsigned long v)                                       // NOLINT
+      : BenchJson(static_cast<double>(v)) {}
+  BenchJson(long long v) : BenchJson(static_cast<double>(v)) {}    // NOLINT
+  BenchJson(unsigned long long v)                                  // NOLINT
+      : BenchJson(static_cast<double>(v)) {}
+  BenchJson(bool v) : kind_(Kind::kBool), flag_(v) {}              // NOLINT
+  BenchJson(const char* v) : kind_(Kind::kString), str_(v) {}      // NOLINT
+  BenchJson(std::string v)                                         // NOLINT
+      : kind_(Kind::kString), str_(std::move(v)) {}
 
-    Cell(double v) : kind(Kind::kNumber), num(v) {}                 // NOLINT
-    Cell(int v) : kind(Kind::kNumber), num(v) {}                    // NOLINT
-    Cell(unsigned v) : kind(Kind::kNumber), num(v) {}               // NOLINT
-    Cell(long v) : kind(Kind::kNumber),                             // NOLINT
-                   num(static_cast<double>(v)) {}
-    Cell(unsigned long v) : kind(Kind::kNumber),                    // NOLINT
-                            num(static_cast<double>(v)) {}
-    Cell(long long v) : kind(Kind::kNumber),                        // NOLINT
-                        num(static_cast<double>(v)) {}
-    Cell(unsigned long long v) : kind(Kind::kNumber),               // NOLINT
-                                 num(static_cast<double>(v)) {}
-    Cell(bool v) : kind(Kind::kBool), flag(v) {}                    // NOLINT
-    Cell(const char* v) : kind(Kind::kString), str(v) {}            // NOLINT
-    Cell(std::string v) : kind(Kind::kString), str(std::move(v)) {} // NOLINT
-  };
+  /// An empty object / array (prints `{}` / `[]`, not null).
+  static BenchJson Object();
+  static BenchJson Array();
+  /// A gated bench's document: an object whose first member is
+  /// "bench": `bench_name`.
+  static BenchJson Document(std::string bench_name);
 
+  /// The object member `key`: the existing one, else a new null member
+  /// after the others (a null value becomes an object first).  Assigning
+  /// to an existing member keeps its place.
+  BenchJson& operator[](const std::string& key);
+
+  /// Appends `value` to an array (a null value becomes an array first)
+  /// and returns the stored element.
+  BenchJson& Push(BenchJson value);
+
+  /// Deep equality: same kinds, values, keys and key order.
+  bool operator==(const BenchJson&) const = default;
+
+  /// The document, newline-terminated.  A container whose members are all
+  /// scalars prints on one line; any other is one member per line,
+  /// indented two spaces per level.
+  std::string ToString() const;
+
+  /// Serializes to `path`.  Empty path is a silent no-op (the figure
+  /// benches call this unconditionally; --json unset means "no JSON").
+  /// Returns false and prints to stderr when the file cannot be written.
+  bool WriteFile(const std::string& path) const;
+
+ private:
+  enum class Kind { kNull, kNumber, kBool, kString, kObject, kArray };
+
+  void Append(std::string* out, int indent) const;
+
+  Kind kind_ = Kind::kNull;
+  double num_ = 0;
+  bool flag_ = false;
+  std::string str_;
+  // Object members, or array elements (with empty keys).  A list, so the
+  // references operator[] and Push return survive later additions.
+  std::list<std::pair<std::string, BenchJson>> children_;
+};
+
+/// The gated benches' epilogue: sets `doc`'s last member "deterministic"
+/// to `ok`, writes `doc` to `path` and returns the process exit code — 0,
+/// or 1 when the file cannot be written or `ok` is false, in which case
+/// stderr names `check`, the cross-check that failed.
+int WriteGated(BenchJson* doc, const std::string& path, bool ok,
+               const char* check);
+
+/// \brief The figure benches' layout on top of BenchJson: "bench", then
+/// "params" (scalars), then "tables" (named column/row captures).
+class FigureJson {
+ public:
   /// A captured table: fixed columns, then rows of matching width.
   class Table {
    public:
-    void AddRow(std::vector<Cell> cells);
+    void AddRow(std::vector<BenchJson> cells);
 
    private:
-    friend class BenchJson;
-    std::string name_;
-    std::vector<std::string> columns_;
-    std::vector<std::vector<Cell>> rows_;
+    friend class FigureJson;
+    BenchJson* rows_ = nullptr;
+    size_t width_ = 0;
   };
 
-  explicit BenchJson(std::string bench_name);
+  explicit FigureJson(std::string bench_name);
 
-  /// Records a top-level scalar under "params" (insertion order kept).
-  void Param(const std::string& key, Cell value);
+  /// Records a scalar under "params" (insertion order kept).
+  void Param(const std::string& key, BenchJson value);
 
   /// Adds a named table; the pointer stays valid for the document's life.
   Table* AddTable(std::string name, std::vector<std::string> columns);
 
-  std::string ToString() const;
-
-  /// Serializes to `path`.  Empty path is a silent no-op (the benches call
-  /// this unconditionally; --json unset means "no JSON").  Returns false
-  /// and prints to stderr when the file cannot be written.
-  bool WriteFile(const std::string& path) const;
+  const BenchJson& doc() const { return doc_; }
+  bool WriteFile(const std::string& path) const {
+    return doc_.WriteFile(path);
+  }
 
  private:
-  std::string bench_name_;
-  std::vector<std::pair<std::string, Cell>> params_;
-  // unique_ptr so AddTable's returned pointer survives vector growth.
-  std::vector<std::unique_ptr<Table>> tables_;
+  BenchJson doc_;
+  std::list<Table> tables_;
 };
 
 }  // namespace harness

@@ -2,7 +2,9 @@
 
 #include <unistd.h>
 
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -46,7 +48,13 @@ size_t ScaledMemoryBudget(size_t n) {
 }
 
 std::unique_ptr<BlockDevice> OpenDeviceOrDie(const DeviceSpec& spec,
-                                             size_t block_size) {
+                                             size_t block_size,
+                                             BenchJson* leg) {
+  if (leg != nullptr) {
+    (*leg)["device"] = spec.kind;
+    (*leg)["ring_active"] = false;
+    (*leg)["direct_io"] = false;
+  }
   if (spec.kind == "memory") {
     return std::make_unique<MemoryBlockDevice>(block_size);
   }
@@ -80,14 +88,19 @@ std::unique_ptr<BlockDevice> OpenDeviceOrDie(const DeviceSpec& spec,
   // Anonymous backing: unlink while the fd stays open, so nothing is left
   // behind even on a crashed run.
   if (anonymous) ::unlink(path.c_str());
+  if (leg != nullptr) {
+    auto* uring = dynamic_cast<UringBlockDevice*>(dev.get());
+    (*leg)["ring_active"] = uring != nullptr && uring->ring_active();
+    (*leg)["direct_io"] = dev->direct_io();
+  }
   return dev;
 }
 
 BuiltIndex BuildIndex(Variant variant, const std::vector<Record2>& data,
                       size_t memory_bytes, int threads,
-                      const DeviceSpec& device) {
+                      const DeviceSpec& device, BenchJson* leg) {
   BuiltIndex out;
-  out.device = OpenDeviceOrDie(device, kDefaultBlockSize);
+  out.device = OpenDeviceOrDie(device, kDefaultBlockSize, leg);
   out.tree = std::make_unique<RTree<2>>(out.device.get());
   if (memory_bytes == 0) memory_bytes = ScaledMemoryBudget(data.size());
   BuildOptions bopts;
@@ -148,58 +161,75 @@ QueryMeasurement MeasureQueries(const BuiltIndex& index,
 BenchOptions ParseBenchFlags(int argc, char** argv, size_t default_n) {
   BenchOptions opts;
   opts.n = default_n;
+  const std::string usage =
+      std::string(argv[0]) +
+      " [--n=N] [--queries=Q] [--seed=S] [--scale=F] [--threads=T] "
+      "[--device=memory|file|uring] [--path=FILE] [--direct] [--json=PATH]";
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    auto parse = [&](const char* prefix, const char** value) {
-      size_t len = std::strlen(prefix);
-      if (std::strncmp(arg, prefix, len) == 0) {
-        *value = arg + len;
-        return true;
-      }
-      return false;
-    };
     const char* value = nullptr;
-    if (parse("--n=", &value)) {
-      opts.n = std::strtoull(value, nullptr, 10);
-    } else if (parse("--queries=", &value)) {
-      opts.queries = std::strtoull(value, nullptr, 10);
+    if (NumberFlag(arg, "--queries=", &opts.queries, usage)) {
       opts.queries_set = true;
-    } else if (parse("--seed=", &value)) {
-      opts.seed = std::strtoull(value, nullptr, 10);
-    } else if (parse("--scale=", &value)) {
-      opts.scale = std::strtod(value, nullptr);
-    } else if (parse("--threads=", &value)) {
-      opts.threads = static_cast<int>(std::strtol(value, nullptr, 10));
-      if (opts.threads < 1) opts.threads = 1;
-    } else if (parse("--device=", &value)) {
+    } else if (NumberFlag(arg, "--n=", &opts.n, usage) ||
+               NumberFlag(arg, "--seed=", &opts.seed, usage, /*min=*/0) ||
+               NumberFlag(arg, "--scale=", &opts.scale, usage) ||
+               NumberFlag(arg, "--threads=", &opts.threads, usage)) {
+      // Parsed in place.
+    } else if ((value = FlagValue(arg, "--device=")) != nullptr) {
       opts.device.kind = value;
       if (opts.device.kind != "memory" && opts.device.kind != "file" &&
           opts.device.kind != "uring") {
         std::fprintf(stderr, "--device must be memory, file or uring\n");
         std::exit(2);
       }
-    } else if (parse("--path=", &value)) {
+    } else if ((value = FlagValue(arg, "--path=")) != nullptr) {
       opts.device.path = value;
-    } else if (parse("--json=", &value)) {
+    } else if ((value = FlagValue(arg, "--json=")) != nullptr) {
       opts.json_path = value;
     } else if (std::strcmp(arg, "--direct") == 0) {
       opts.device.direct_io = true;
-    } else if (std::strncmp(arg, "--family=", 9) == 0) {
-      // Consumed by fig15; ignore here.
-    } else {
-      std::fprintf(stderr,
-                   "unknown flag %s\nusage: %s [--n=N] [--queries=Q] "
-                   "[--seed=S] [--scale=F] [--threads=T] "
-                   "[--device=memory|file|uring] [--path=FILE] [--direct] "
-                   "[--json=PATH]\n",
-                   arg, argv[0]);
-      std::exit(2);
+    } else if (FlagValue(arg, "--family=") == nullptr) {
+      // (--family= is fig15's own flag.)
+      UsageExit("unknown flag", arg, usage);
     }
   }
   return opts;
 }
 
-void AddBenchParams(const BenchOptions& opts, size_t n, BenchJson* json) {
+void UsageExit(const char* problem, const char* arg,
+               const std::string& usage) {
+  std::fprintf(stderr, "%s %s\nusage: %s\n", problem, arg, usage.c_str());
+  std::exit(2);
+}
+
+const char* FlagValue(const char* arg, const char* prefix) {
+  const size_t len = std::strlen(prefix);
+  return std::strncmp(arg, prefix, len) == 0 ? arg + len : nullptr;
+}
+
+bool ParseNumber(const char* text, uint64_t min, uint64_t* out) {
+  // A leading digit rules out the empty string, signs and whitespace,
+  // which strtoull would otherwise accept.
+  if (!std::isdigit(static_cast<unsigned char>(*text))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE || v < min) return false;
+  *out = v;
+  return true;
+}
+
+bool ParseNumber(const char* text, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || !(v > 0)) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+void AddBenchParams(const BenchOptions& opts, size_t n, FigureJson* json) {
   json->Param("n", static_cast<unsigned long long>(n));
   json->Param("queries", static_cast<unsigned long long>(opts.queries));
   json->Param("seed", static_cast<unsigned long long>(opts.seed));

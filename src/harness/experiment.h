@@ -15,8 +15,12 @@
 #ifndef PRTREE_HARNESS_EXPERIMENT_H_
 #define PRTREE_HARNESS_EXPERIMENT_H_
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "geom/rect.h"
@@ -64,10 +68,17 @@ struct BuiltIndex {
   TreeStats tree_stats;
 };
 
+class BenchJson;
+class FigureJson;
+
 /// Opens a fresh device per `spec` (see DeviceSpec).  Aborts on file
-/// errors — harness-only convenience, not library API.
+/// errors — harness-only convenience, not library API.  With `leg` set
+/// (a gated bench's leg object) it also records the backend the device
+/// negotiated: "device" (spec.kind), "ring_active" (the io_uring engine is
+/// in use) and "direct_io" (O_DIRECT was granted, not just requested).
 std::unique_ptr<BlockDevice> OpenDeviceOrDie(const DeviceSpec& spec,
-                                             size_t block_size);
+                                             size_t block_size,
+                                             BenchJson* leg = nullptr);
 
 /// \brief Bulk-loads `variant` over `data` on a fresh device.
 ///
@@ -76,9 +87,21 @@ std::unique_ptr<BlockDevice> OpenDeviceOrDie(const DeviceSpec& spec,
 /// BulkLoader pipeline; the tree (and its I/O counts) are identical for
 /// any value, only build_seconds changes.  `device` picks the backend; the
 /// tree, query answers and I/O counts are identical across backends too.
+/// `leg` is passed to OpenDeviceOrDie.
 BuiltIndex BuildIndex(Variant variant, const std::vector<Record2>& data,
                       size_t memory_bytes = 0, int threads = 1,
-                      const DeviceSpec& device = {});
+                      const DeviceSpec& device = {},
+                      BenchJson* leg = nullptr);
+
+/// Best-of-`repeats` wall clock, the noise-robust statistic: calls `run`
+/// (which times its own measured section and returns the seconds)
+/// `repeats` >= 1 times and returns the fastest.
+template <typename Run>
+double BestOfRepeats(int repeats, Run run) {
+  double best = run();
+  for (int rep = 1; rep < repeats; ++rep) best = std::min(best, run());
+  return best;
+}
 
 /// Paper-proportional memory budget for a dataset of `n` records.
 size_t ScaledMemoryBudget(size_t n);
@@ -130,15 +153,53 @@ struct BenchOptions {
   }
 };
 
-/// Parses the shared flags; unknown flags abort with a usage message.
+/// Parses the shared flags; an unknown flag or a malformed value exits 2
+/// with a usage message.
 BenchOptions ParseBenchFlags(int argc, char** argv, size_t default_n);
 
-class BenchJson;
+/// Prints "<problem> <arg>" and "usage: <usage>" to stderr and exits 2.
+[[noreturn]] void UsageExit(const char* problem, const char* arg,
+                            const std::string& usage);
+
+/// The value of `arg` if it is `prefix` followed by the value, else null.
+const char* FlagValue(const char* arg, const char* prefix);
+
+/// The one parse for numeric flag values: the whole of `text` must parse.
+/// An integral value is an unsigned decimal integer no smaller than `min`;
+/// a floating one is finite and > 0.  False on anything else (empty, junk,
+/// trailing characters, a sign, overflow), so a malformed number never
+/// silently becomes 0.
+bool ParseNumber(const char* text, uint64_t min, uint64_t* out);
+bool ParseNumber(const char* text, double* out);
+
+/// If `arg` is `prefix` followed by a value, parses it into `*out` with
+/// ParseNumber (integral values at least `min`: counts are >= 1) and
+/// returns true, or exits 2 with `usage` when the value is malformed.
+/// False when `arg` is some other flag.
+template <typename T>
+bool NumberFlag(const char* arg, const char* prefix, T* out,
+                const std::string& usage, uint64_t min = 1) {
+  const char* text = FlagValue(arg, prefix);
+  if (text == nullptr) return false;
+  bool ok;
+  if constexpr (std::is_floating_point_v<T>) {
+    double v = 0;
+    ok = ParseNumber(text, &v);
+    *out = v;
+  } else {
+    uint64_t v = 0;
+    ok = ParseNumber(text, min, &v) &&
+         v <= static_cast<uint64_t>(std::numeric_limits<T>::max());
+    *out = static_cast<T>(v);
+  }
+  if (!ok) UsageExit("malformed", arg, usage);
+  return true;
+}
 
 /// Records the shared flag set (`n`, `queries`, `seed`, `threads`,
 /// `device`) as params of a --json document, so every fig bench's JSON
 /// carries the same provenance block.
-void AddBenchParams(const BenchOptions& opts, size_t n, BenchJson* json);
+void AddBenchParams(const BenchOptions& opts, size_t n, FigureJson* json);
 
 }  // namespace harness
 }  // namespace prtree

@@ -55,9 +55,6 @@ struct UringIoOp {
   int32_t result = 0;
 };
 
-/// Historical name from when the queue was read-only; same struct.
-using UringReadOp = UringIoOp;
-
 /// \brief A fixed-depth io_uring bound to one file descriptor, submitting
 /// batches of reads or writes and waiting for all their completions.
 class UringQueue {

@@ -47,12 +47,11 @@ class GridOptionSweepTest
 TEST_P(GridOptionSweepTest, EveryRecordEmittedExactlyOnce) {
   auto [n, z, mem_kb] = GetParam();
   MemoryBlockDevice dev(512);
-  WorkEnv env{&dev, 1u << 20};
+  WorkEnv env{&dev, mem_kb << 10};
   auto data = RandomRects<2>(n, n + z);
   GridBuildOptions opts;
   opts.capacity = 13;
   opts.z_override = z;
-  opts.memory_override = mem_kb << 10;
   auto summary = RunGrid<2>(data, env, opts);
   EXPECT_EQ(summary.total_records, n);
   EXPECT_EQ(summary.oversized, 0u);
@@ -75,11 +74,10 @@ TEST(GridBuilderTest, TinyMemoryForcesDeepRecursion) {
   // several grid phases; the device must see multi-pass I/O but the
   // output must stay exact.
   MemoryBlockDevice dev(512);
-  WorkEnv env{&dev, 1u << 20};
+  WorkEnv env{&dev, 16u << 10};
   auto data = RandomRects<2>(40000, 99);
   GridBuildOptions opts;
   opts.capacity = 13;
-  opts.memory_override = 16u << 10;
   size_t live_before = dev.num_allocated();
   auto summary = RunGrid<2>(data, env, opts);
   EXPECT_EQ(summary.total_records, data.size());
@@ -90,12 +88,11 @@ TEST(GridBuilderTest, TinyMemoryForcesDeepRecursion) {
 
 TEST(GridBuilderTest, PrioritySizeOptionBoundsPriorityChunks) {
   MemoryBlockDevice dev(512);
-  WorkEnv env{&dev, 1u << 20};
+  WorkEnv env{&dev, 64u << 10};
   auto data = RandomRects<2>(20000, 5);
   GridBuildOptions opts;
   opts.capacity = 13;
   opts.priority_size = 4;
-  opts.memory_override = 64u << 10;
   Stream<Record2> input(&dev);
   input.Append(data);
   input.Flush();
@@ -112,7 +109,7 @@ TEST(GridBuilderTest, SkewedDataDoesNotBreakSlabMath) {
   // Heavily duplicated coordinates stress the threshold tie-breaking: all
   // x equal, y highly skewed.
   MemoryBlockDevice dev(512);
-  WorkEnv env{&dev, 1u << 20};
+  WorkEnv env{&dev, 32u << 10};
   std::vector<Record2> data;
   Rng rng(7);
   for (DataId id = 0; id < 20000; ++id) {
@@ -121,7 +118,6 @@ TEST(GridBuilderTest, SkewedDataDoesNotBreakSlabMath) {
   }
   GridBuildOptions opts;
   opts.capacity = 13;
-  opts.memory_override = 32u << 10;
   auto summary = RunGrid<2>(data, env, opts);
   EXPECT_EQ(summary.total_records, data.size());
   EXPECT_EQ(summary.seen.size(), data.size());
@@ -129,7 +125,7 @@ TEST(GridBuilderTest, SkewedDataDoesNotBreakSlabMath) {
 
 TEST(GridBuilderTest, IdenticalRectanglesHandledByIdTieBreak) {
   MemoryBlockDevice dev(512);
-  WorkEnv env{&dev, 1u << 20};
+  WorkEnv env{&dev, 32u << 10};
   std::vector<Record2> data(15000,
                             Record2{MakeRect(0.3, 0.3, 0.4, 0.4), 0});
   for (size_t i = 0; i < data.size(); ++i) {
@@ -137,7 +133,6 @@ TEST(GridBuilderTest, IdenticalRectanglesHandledByIdTieBreak) {
   }
   GridBuildOptions opts;
   opts.capacity = 13;
-  opts.memory_override = 32u << 10;
   auto summary = RunGrid<2>(data, env, opts);
   EXPECT_EQ(summary.total_records, data.size());
   EXPECT_EQ(summary.seen.size(), data.size());
@@ -145,11 +140,10 @@ TEST(GridBuilderTest, IdenticalRectanglesHandledByIdTieBreak) {
 
 TEST(GridBuilderTest, ThreeDimensionalGrid) {
   MemoryBlockDevice dev(4096);
-  WorkEnv env{&dev, 1u << 20};
+  WorkEnv env{&dev, 128u << 10};
   auto data = RandomRects<3>(20000, 11);
   GridBuildOptions opts;
   opts.capacity = NodeCapacity<3>(4096);
-  opts.memory_override = 128u << 10;
   auto summary = RunGrid<3>(data, env, opts);
   EXPECT_EQ(summary.total_records, data.size());
   EXPECT_EQ(summary.seen.size(), data.size());
@@ -157,7 +151,7 @@ TEST(GridBuilderTest, ThreeDimensionalGrid) {
 
 TEST(GridBuilderTest, IoWithinSortBoundTimesConstant) {
   MemoryBlockDevice dev(512);
-  WorkEnv env{&dev, 1u << 20};
+  WorkEnv env{&dev, 64u << 10};  // forces ~2 levels of grid recursion
   auto data = RandomRects<2>(30000, 13);
   Stream<Record2> input(&dev);
   input.Append(data);
@@ -166,7 +160,6 @@ TEST(GridBuilderTest, IoWithinSortBoundTimesConstant) {
   dev.ResetStats();
   GridBuildOptions opts;
   opts.capacity = 13;
-  opts.memory_override = 64u << 10;  // forces ~2 levels of grid recursion
   GridEmitLeaves<2>(env, &input, opts, [](const std::vector<Record2>&) {});
   // 4 sorts + per-phase count/filter/distribute scans over each level of
   // recursion; a generous constant catches runaway rescans.

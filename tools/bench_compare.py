@@ -11,8 +11,10 @@ the *baseline* is checked in the current run (new keys in the current run
 never break an old baseline).  What a key means decides how it is gated:
 
  * exact keys (leaf I/Os, result counts, block-transfer counts, dataset
-   shape) are deterministic functions of the workload — any drift is an
-   algorithmic change, not noise, and fails at zero tolerance;
+   shape, and the two string fingerprints: `file_hash` of a built device
+   file and the kNN result `digest`) are deterministic functions of the
+   workload — any drift is an algorithmic change, not noise, and fails at
+   zero tolerance;
  * speedup keys (any path containing "speedup") are wall-clock *ratios of
    two same-machine runs*, the only timing numbers comparable across
    machines; higher is better, and a drop of more than --threshold
@@ -66,6 +68,11 @@ EXACT_LEAF_KEYS = {
     "meta_writes",
     "committed",
     "journal_pages",
+    # String fingerprints, gated by string equality: FNV-64 of a built
+    # device file (writepath) and of the kNN ids + distance bits (scale).
+    # A change to tree bytes or kNN results must be re-baselined on purpose.
+    "file_hash",
+    "digest",
 }
 
 # A key is a timing when any part of its path contains one of these:
@@ -131,12 +138,13 @@ def compare(baseline, current, threshold):
             if c is not True:
                 failures.append(f"{path}: current run is not deterministic")
             continue
-        if not isinstance(b, (int, float)) or not isinstance(c, (int, float)):
-            continue
         if kind == "exact":
             if b != c:
                 failures.append(f"{path}: expected {b}, got {c} (exact)")
-        elif kind == "speedup":
+            continue
+        if not isinstance(b, (int, float)) or not isinstance(c, (int, float)):
+            continue
+        if kind == "speedup":
             floor = b * (1.0 - threshold)
             if c < floor:
                 failures.append(
@@ -217,6 +225,21 @@ def self_test():
     assert classify("points.0.seconds") == "timing"
     assert classify("legs.0.window_p99_ms") == "timing"
     assert classify("points.0.leaves") == "exact"
+
+    # The string fingerprints gate exactly, by string equality.
+    assert classify("legs.0.points.0.file_hash") == "exact"
+    assert classify("legs.1.points.0.knn.digest") == "exact"
+    fp_base = {"legs": [{"points": [{"file_hash": "f3103a70b553b6b5",
+                                     "knn": {"digest": "48d9f91edb5954f6"},
+                                     "seconds": 0.2}]}]}
+    fp_cur = json.loads(json.dumps(fp_base))
+    fp_cur["legs"][0]["points"][0]["seconds"] = 9.0
+    fails, _ = compare(fp_base, fp_cur, 0.25)
+    assert fails == [], fails
+    fp_cur["legs"][0]["points"][0]["file_hash"] = "f3103a70b553b6b4"
+    fp_cur["legs"][0]["points"][0]["knn"]["digest"] = "0"
+    fails, _ = compare(fp_base, fp_cur, 0.25)
+    assert len(fails) == 2 and all("exact" in f for f in fails), fails
 
     print("bench_compare self-test OK")
     return 0
