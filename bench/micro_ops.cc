@@ -1,10 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the library's hot operations:
 // Hilbert keys, rectangle predicates, node scans, pseudo-PR-tree
-// construction, external sort throughput and PR-tree queries.
+// construction, external sort throughput, PR-tree queries and forest
+// deletes.
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "baselines/hilbert_rtree.h"
+#include "core/dynamic_prtree.h"
 #include "core/prtree.h"
 #include "core/pseudo_prtree.h"
 #include "geom/hilbert.h"
@@ -209,6 +213,41 @@ void BM_PrTreeWindowQuery(benchmark::State& state) {
   benchmark::DoNotOptimize(results);
 }
 BENCHMARK(BM_PrTreeWindowQuery);
+
+// Forest deletes (core/dynamic_prtree.h) at Arg(0)% tombstones: 200k
+// TIGER-like records in a DynamicPRTree whose attached pool holds the whole
+// forest, that share of them deleted untimed, then 1,000 timed deletes of
+// further records, in one shuffled order.  A delete's cost should not grow
+// with the tombstone count.
+void BM_DynamicDelete(benchmark::State& state) {
+  constexpr size_t kRecords = 200000;
+  auto data = workload::MakeTigerLike(kRecords,
+                                      workload::TigerRegion::kEastern, 10);
+  Rng rng(11);
+  for (size_t i = data.size() - 1; i > 0; --i) {
+    std::swap(data[i], data[rng.UniformInt(0, i)]);
+  }
+  MemoryBlockDevice dev(kDefaultBlockSize);
+  BufferPool pool(&dev, 4 * kRecords / NodeCapacity<2>(kDefaultBlockSize) +
+                            1024);  // outlives the forest attached to it
+  DynamicPRTree<2> forest(WorkEnv{&dev});
+  forest.AttachPool(&pool);
+  for (const auto& rec : data) forest.Insert(rec);
+  forest.Query(MakeRect(-1e9, -1e9, 1e9, 1e9), [](const Record2&) {},
+               &pool);  // pins every page of the forest
+  size_t next = 0;
+  const size_t untimed = kRecords * static_cast<size_t>(state.range(0)) / 100;
+  while (next < untimed) forest.Delete(data[next++]);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(forest.Delete(data[next++]));
+  }
+  state.counters["tombstones"] = static_cast<double>(forest.tombstones());
+}
+BENCHMARK(BM_DynamicDelete)
+    ->Arg(1)
+    ->Arg(40)
+    ->Iterations(1000)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_BulkLoadPrTreeEndToEnd(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));

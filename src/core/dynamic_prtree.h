@@ -13,6 +13,9 @@
 //  * Delete finds the exact record, removes it from the buffer or marks a
 //    tombstone; once tombstones outnumber live records the whole forest is
 //    rebuilt, keeping space linear and deletions O(log_B(N/M)) amortised.
+//    The search follows, in each level, only the branches whose MBR
+//    contains the record (RTree::Contains) and reads through an attached
+//    pool; marking the tombstone costs O(1) amortised.
 //  * A window query runs on every level and the buffer and filters
 //    tombstones; each level is worst-case optimal, so the total is
 //    O(log(N/M)) times the static bound — the paper's "maintaining the
@@ -24,24 +27,30 @@
 //    if it could still hold one of the k nearest live records.
 //
 // Concurrency — snapshot reads under writes (multi-version concurrency):
-// the forest is published as a sequence of immutable ForestVersions (the
-// level roots, a frozen buffer, a frozen tombstone set).  A level rebuild
-// happens entirely on freshly allocated pages: the merge reads the old
-// trees, the bulk loader writes new ones, and a single version-pointer
-// swap publishes the result; the replaced pages go to an EpochManager
-// limbo list and return to the device free list only once every reader
-// that could still reach them has drained.  Readers take a SnapshotHandle
-// (an epoch guard plus a version pointer) and see a perfectly frozen
-// record set — and, because nothing they traverse is ever overwritten or
-// recycled underneath them, byte-identical QueryStats — regardless of
-// concurrent Insert/Delete traffic.  Writers serialize among themselves.
+// the forest is published as a sequence of immutable, stamped
+// ForestVersions (the level roots, a frozen buffer, the version's stamp and
+// tombstone count).  A level rebuild happens entirely on freshly allocated
+// pages: the merge reads the old trees, the bulk loader writes new ones,
+// and a single version-pointer swap publishes the result; the replaced
+// pages go to an EpochManager limbo list and return to the device free
+// list only once every reader that could still reach them has drained.
+// Tombstones are not copied per version: one table, shared by every
+// version, records for each tombstone the stamps of the versions that
+// added and removed it, and a reader filters by its own version's stamp.
+// Readers take a SnapshotHandle (an epoch guard plus a version pointer) and
+// see a perfectly frozen record set — and, because nothing they traverse
+// is ever overwritten or recycled underneath them, byte-identical
+// QueryStats — regardless of concurrent Insert/Delete traffic.  Writers
+// serialize among themselves.
 
 #ifndef PRTREE_CORE_DYNAMIC_PRTREE_H_
 #define PRTREE_CORE_DYNAMIC_PRTREE_H_
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "core/prtree.h"
@@ -73,13 +82,12 @@ struct DynamicPrTreeOptions {
 /// updates should be registered with AttachPool() so frames of reclaimed
 /// pages are dropped before their ids are recycled (an attached pool must
 /// outlive the forest or be detached); a pool used only between updates
-/// needs no registration.
+/// needs no registration.  Delete reads through an attached pool.
 template <int D = 2>
 class DynamicPRTree {
  public:
   using RecordT = Record<D>;
   using RectT = Rect<D>;
-  using TombstoneMap = std::unordered_multimap<DataId, RectT>;
 
   /// One level of a published version: enough to traverse the static tree
   /// without touching the writer's mutable RTree object.
@@ -88,14 +96,135 @@ class DynamicPRTree {
     size_t size;
   };
 
+  /// \brief The tombstone set of every version at once: an open-addressing
+  /// table with one writer and lock-free readers.
+  ///
+  /// An entry names one deleted (id, rect) and the versions that see it
+  /// deleted: those whose stamp s has born <= s < died.  `born` is written
+  /// once, and its release store publishes the entry (0 marks an empty
+  /// slot; stamps start at 1).  `died` starts at kNever and is set once,
+  /// when a re-insert cancels the tombstone or a rebuild consumes its
+  /// record; a reader's version was published before or after that store,
+  /// and either way the stamp comparison gives it the right answer.
+  /// Entries are never removed, so the probe run a reader walks only grows.
+  /// The table starts with 16 slots and is replaced when half full by a
+  /// fresh one holding only the live entries, with at least 4x their count
+  /// in slots; versions published earlier keep the old table.
+  class TombstoneTable {
+   public:
+    static constexpr uint64_t kNever = ~uint64_t{0};
+
+    /// An empty table with room for `live` entries and at least as many
+    /// again before it is full.
+    explicit TombstoneTable(size_t live) {
+      int bits = 4;
+      while ((size_t{1} << bits) < 4 * live) ++bits;
+      slots_ = std::make_unique<Slot[]>(size_t{1} << bits);
+      mask_ = (size_t{1} << bits) - 1;
+      shift_ = 64 - bits;
+    }
+
+    /// True if the version stamped `stamp` sees `rec` deleted.  Safe from
+    /// any thread, concurrently with the writer.
+    bool Deleted(const RecordT& rec, uint64_t stamp) const {
+      for (size_t i = Home(rec.id);; i = (i + 1) & mask_) {
+        const Slot& s = slots_[i];
+        const uint64_t born = s.born.load(std::memory_order_acquire);
+        if (born == 0) return false;  // end of the run
+        if (born <= stamp && s.id == rec.id && s.rect == rec.rect &&
+            stamp < s.died.load(std::memory_order_relaxed)) {
+          return true;
+        }
+      }
+    }
+
+    // ---- writer side ----------------------------------------------------
+
+    /// Whether one more Add() would fill the table past half.
+    bool Full() const { return 2 * (used_ + 1) > mask_ + 1; }
+
+    /// Adds a tombstone for `rec` seen from version `stamp` on.  Requires
+    /// !Full().
+    void Add(const RecordT& rec, uint64_t stamp) {
+      size_t i = Home(rec.id);
+      while (slots_[i].born.load(std::memory_order_relaxed) != 0) {
+        i = (i + 1) & mask_;
+      }
+      slots_[i].id = rec.id;
+      slots_[i].rect = rec.rect;
+      slots_[i].born.store(stamp, std::memory_order_release);
+      ++used_;
+    }
+
+    /// Ends the live tombstone naming `rec` at version `stamp`; false if
+    /// there is none.
+    bool Kill(const RecordT& rec, uint64_t stamp) {
+      for (size_t i = Home(rec.id);; i = (i + 1) & mask_) {
+        Slot& s = slots_[i];
+        if (s.born.load(std::memory_order_relaxed) == 0) return false;
+        if (s.id == rec.id && s.rect == rec.rect &&
+            s.died.load(std::memory_order_relaxed) == kNever) {
+          s.died.store(stamp, std::memory_order_relaxed);
+          return true;
+        }
+      }
+    }
+
+    /// Calls f(record, born) for every live tombstone.
+    template <typename F>
+    void ForEachLive(F f) const {
+      for (size_t i = 0; i <= mask_; ++i) {
+        const Slot& s = slots_[i];
+        const uint64_t born = s.born.load(std::memory_order_relaxed);
+        if (born != 0 && s.died.load(std::memory_order_relaxed) == kNever) {
+          f(RecordT{s.rect, s.id}, born);
+        }
+      }
+    }
+
+    /// A fresh table holding this one's `live` live entries, births kept.
+    std::shared_ptr<TombstoneTable> Compacted(size_t live) const {
+      auto fresh = std::make_shared<TombstoneTable>(live);
+      ForEachLive(
+          [&](const RecordT& rec, uint64_t born) { fresh->Add(rec, born); });
+      return fresh;
+    }
+
+   private:
+    struct Slot {
+      RectT rect{};
+      DataId id = 0;
+      std::atomic<uint64_t> born{0};
+      std::atomic<uint64_t> died{kNever};
+    };
+
+    /// Fibonacci hashing: the top bits of id * 2^64/phi.
+    size_t Home(DataId id) const {
+      return static_cast<size_t>((uint64_t{id} * 0x9E3779B97F4A7C15ull) >>
+                                 shift_);
+    }
+
+    std::unique_ptr<Slot[]> slots_;
+    size_t mask_ = 0;
+    int shift_ = 0;
+    size_t used_ = 0;  // occupied slots, live or not
+  };
+
   /// An immutable published state of the forest.  Level pages referenced
   /// here are never overwritten (rebuilds are copy-on-write), and never
   /// freed while a snapshot holding this version is alive.
   struct ForestVersion {
     std::vector<LevelRoot> levels;
     std::shared_ptr<const std::vector<RecordT>> buffer;
-    std::shared_ptr<const TombstoneMap> tombstones;
+    std::shared_ptr<const TombstoneTable> tombs;  // shared with the writer
+    uint64_t stamp = 0;
+    size_t tombstones = 0;  // live tombstones at this stamp
     size_t live = 0;
+
+    /// Whether this version sees the level record `rec` deleted.
+    bool Deleted(const RecordT& rec) const {
+      return tombstones != 0 && tombs->Deleted(rec, stamp);
+    }
   };
 
   class SnapshotHandle;
@@ -107,8 +236,8 @@ class DynamicPRTree {
     buffer_capacity_ =
         opts_.buffer_capacity != 0 ? opts_.buffer_capacity : cap;
     buffer_snap_ = std::make_shared<const std::vector<RecordT>>();
-    tombstones_snap_ = std::make_shared<const TombstoneMap>();
-    PublishLocked();  // version 0: the empty forest
+    tombs_ = std::make_shared<TombstoneTable>(0);
+    PublishLocked();  // the first version: the empty forest
   }
 
   /// Number of live (non-tombstoned) records.
@@ -126,20 +255,18 @@ class DynamicPRTree {
   /// Pending tombstones (records physically present but deleted).
   size_t tombstones() const {
     std::lock_guard<std::mutex> lock(version_mu_);
-    return version_->tombstones->size();
+    return version_->tombstones;
   }
 
   /// \brief Inserts `rec`.  Amortised O((1/B) log(N)) block I/Os plus the
   /// buffer append.
   void Insert(const RecordT& rec) {
     std::lock_guard<std::mutex> wl(write_mu_);
-    auto it = FindTombstone(rec);
-    if (it != tombstones_.end()) {
+    if (tomb_live_ != 0 && tombs_->Kill(rec, stamp_)) {
       // Re-insertion of an exactly deleted record: the physical copy in
       // some level is indistinguishable from the new record, so cancelling
       // the tombstone is the insert.
-      tombstones_.erase(it);
-      tombstones_dirty_ = true;
+      --tomb_live_;
       ++live_;
       PublishLocked();
       return;
@@ -154,7 +281,8 @@ class DynamicPRTree {
   }
 
   /// \brief Deletes the record matching `rec` exactly.  Returns false if
-  /// not present.
+  /// not present.  Reads one root-to-leaf path per containing branch of
+  /// each level, through an attached pool if there is one.
   bool Delete(const RecordT& rec) {
     std::lock_guard<std::mutex> wl(write_mu_);
     for (size_t i = 0; i < buffer_.size(); ++i) {
@@ -167,25 +295,27 @@ class DynamicPRTree {
         return true;
       }
     }
-    if (FindTombstone(rec) != tombstones_.end()) {
+    if (tomb_live_ != 0 && tombs_->Deleted(rec, stamp_)) {
       return false;  // this exact record is already deleted
     }
     // Exact-match probe of the static levels (a writer-private read; the
-    // levels only change under write_mu_, which we hold).
-    bool found = false;
-    for (auto& level : levels_) {
-      if (level.empty()) continue;
-      level.Query(rec.rect, [&](const RecordT& r) {
-        if (r.id == rec.id && r.rect == rec.rect) found = true;
-      });
-      if (found) break;
+    // levels only change under write_mu_, which we hold).  Largest level
+    // first, since it holds most of the records.  Any attached pool is
+    // coherent for the current levels: the epoch drain invalidates every
+    // attached pool before a page id is recycled.
+    BufferPool* pool = pools_.empty() ? nullptr : pools_.front();
+    if (std::none_of(levels_.rbegin(), levels_.rend(),
+                     [&](const RTree<D>& level) {
+                       return level.Contains(rec, pool);
+                     })) {
+      return false;
     }
-    if (!found) return false;
-    tombstones_.emplace(rec.id, rec.rect);
-    tombstones_dirty_ = true;
+    if (tombs_->Full()) tombs_ = tombs_->Compacted(tomb_live_);
+    tombs_->Add(rec, stamp_);
+    ++tomb_live_;
     --live_;
     std::vector<PageId> replaced;
-    if (tombstones_.size() > live_) RebuildAllLocked(&replaced);
+    if (tomb_live_ > live_) RebuildAllLocked(&replaced);
     PublishLocked();
     epochs_.Retire(std::move(replaced));
     return true;
@@ -246,8 +376,20 @@ class DynamicPRTree {
   /// Registers `pool` so frames of pages reclaimed by rebuilds are
   /// invalidated before the ids can be recycled.  Required for pools kept
   /// across updates; the pool must outlive the forest or be detached.
-  void AttachPool(BufferPool* pool) const { epochs_.AttachPool(pool); }
-  void DetachPool(BufferPool* pool) const { epochs_.DetachPool(pool); }
+  /// Delete's probe reads through an attached pool.  Both calls serialize
+  /// with writers, so no Delete still reads a pool once it is detached.
+  void AttachPool(BufferPool* pool) const {
+    std::lock_guard<std::mutex> wl(write_mu_);
+    epochs_.AttachPool(pool);
+    if (std::find(pools_.begin(), pools_.end(), pool) == pools_.end()) {
+      pools_.push_back(pool);
+    }
+  }
+  void DetachPool(BufferPool* pool) const {
+    std::lock_guard<std::mutex> wl(write_mu_);
+    epochs_.DetachPool(pool);
+    std::erase(pools_, pool);
+  }
 
   /// The reclamation registry (diagnostics: limbo_pages(),
   /// active_readers()).
@@ -261,12 +403,40 @@ class DynamicPRTree {
     return out;
   }
 
-  /// Validates every level's structure.  Writer-side call: must not run
-  /// concurrently with Insert/Delete.
+  /// Validates every level's structure and the record accounting: the
+  /// live count is the buffer plus every level minus the live tombstones,
+  /// and each live tombstone names a record stored in some level.  Reads
+  /// the device, not a pool, like ValidateTree.  Serializes with writers.
   Status Validate() const {
+    std::lock_guard<std::mutex> wl(write_mu_);
+    size_t stored = buffer_.size();
     for (const auto& level : levels_) {
+      stored += level.size();
       if (level.empty()) continue;
       PRTREE_RETURN_NOT_OK(ValidateTree(level));
+    }
+    if (live_ + tomb_live_ != stored) {
+      return Status::Corruption(
+          "live " + std::to_string(live_) + " + tombstones " +
+          std::to_string(tomb_live_) + " != stored " + std::to_string(stored));
+    }
+    size_t listed = 0;
+    bool all_stored = true;
+    tombs_->ForEachLive([&](const RecordT& rec, uint64_t) {
+      ++listed;
+      all_stored = all_stored &&
+                   std::any_of(levels_.begin(), levels_.end(),
+                               [&](const RTree<D>& level) {
+                                 return level.Contains(rec);
+                               });
+    });
+    if (listed != tomb_live_) {
+      return Status::Corruption("tombstone table lists " +
+                                std::to_string(listed) + ", count says " +
+                                std::to_string(tomb_live_));
+    }
+    if (!all_stored) {
+      return Status::Corruption("a tombstone names a record in no level");
     }
     return Status::OK();
   }
@@ -306,12 +476,12 @@ class DynamicPRTree {
           emit(rec);
         }
       }
-      const TombstoneMap& tombs = *version_->tombstones;
-      for (const auto& level : version_->levels) {
+      const ForestVersion& v = *version_;
+      for (const auto& level : v.levels) {
         if (level.size == 0) continue;
         qs += tree_->view_.QueryFrom(level.root, window,
                                      [&](const RecordT& r) {
-                                       if (Tombstoned(tombs, r)) return;
+                                       if (v.Deleted(r)) return;
                                        ++live_results;
                                        emit(r);
                                      },
@@ -338,10 +508,10 @@ class DynamicPRTree {
       for (const auto& level : version_->levels) {
         if (level.size != 0) roots.push_back(level.root);
       }
-      const TombstoneMap& tombs = *version_->tombstones;
+      const ForestVersion& v = *version_;
       return KnnSearchFrom<D>(
-          tree_->view_, roots, *version_->buffer, point, k, stats, pool,
-          [&](const RecordT& r) { return !Tombstoned(tombs, r); });
+          tree_->view_, roots, *v.buffer, point, k, stats, pool,
+          [&](const RecordT& r) { return !v.Deleted(r); });
     }
 
     /// The pinned version's level roots, occupied or not (diagnostics and
@@ -367,18 +537,10 @@ class DynamicPRTree {
     return buffer_capacity_ << (i + 1);
   }
 
-  /// Exact (id, rect) membership in a frozen tombstone set.
-  static bool Tombstoned(const TombstoneMap& tombs, const RecordT& rec) {
-    auto [lo, hi] = tombs.equal_range(rec.id);
-    for (auto it = lo; it != hi; ++it) {
-      if (it->second == rec.rect) return true;
-    }
-    return false;
-  }
-
-  /// \brief Publishes the working state as a new immutable version.
-  /// Caller holds write_mu_.  The version pointer swap is the atomic
-  /// commit point; the caller retires replaced pages *after* this returns
+  /// \brief Publishes the working state as a new immutable version, with
+  /// the stamp this operation's tombstone changes were made at.  Caller
+  /// holds write_mu_.  The version pointer swap is the atomic commit
+  /// point; the caller retires replaced pages *after* this returns
   /// (publish-then-retire: a reader can never load a version whose pages
   /// are already in limbo with an older stamp than its entry epoch).
   void PublishLocked() {
@@ -386,17 +548,15 @@ class DynamicPRTree {
       buffer_snap_ = std::make_shared<const std::vector<RecordT>>(buffer_);
       buffer_dirty_ = false;
     }
-    if (tombstones_dirty_) {
-      tombstones_snap_ = std::make_shared<const TombstoneMap>(tombstones_);
-      tombstones_dirty_ = false;
-    }
     auto v = std::make_shared<ForestVersion>();
     v->levels.reserve(levels_.size());
     for (const auto& level : levels_) {
       v->levels.push_back(LevelRoot{level.root(), level.size()});
     }
     v->buffer = buffer_snap_;
-    v->tombstones = tombstones_snap_;
+    v->tombs = tombs_;
+    v->stamp = stamp_++;
+    v->tombstones = tomb_live_;
     v->live = live_;
     std::lock_guard<std::mutex> lock(version_mu_);
     version_ = std::move(v);
@@ -437,7 +597,7 @@ class DynamicPRTree {
       AppendLive(recs, &all);
       level.DetachPages(replaced);
     }
-    PRTREE_CHECK(tombstones_.empty());
+    PRTREE_CHECK(tomb_live_ == 0);
     PRTREE_CHECK(all.size() == live_);
     levels_.clear();
     if (all.empty()) return;
@@ -447,28 +607,17 @@ class DynamicPRTree {
     AbortIfError(BulkLoadPrTree<D>(env_, all, &levels_[target]));
   }
 
-  /// Appends `recs` to `out`, dropping (and consuming) tombstoned records.
+  /// Appends `recs` to `out`, dropping tombstoned records and consuming
+  /// their tombstones (versions from this stamp on no longer hold them).
   void AppendLive(const std::vector<RecordT>& recs,
                   std::vector<RecordT>* out) {
     for (const auto& r : recs) {
-      auto it = FindTombstone(r);
-      if (it != tombstones_.end()) {
-        tombstones_.erase(it);
-        tombstones_dirty_ = true;
+      if (tomb_live_ != 0 && tombs_->Kill(r, stamp_)) {
+        --tomb_live_;
         continue;
       }
       out->push_back(r);
     }
-  }
-
-  /// Finds the tombstone matching `rec` exactly (id and rectangle).
-  typename TombstoneMap::const_iterator FindTombstone(
-      const RecordT& rec) const {
-    auto [lo, hi] = tombstones_.equal_range(rec.id);
-    for (auto it = lo; it != hi; ++it) {
-      if (it->second == rec.rect) return it;
-    }
-    return tombstones_.end();
   }
 
   WorkEnv env_;
@@ -481,14 +630,20 @@ class DynamicPRTree {
   // Keyed by id with exact-rectangle equality: two records may share an id
   // transiently (a deleted-but-unpurged copy plus a re-inserted one at a
   // new position), so tombstones must identify the full (id, rect) pair.
-  TombstoneMap tombstones_;
+  // Published versions share it; the writer only adds entries and sets
+  // death stamps, and replaces it with a compacted copy when full.
+  std::shared_ptr<TombstoneTable> tombs_;
+  size_t tomb_live_ = 0;
   size_t live_ = 0;
-  // Frozen copies shared with published versions, re-made only when the
-  // corresponding working copy changed since the last publish.
+  // Stamp of the next version to publish: tombstone changes made by the
+  // running operation carry it.
+  uint64_t stamp_ = 1;
+  // Frozen copy of the buffer shared with published versions, re-made only
+  // when the working copy changed since the last publish.
   std::shared_ptr<const std::vector<RecordT>> buffer_snap_;
-  std::shared_ptr<const TombstoneMap> tombstones_snap_;
   bool buffer_dirty_ = false;
-  bool tombstones_dirty_ = false;
+  // Pools registered by AttachPool; Delete probes through the first.
+  mutable std::vector<BufferPool*> pools_;
 
   // ---- reader-facing state ---------------------------------------------
   mutable EpochManager epochs_;
@@ -496,7 +651,8 @@ class DynamicPRTree {
   // QueryFrom/KnnSearchFrom (which never touch root/height/size), keeping
   // them independent of the writer's mutable level objects.
   RTree<D> view_;
-  std::mutex write_mu_;          // serializes Insert/Delete
+  // Serializes Insert/Delete, AttachPool/DetachPool and Validate.
+  mutable std::mutex write_mu_;
   mutable std::mutex version_mu_;  // guards version_
   std::shared_ptr<const ForestVersion> version_;
 };

@@ -188,6 +188,36 @@ class RTree {
     return out;
   }
 
+  /// \brief Exact-match lookup: true iff a record with `rec`'s id and
+  /// rectangle is stored.  Only an entry whose MBR contains rec.rect can
+  /// lead to it, so the descent follows those entries alone (the delete
+  /// descent's test, NodeScanner::CoversMask) and stops at the first
+  /// match.  Reads through `pool` when given, else from the device.
+  bool Contains(const RecordT& rec, BufferPool* pool = nullptr) const {
+    if (empty()) return false;
+    std::vector<PageId> stack{root_};
+    PageGuard guard;
+    NodeScanner<D> scan;
+    while (!stack.empty()) {
+      PageId page = stack.back();
+      stack.pop_back();
+      PinNode(page, pool, &guard);
+      ConstNodeView<D> node(guard.data(), block_size());
+      if (node.is_leaf()) {
+        for (int i = 0; i < node.count(); ++i) {
+          if (node.GetId(i) == rec.id && node.GetRect(i) == rec.rect) {
+            return true;
+          }
+        }
+      } else {
+        ForEachSetBit(scan.CoversMask(node, rec.rect),
+                      RectMaskWords(node.count()),
+                      [&](int i) { stack.push_back(node.GetId(i)); });
+      }
+    }
+    return false;
+  }
+
   /// MBR of the whole tree (Empty() for an empty tree).  Costs one node
   /// read.
   RectT Mbr() const {

@@ -100,6 +100,47 @@ TEST(DynamicPrTreeTest, ReinsertAfterDeleteCancelsTombstone) {
   EXPECT_TRUE(found);
 }
 
+TEST(DynamicPrTreeTest, DeleteProbesThroughTheAttachedPool) {
+  MemoryBlockDevice dev(512);
+  // Declared before the index: an attached pool must outlive the forest.
+  BufferPool pool(&dev, 1024);
+  DynamicPrTreeOptions opts;
+  opts.buffer_capacity = 16;
+  DynamicPRTree<2> index(WorkEnv{&dev, 1u << 20}, opts);
+  index.AttachPool(&pool);
+  auto data = RandomRects<2>(400, 31);
+  for (const auto& rec : data) index.Insert(rec);
+  ASSERT_GE(index.num_levels(), 3u);
+  // A query over everything pins every page of every level.
+  const Rect2 all = MakeRect(-1, -1, 2, 2);
+  ASSERT_EQ(index.QueryToVector(all, &pool).size(), data.size());
+  ASSERT_LT(pool.size(), pool.capacity());
+
+  // data[0..] were flushed out of the buffer long ago: they live in levels.
+  uint64_t reads = dev.stats().reads;
+  ASSERT_TRUE(index.Delete(data[0]));
+  EXPECT_EQ(dev.stats().reads, reads);  // every page came from the pool
+  EXPECT_EQ(index.tombstones(), 1u);
+
+  // Without a pool the probe reads the device, and still finds the record.
+  index.DetachPool(&pool);
+  reads = dev.stats().reads;
+  ASSERT_TRUE(index.Delete(data[1]));
+  EXPECT_GT(dev.stats().reads, reads);
+  EXPECT_EQ(index.tombstones(), 2u);
+
+  // Absent records whose rectangles lie inside a level's MBR: a stored
+  // rectangle under a new id, and a stored id with a shrunken rectangle.
+  Record2 fresh_id{data[2].rect, 100000};
+  Record2 shrunk = data[2];
+  shrunk.rect.hi[0] = (shrunk.rect.lo[0] + shrunk.rect.hi[0]) / 2;
+  EXPECT_FALSE(index.Delete(fresh_id));
+  EXPECT_FALSE(index.Delete(shrunk));
+  EXPECT_EQ(index.size(), data.size() - 2);
+  EXPECT_EQ(index.tombstones(), 2u);
+  ASSERT_TRUE(index.Validate().ok());
+}
+
 TEST(DynamicPrTreeTest, MassDeletionTriggersGlobalRebuild) {
   MemoryBlockDevice dev(512);
   DynamicPrTreeOptions opts;

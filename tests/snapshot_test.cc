@@ -1,14 +1,19 @@
 // Snapshot reads under concurrent writes: the epoch-based MVCC layer.
 //
-// Covers two guarantees end to end:
+// Covers three guarantees end to end:
 //  * a reader holding a SnapshotHandle observes an immutable record set —
 //    and byte-identical QueryStats — regardless of concurrent update
 //    traffic (8-thread storm included);
+//  * each version sees exactly its own tombstones, though every version
+//    shares one tombstone table that the writer keeps adding to, stamping
+//    and replacing;
 //  * pages retired by a version swap sit in limbo exactly until the last
 //    reader epoch drains, then return to the device free list (the device
 //    allocation count provably returns to its baseline).
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +26,8 @@
 namespace prtree {
 namespace {
 
+using testing_util::Bits;
+using testing_util::BruteForceKnn;
 using testing_util::BruteForceQuery;
 using testing_util::RandomRects;
 using testing_util::SortedIds;
@@ -182,6 +189,162 @@ TEST(SnapshotTest, HandleFreezesRecordSetAndStatsUnderUpdateStorm) {
   EXPECT_EQ(SortedIds(index.QueryToVector(everything)),
             BruteForceQuery(expect, everything));
   EXPECT_EQ(index.epochs().active_readers(), 0u);
+}
+
+// A held snapshot and the records of the version it pinned.
+struct HeldVersion {
+  DynamicPRTree<2>::SnapshotHandle snap;
+  std::vector<Record2> model;
+};
+
+void ExpectSnapshotMatchesModel(const HeldVersion& held) {
+  EXPECT_EQ(held.snap.size(), held.model.size());
+  for (const Rect<2>& w :
+       {MakeRect(-1, -1, 2, 2), MakeRect(0.2, 0.3, 0.6, 0.7)}) {
+    EXPECT_EQ(SortedIds(held.snap.QueryToVector(w)),
+              BruteForceQuery(held.model, w));
+  }
+  for (const std::array<Real, 2>& p :
+       {std::array<Real, 2>{0.5, 0.5}, std::array<Real, 2>{0.1, 0.9}}) {
+    for (size_t k : {size_t{1}, size_t{10}, held.model.size() + 3}) {
+      auto got = held.snap.Knn(p, k);
+      auto expect = BruteForceKnn<2>(held.model, p, k);
+      ASSERT_EQ(got.size(), expect.size()) << "k " << k;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].record.id, expect[i].record.id) << "k " << k;
+        EXPECT_EQ(Bits(got[i].distance), Bits(expect[i].distance));
+      }
+    }
+  }
+}
+
+TEST(SnapshotTest, EachSnapshotSeesItsOwnVersionsTombstones) {
+  MemoryBlockDevice dev(512);
+  DynamicPrTreeOptions opts;
+  opts.buffer_capacity = 16;
+  DynamicPRTree<2> index(WorkEnv{&dev, 1u << 20}, opts);
+  auto data = RandomRects<2>(1000, 37);
+  std::vector<Record2> model(data.begin(), data.begin() + 300);
+  for (const auto& rec : model) index.Insert(rec);
+
+  // After every step, hold a snapshot of the new version and re-check
+  // every snapshot held so far against the records of its own version.
+  std::vector<HeldVersion> held;
+  auto step = [&](const std::string& name) {
+    held.push_back(HeldVersion{index.Snapshot(), model});
+    for (size_t i = 0; i < held.size(); ++i) {
+      SCOPED_TRACE("after " + name + ", snapshot " + std::to_string(i));
+      ExpectSnapshotMatchesModel(held[i]);
+    }
+  };
+  auto erase = [&](const Record2& rec) {
+    model.erase(std::find(model.begin(), model.end(), rec));
+  };
+  step("set-up");
+
+  // data[0] left the 16-record buffer long ago: it lives in a level.
+  ASSERT_TRUE(index.Delete(data[0]));
+  erase(data[0]);
+  ASSERT_EQ(index.tombstones(), 1u);
+  step("delete");
+
+  index.Insert(data[0]);  // cancels the tombstone
+  model.push_back(data[0]);
+  ASSERT_EQ(index.tombstones(), 0u);
+  step("re-insert");
+
+  ASSERT_TRUE(index.Delete(data[0]));
+  erase(data[0]);
+  ASSERT_EQ(index.tombstones(), 1u);
+  step("second delete");
+
+  // The table starts with 16 slots and is replaced whenever an entry would
+  // fill it past half: 60 more entries replace it three times (16, 32, 64
+  // and then 128 slots).
+  for (size_t i = 1; i <= 60; ++i) {
+    ASSERT_TRUE(index.Delete(data[i]));
+    erase(data[i]);
+  }
+  ASSERT_EQ(index.tombstones(), 61u);
+  step("table growth");
+
+  // New records flush the buffer into ever larger levels until a rebuild
+  // merges a level that holds deleted records and consumes its tombstones.
+  size_t next = 300;
+  while (index.tombstones() == 61u) {
+    ASSERT_LT(next, data.size());
+    index.Insert(data[next]);
+    model.push_back(data[next]);
+    ++next;
+  }
+  step("rebuild");
+  held.clear();
+  EXPECT_TRUE(index.Validate().ok());
+}
+
+TEST(SnapshotTest, FreshSnapshotsStayExactWhileTheTombstoneTableGrows) {
+  MemoryBlockDevice dev(512);
+  DynamicPrTreeOptions opts;
+  opts.buffer_capacity = 16;
+  DynamicPRTree<2> index(WorkEnv{&dev, 1u << 20}, opts);
+  // Ids below kStable are never deleted; the others churn in batches.
+  constexpr size_t kRecords = 1200;
+  constexpr size_t kStable = 600;
+  constexpr size_t kBatch = 300;
+  auto data = RandomRects<2>(kRecords, 41);
+  for (const auto& rec : data) index.Insert(rec);
+
+  // Each reader takes a fresh snapshot per query, alternating a window
+  // over everything with a kNN for every record, and counts each id.
+  const Rect<2> everything = MakeRect(-1, -1, 2, 2);
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> queries{0};
+  std::atomic<uint64_t> failures{0};
+  auto reader = [&] {
+    std::vector<int> seen(kRecords);
+    for (uint64_t q = 0; !done.load(); ++q) {
+      std::fill(seen.begin(), seen.end(), 0);
+      auto snap = index.Snapshot();
+      if (q % 2 == 0) {
+        for (const auto& r : snap.QueryToVector(everything)) ++seen[r.id];
+      } else {
+        for (const auto& nb : snap.Knn({0.5, 0.5}, kRecords)) {
+          ++seen[nb.record.id];
+        }
+      }
+      for (size_t id = 0; id < kRecords; ++id) {
+        if (seen[id] > 1 || (id < kStable && seen[id] != 1)) {
+          failures.fetch_add(1);
+        }
+      }
+      queries.fetch_add(1);
+    }
+  };
+  std::thread r1(reader);
+  std::thread r2(reader);
+  while (queries.load() < 2) std::this_thread::yield();
+
+  // Each delete adds a table entry and each re-insert ends one, so the
+  // table grows through every size up to 1024 slots in the first batch and
+  // is compacted again whenever dead entries fill half of it.
+  bool writes_ok = true;
+  for (int round = 0; round < 40; ++round) {
+    const size_t first = kStable + (round % 2) * kBatch;
+    for (size_t i = first; i < first + kBatch; ++i) {
+      writes_ok = index.Delete(data[i]) && writes_ok;
+    }
+    for (size_t i = first; i < first + kBatch; ++i) index.Insert(data[i]);
+  }
+  done.store(true);
+  r1.join();
+  r2.join();
+
+  EXPECT_TRUE(writes_ok);
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(index.size(), kRecords);
+  EXPECT_EQ(SortedIds(index.QueryToVector(everything)),
+            BruteForceQuery(data, everything));
+  EXPECT_TRUE(index.Validate().ok());
 }
 
 TEST(SnapshotTest, LimboPagesReturnToBaselineAfterLastReaderDrains) {
