@@ -100,16 +100,16 @@ int main() {
   }
   for (auto& w : writers) w.join();
   QueryStats after = snap.Query(viewport, [](const Record2&) {});
+  const bool unchanged = after.results == before.results &&
+                         after.leaves_visited == before.leaves_visited;
   std::printf(
       "snapshot under writes: pinned at %zu records, %llu/50 re-runs frozen "
       "mid-storm, stats %s after 30000 concurrent inserts "
       "(index now %zu records, snapshot still %zu)\n",
       snap.size(), static_cast<unsigned long long>(frozen_reruns),
-      after.results == before.results &&
-              after.leaves_visited == before.leaves_visited
-          ? "byte-identical"
-          : "CHANGED (bug!)",
-      dynamic.size(), snap.size());
+      unchanged ? "byte-identical" : "CHANGED (bug!)", dynamic.size(),
+      snap.size());
   snap.Release();
-  return 0;
+  // A snapshot that moved is a bug: fail the run, not just the message.
+  return unchanged && frozen_reruns == 50 ? 0 : 1;
 }

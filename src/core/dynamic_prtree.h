@@ -9,7 +9,11 @@
 //    occupied levels 0..i are merged and rebuilt into the smallest level i
 //    whose capacity holds them all.  Rebuilds use the optimal bulk loader,
 //    giving the paper's O(log_B(N/M) + (1/B) log_{M/B}(N/B) log2(N/M))
-//    amortised insertion bound.
+//    amortised insertion bound.  A merge pushes the buffer, then each
+//    merged level's live leaf records (one depth-first walk per level,
+//    reading each page once), into a device Stream that the loader
+//    consumes: a rebuild holds no copy of the merged records in memory,
+//    so it stays within the loader's budget (WorkEnv::memory_bytes).
 //  * Delete finds the exact record, removes it from the buffer or marks a
 //    tombstone; once tombstones outnumber live records the whole forest is
 //    rebuilt, keeping space linear and deletions O(log_B(N/M)) amortised.
@@ -574,50 +578,44 @@ class DynamicPRTree {
       if (total <= LevelCapacity(target)) break;
       ++target;
     }
-    std::vector<RecordT> all = std::move(buffer_);
-    buffer_.clear();
-    buffer_dirty_ = true;
-    for (size_t i = 0; i <= target && i < levels_.size(); ++i) {
-      if (levels_[i].empty()) continue;
-      auto recs = DumpRecords(levels_[i]);
-      AppendLive(recs, &all);
-      levels_[i].DetachPages(replaced);
-    }
+    Stream<RecordT> merged =
+        DrainLocked(std::min(target + 1, levels_.size()), replaced);
     while (levels_.size() <= target) levels_.emplace_back(env_.device);
-    AbortIfError(BulkLoadPrTree<D>(env_, all, &levels_[target]));
+    AbortIfError(BulkLoadPrTree<D>(env_, &merged, &levels_[target]));
   }
 
   void RebuildAllLocked(std::vector<PageId>* replaced) {
-    std::vector<RecordT> all = std::move(buffer_);
-    buffer_.clear();
-    buffer_dirty_ = true;
-    for (auto& level : levels_) {
-      if (level.empty()) continue;
-      auto recs = DumpRecords(level);
-      AppendLive(recs, &all);
-      level.DetachPages(replaced);
-    }
+    Stream<RecordT> merged = DrainLocked(levels_.size(), replaced);
     PRTREE_CHECK(tomb_live_ == 0);
-    PRTREE_CHECK(all.size() == live_);
+    PRTREE_CHECK(merged.size() == live_);
     levels_.clear();
-    if (all.empty()) return;
+    if (merged.empty()) return;
     size_t target = 0;
-    while (LevelCapacity(target) < all.size()) ++target;
+    while (LevelCapacity(target) < merged.size()) ++target;
     while (levels_.size() <= target) levels_.emplace_back(env_.device);
-    AbortIfError(BulkLoadPrTree<D>(env_, all, &levels_[target]));
+    AbortIfError(BulkLoadPrTree<D>(env_, &merged, &levels_[target]));
   }
 
-  /// Appends `recs` to `out`, dropping tombstoned records and consuming
-  /// their tombstones (versions from this stamp on no longer hold them).
-  void AppendLive(const std::vector<RecordT>& recs,
-                  std::vector<RecordT>* out) {
-    for (const auto& r : recs) {
-      if (tomb_live_ != 0 && tombs_->Kill(r, stamp_)) {
-        --tomb_live_;
-        continue;
-      }
-      out->push_back(r);
+  /// \brief Empties the buffer and levels [0, count) into one stream: the
+  /// buffer, then each level's records in depth-first leaf order, in one
+  /// walk that reads every page once and lists it in `replaced`.  A
+  /// tombstoned record is dropped and its tombstone consumed (versions
+  /// from this stamp on no longer hold it).
+  Stream<RecordT> DrainLocked(size_t count, std::vector<PageId>* replaced) {
+    Stream<RecordT> out(env_.device);
+    out.Append(buffer_);
+    buffer_.clear();
+    buffer_dirty_ = true;
+    for (size_t i = 0; i < count; ++i) {
+      levels_[i].DetachPages(replaced, [&](const RecordT& r) {
+        if (tomb_live_ != 0 && tombs_->Kill(r, stamp_)) {
+          --tomb_live_;
+        } else {
+          out.Push(r);
+        }
+      });
     }
+    return out;
   }
 
   WorkEnv env_;

@@ -10,10 +10,13 @@
 // O(sqrt(N/B) + T/B) I/Os (O((N/B)^{1-1/d} + T/B) in d dimensions,
 // Theorem 2 — the whole construction is templated on D).
 //
-// Each stage uses the I/O-efficient grid algorithm (core/grid_builder.h)
-// while its input exceeds the memory budget and the in-memory builder
-// (core/pseudo_prtree.h) once it fits — exactly the paper's recursion
-// structure, so measured build I/Os reproduce Figures 9-10.
+// Every stage, stage 0 included, runs through one function
+// (internal::BuildPrStage): the I/O-efficient grid algorithm
+// (core/grid_builder.h) while its input exceeds the memory budget and the
+// in-memory builder (core/pseudo_prtree.h) once it fits — exactly the
+// paper's recursion structure, so measured build I/Os reproduce Figures
+// 9-10.  Stage 0 reads the loader's input stream; later stages hold their
+// input in memory and spill it to a stream only for the grid algorithm.
 
 #ifndef PRTREE_CORE_PRTREE_H_
 #define PRTREE_CORE_PRTREE_H_
@@ -45,11 +48,15 @@ struct PrTreeOptions {
 
 namespace internal {
 
-/// Builds one PR-tree stage: groups `input` records into nodes at `level`
+/// Builds one PR-tree stage: groups the stage input into nodes at `level`
 /// via a pseudo-PR-tree, returning the finished nodes' (MBR, page) entries.
+/// The input is `*stream` when it is non-null (stage 0: the loader's input,
+/// cleared here), else `recs` (stages i >= 1).  The in-memory builder runs
+/// once the input fits in memory; above that the grid algorithm streams it,
+/// spilling `recs` to a stream first.
 template <int D>
-std::vector<LevelEntry<D>> BuildPrStage(WorkEnv env,
-                                        std::vector<Record<D>>* input,
+std::vector<LevelEntry<D>> BuildPrStage(WorkEnv env, Stream<Record<D>>* stream,
+                                        std::vector<Record<D>> recs,
                                         int level, size_t node_capacity,
                                         const PrTreeOptions& opts) {
   BlockDevice* dev = env.device;
@@ -59,10 +66,10 @@ std::vector<LevelEntry<D>> BuildPrStage(WorkEnv env,
   // coalesces the node writes into device batches and is drained before
   // either return below (nothing reads these pages during the stage).
   WriteStager stager(dev);
-  auto write_chunk = [&](const Record<D>* recs, size_t n) {
+  auto write_chunk = [&](const Record<D>* chunk, size_t n) {
     NodeView<D> node(buf.data(), dev->block_size());
     node.Format(static_cast<uint16_t>(level));
-    for (size_t i = 0; i < n; ++i) node.Append(recs[i].rect, recs[i].id);
+    for (size_t i = 0; i < n; ++i) node.Append(chunk[i].rect, chunk[i].id);
     PageId page = dev->Allocate();
     stager.Stage(page, buf.data());
     finished.push_back(LevelEntry<D>{node.ComputeMbr(), page});
@@ -72,34 +79,41 @@ std::vector<LevelEntry<D>> BuildPrStage(WorkEnv env,
       1, static_cast<size_t>(opts.priority_fraction *
                              static_cast<double>(node_capacity)));
   size_t mem_records = env.MemoryRecords<Record<D>>() / 2;  // working space
-  if (!opts.force_grid && input->size() <= std::max(mem_records,
-                                                    4 * node_capacity)) {
+  const size_t n = stream != nullptr ? stream->size() : recs.size();
+  if (!opts.force_grid && n <= std::max(mem_records, 4 * node_capacity)) {
+    if (stream != nullptr) {
+      stream->ReadAll(&recs);
+      stream->Clear();
+    }
     PseudoPRTreeBuilder<D> builder(node_capacity, prio_size);
     builder.EmitLeaves(
-        input,
+        &recs,
         [&](const PseudoLeafChunk& chunk) {
-          write_chunk(input->data() + chunk.offset, chunk.count);
+          write_chunk(recs.data() + chunk.offset, chunk.count);
         },
         /*start_depth=*/0, env.pool);
     stager.Drain();
     return finished;
   }
 
-  // External path: spill the stage input to a stream and run the grid
-  // algorithm.
-  Stream<Record<D>> stream(dev);
-  stream.Append(*input);
-  stream.Flush();
-  input->clear();
-  input->shrink_to_fit();
+  // External path: the grid algorithm reads its input from a stream.
+  Stream<Record<D>> spilled(dev);
+  if (stream == nullptr) {
+    spilled.Append(recs);
+    spilled.Flush();
+    recs.clear();
+    recs.shrink_to_fit();
+    stream = &spilled;
+  }
   GridBuildOptions gopts;
   gopts.capacity = node_capacity;
   gopts.priority_size = prio_size;
-  GridEmitLeaves<D>(env, &stream, gopts,
+  GridEmitLeaves<D>(env, stream, gopts,
                     [&](const std::vector<Record<D>>& chunk) {
                       write_chunk(chunk.data(), chunk.size());
                     });
   stager.Drain();
+  stream->Clear();
   return finished;
 }
 
@@ -126,43 +140,9 @@ Status BulkLoadPrTree(WorkEnv env, Stream<Record<D>>* input, RTree<D>* tree,
   if (n == 0) return Status::OK();
   const size_t cap = tree->capacity();
 
-  // Stage 0 consumes the input stream.  If it fits in memory, materialise;
-  // otherwise the grid path streams it.
-  std::vector<LevelEntry<D>> level_entries;
-  {
-    std::vector<Record<D>> recs;
-    size_t mem_records = env.MemoryRecords<Record<D>>() / 2;
-    if (!opts.force_grid && n <= std::max(mem_records, 4 * cap)) {
-      input->ReadAll(&recs);
-      input->Clear();
-      level_entries = internal::BuildPrStage<D>(env, &recs, 0, cap, opts);
-    } else {
-      std::vector<std::byte> buf(env.device->block_size());
-      std::vector<LevelEntry<D>> finished;
-      WriteStager stager(env.device);  // leaf emission, allocation order
-      GridBuildOptions gopts;
-      gopts.capacity = cap;
-      gopts.priority_size = std::max<size_t>(
-          1, static_cast<size_t>(opts.priority_fraction *
-                                 static_cast<double>(cap)));
-      GridEmitLeaves<D>(env, input, gopts,
-                        [&](const std::vector<Record<D>>& chunk) {
-                          NodeView<D> node(buf.data(),
-                                           env.device->block_size());
-                          node.Format(0);
-                          for (const auto& r : chunk) {
-                            node.Append(r.rect, r.id);
-                          }
-                          PageId page = env.device->Allocate();
-                          stager.Stage(page, buf.data());
-                          finished.push_back(
-                              LevelEntry<D>{node.ComputeMbr(), page});
-                        });
-      stager.Drain();
-      input->Clear();
-      level_entries = std::move(finished);
-    }
-  }
+  // Stage 0 consumes the input stream.
+  std::vector<LevelEntry<D>> level_entries =
+      internal::BuildPrStage<D>(env, input, {}, 0, cap, opts);
 
   // Stages i >= 1 on the bounding boxes of the previous level's nodes
   // (§2.2), until everything fits in one block — the root.
@@ -184,7 +164,8 @@ Status BulkLoadPrTree(WorkEnv env, Stream<Record<D>>* input, RTree<D>* tree,
     for (const auto& e : level_entries) {
       recs.push_back(Record<D>{e.mbr, e.page});
     }
-    level_entries = internal::BuildPrStage<D>(env, &recs, level, cap, opts);
+    level_entries = internal::BuildPrStage<D>(env, nullptr, std::move(recs),
+                                              level, cap, opts);
   }
   tree->SetRoot(level_entries.front().page, level, n);
   return Status::OK();

@@ -11,6 +11,27 @@ namespace prtree {
 using internal::PoolFrame;
 using internal::PoolShard;
 
+namespace {
+
+/// Makes room for one more frame in `shard` (its lock held): true if the
+/// shard is below capacity or its least-recently-used unpinned frame was
+/// evicted, false if every frame is pinned or the shard has no capacity.
+/// Pinned frames are never evicted.  Every insertion, demand or prefetch,
+/// goes through here: this is the pool's whole eviction policy.
+bool MakeRoom(PoolShard* shard) {
+  if (shard->lru.size() < shard->capacity) return true;
+  for (auto rit = shard->lru.rbegin(); rit != shard->lru.rend(); ++rit) {
+    if (rit->pins == 0) {
+      shard->map.erase(rit->page);
+      shard->lru.erase(std::next(rit).base());
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 void PageGuard::Release() {
   if (pool_ != nullptr) {
     pool_->Unpin(shard_, frame_);
@@ -75,23 +96,9 @@ Status BufferPool::Pin(PageId page, PageGuard* out) {
       auto data = std::make_unique<std::byte[]>(device_->block_size());
       PRTREE_RETURN_NOT_OK(device_->Read(page, data.get()));
 
-      bool cache = true;
-      if (shard.capacity == 0 || shard.lru.size() >= shard.capacity) {
-        // Evict the least-recently-used unpinned frame.  Pinned frames are
-        // never evicted; if everything is pinned (or the shard has no
-        // capacity), refuse to cache and hand the caller its own copy.
-        bool evicted = false;
-        for (auto rit = shard.lru.rbegin(); rit != shard.lru.rend(); ++rit) {
-          if (rit->pins == 0) {
-            shard.map.erase(rit->page);
-            shard.lru.erase(std::next(rit).base());
-            evicted = true;
-            break;
-          }
-        }
-        cache = evicted;
-      }
-      if (cache) {
+      // If every frame is pinned (or the shard has no capacity), refuse
+      // to cache and hand the caller its own copy.
+      if (MakeRoom(&shard)) {
         shard.lru.emplace_front();
         PoolFrame& frame = shard.lru.front();
         frame.page = page;
@@ -206,19 +213,7 @@ size_t BufferPool::Prefetch(std::span<const PageId> pages) {
       BlockReadRequest& req = reqs[ri];
       if (!req.status.ok()) continue;
       if (shard.map.count(req.page) != 0) continue;  // a Pin raced us in
-      if (shard.lru.size() >= shard.capacity) {
-        // Same rule as a miss: evict the LRU *unpinned* frame or give up.
-        bool evicted = false;
-        for (auto rit = shard.lru.rbegin(); rit != shard.lru.rend(); ++rit) {
-          if (rit->pins == 0) {
-            shard.map.erase(rit->page);
-            shard.lru.erase(std::next(rit).base());
-            evicted = true;
-            break;
-          }
-        }
-        if (!evicted) continue;
-      }
+      if (!MakeRoom(&shard)) continue;  // same rule as a miss
       shard.lru.emplace_front();
       PoolFrame& frame = shard.lru.front();
       frame.page = req.page;

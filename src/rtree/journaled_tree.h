@@ -132,42 +132,20 @@ class JournaledTree {
     t->Init();
     FileBlockDevice* dev = t->device_.get();
 
-    using persist_internal::TreeMetaRecord;
-    TreeMetaRecord meta{};
-    if (dev->GetUserMeta(&meta, sizeof(meta)) < sizeof(meta)) {
-      return Status::NotFound("device holds no persisted tree metadata");
-    }
-    if (meta.magic != persist_internal::kTreeMetaMagic) {
-      return Status::Corruption("bad tree metadata magic");
-    }
-    if (meta.version != persist_internal::kTreeMetaVersion) {
-      return Status::Corruption("unsupported tree metadata version");
-    }
-    if (meta.dimension != static_cast<uint32_t>(D)) {
-      return Status::InvalidArgument("persisted tree dimension mismatch");
-    }
-
+    persist_internal::TreeMetaRecord meta{};
     JournalAnchor anchor{};
     bool anchor_present = false;
-    PRTREE_RETURN_NOT_OK(ReadJournalAnchor(*dev, &anchor, &anchor_present));
+    PRTREE_RETURN_NOT_OK(persist_internal::DecodeTreeMeta<D>(
+        *dev, &meta, &anchor, &anchor_present));
     if (!anchor_present) {
       // Journal-less index: the plain attach path (with its staleness
       // checks) applies, then the bootstrap checkpoint journals it — only
       // once the tree validates, so a refused file is left untouched.
-      if (meta.journal_epoch != 0) {
-        return Status::Corruption(
-            "tree metadata names a journal epoch but the device holds no "
-            "journal anchor");
-      }
       PRTREE_RETURN_NOT_OK(AttachTree(dev, &*t->tree_));
       PRTREE_RETURN_NOT_OK(ValidateTree(*t->tree_));
       PRTREE_RETURN_NOT_OK(t->journal_->Checkpoint(t->MetaBuilderFn()));
       *out = std::move(t);
       return Status::OK();
-    }
-    if (meta.journal_epoch != anchor.epoch) {
-      return Status::Corruption(
-          "tree metadata and journal anchor disagree on the epoch");
     }
 
     // Pages allocated after the checkpoint (committed ops' shadow pages
@@ -281,16 +259,8 @@ class JournaledTree {
   JournalWriter::MetaBuilder MetaBuilderFn() {
     return [this](void* buf, size_t cap, uint32_t epoch, uint64_t allocated,
                   uint64_t peak_allocated) -> size_t {
-      using persist_internal::TreeMetaRecord;
-      TreeMetaRecord meta{persist_internal::kTreeMetaMagic,
-                          persist_internal::kTreeMetaVersion,
-                          static_cast<uint32_t>(D),
-                          tree_->empty() ? 0 : tree_->height(),
-                          tree_->empty() ? kInvalidPageId : tree_->root(),
-                          epoch,
-                          tree_->size(),
-                          allocated,
-                          peak_allocated};
+      const auto meta = persist_internal::EncodeTreeMeta(
+          *tree_, epoch, allocated, peak_allocated);
       PRTREE_CHECK(sizeof(meta) <= cap);
       std::memcpy(buf, &meta, sizeof(meta));
       return sizeof(meta);

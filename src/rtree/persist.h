@@ -69,6 +69,60 @@ struct TreeMetaRecord {
 };
 static_assert(sizeof(TreeMetaRecord) <= FileBlockDevice::kUserMetaCapacity);
 
+/// The meta record of `tree` under journal epoch `journal_epoch` (0: no
+/// journal): the one encoding PersistTree and journal checkpoints store.
+/// An empty tree records root kInvalidPageId at height 0.
+template <int D>
+TreeMetaRecord EncodeTreeMeta(const RTree<D>& tree, uint32_t journal_epoch,
+                              uint64_t allocated, uint64_t peak_allocated) {
+  return TreeMetaRecord{kTreeMetaMagic,
+                        kTreeMetaVersion,
+                        static_cast<uint32_t>(D),
+                        tree.empty() ? 0 : tree.height(),
+                        tree.empty() ? kInvalidPageId : tree.root(),
+                        journal_epoch,
+                        tree.size(),
+                        allocated,
+                        peak_allocated};
+}
+
+/// \brief Reads `device`'s meta record and journal anchor, and checks
+/// that they describe a D-dimensional tree whose journal epoch the anchor
+/// (or its absence) confirms.  NotFound when no record is stored;
+/// Corruption on a bad magic, version, anchor or epoch; InvalidArgument
+/// for another dimension.  AttachTree and JournaledTree::Open decode
+/// through here.
+template <int D>
+Status DecodeTreeMeta(const FileBlockDevice& device, TreeMetaRecord* meta,
+                      JournalAnchor* anchor, bool* anchor_present) {
+  *meta = TreeMetaRecord{};
+  if (device.GetUserMeta(meta, sizeof(*meta)) < sizeof(*meta)) {
+    return Status::NotFound("device holds no persisted tree metadata");
+  }
+  if (meta->magic != kTreeMetaMagic) {
+    return Status::Corruption("bad tree metadata magic");
+  }
+  if (meta->version != kTreeMetaVersion) {
+    return Status::Corruption("unsupported tree metadata version");
+  }
+  if (meta->dimension != static_cast<uint32_t>(D)) {
+    return Status::InvalidArgument("persisted tree dimension mismatch");
+  }
+  PRTREE_RETURN_NOT_OK(ReadJournalAnchor(device, anchor, anchor_present));
+  if (*anchor_present && meta->journal_epoch != anchor->epoch) {
+    return Status::Corruption(
+        "journal epoch mismatch (meta epoch " +
+        std::to_string(meta->journal_epoch) + ", anchor epoch " +
+        std::to_string(anchor->epoch) + ")");
+  }
+  if (!*anchor_present && meta->journal_epoch != 0) {
+    return Status::Corruption("tree metadata names journal epoch " +
+                              std::to_string(meta->journal_epoch) +
+                              " but the device holds no journal anchor");
+  }
+  return Status::OK();
+}
+
 }  // namespace persist_internal
 
 /// \brief Writes `tree` to `path`.  The tree is unchanged.
@@ -220,15 +274,8 @@ Status PersistTree(const RTree<D>& tree, FileBlockDevice* device) {
   // plain path deliberately detaches any journal anchor the device held —
   // the caller is declaring this meta record the whole truth.  Journaled
   // trees persist through JournalWriter::Checkpoint instead.
-  TreeMetaRecord meta{persist_internal::kTreeMetaMagic,
-                      persist_internal::kTreeMetaVersion,
-                      static_cast<uint32_t>(D),
-                      tree.height(),
-                      tree.root(),
-                      0,
-                      tree.size(),
-                      device->num_allocated(),
-                      device->peak_allocated()};
+  const TreeMetaRecord meta = persist_internal::EncodeTreeMeta(
+      tree, 0, device->num_allocated(), device->peak_allocated());
   PRTREE_RETURN_NOT_OK(device->SetUserMeta(&meta, sizeof(meta)));
   return device->Sync();
 }
@@ -245,36 +292,17 @@ Status AttachTree(FileBlockDevice* device, RTree<D>* tree) {
   if (!tree->empty()) {
     return Status::InvalidArgument("output tree is not empty");
   }
+  // A journaled device may only attach through this plain path when its
+  // journal is quiescent: the anchor matches the meta record's epoch
+  // (DecodeTreeMeta checks that) and no frames landed since the last
+  // checkpoint.  Anything else means there may be committed ops newer than
+  // the meta record, which only JournaledTree::Open knows how to recover.
   TreeMetaRecord meta{};
-  size_t len = device->GetUserMeta(&meta, sizeof(meta));
-  if (len < sizeof(meta)) {
-    return Status::NotFound("device holds no persisted tree metadata");
-  }
-  if (meta.magic != persist_internal::kTreeMetaMagic) {
-    return Status::Corruption("bad tree metadata magic");
-  }
-  if (meta.version != persist_internal::kTreeMetaVersion) {
-    return Status::Corruption("unsupported tree metadata version");
-  }
-  if (meta.dimension != static_cast<uint32_t>(D)) {
-    return Status::InvalidArgument("persisted tree dimension mismatch");
-  }
-  // Journal validation: a journaled device may only attach through this
-  // plain path when its journal is quiescent — the anchor matches the
-  // meta record's epoch and no frames landed since the last checkpoint.
-  // Anything else means there may be committed ops newer than the meta
-  // record, which only JournaledTree::Open knows how to recover.
   JournalAnchor anchor{};
   bool anchor_present = false;
-  PRTREE_RETURN_NOT_OK(ReadJournalAnchor(*device, &anchor, &anchor_present));
+  PRTREE_RETURN_NOT_OK(persist_internal::DecodeTreeMeta<D>(
+      *device, &meta, &anchor, &anchor_present));
   if (anchor_present) {
-    if (meta.journal_epoch != anchor.epoch) {
-      return Status::Corruption(
-          "journal epoch mismatch (meta epoch " +
-          std::to_string(meta.journal_epoch) + ", anchor epoch " +
-          std::to_string(anchor.epoch) +
-          ") — recover via JournaledTree::Open");
-    }
     bool pending = false;
     PRTREE_RETURN_NOT_OK(JournalPending(*device, anchor, &pending));
     if (pending) {
@@ -282,11 +310,6 @@ Status AttachTree(FileBlockDevice* device, RTree<D>* tree) {
           "device has unapplied journal frames — recover via "
           "JournaledTree::Open");
     }
-  } else if (meta.journal_epoch != 0) {
-    return Status::Corruption(
-        "tree metadata names journal epoch " +
-        std::to_string(meta.journal_epoch) +
-        " but the device holds no journal anchor");
   }
   // Staleness check: updates after the last PersistTree allocate/free
   // pages (a root split even moves the root), so the device's allocation

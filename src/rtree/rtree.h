@@ -260,12 +260,15 @@ class RTree {
     return ts;
   }
 
-  /// \brief Walks the tree, appends every node page to `out` and resets to
-  /// empty *without freeing anything*.  DynamicPRTree retires the pages
-  /// (io/epoch.h) after publishing the version swap that obsoleted them,
-  /// so snapshot readers drain before the ids return to the device free
-  /// list.
-  void DetachPages(std::vector<PageId>* out) {
+  /// \brief Walks the tree depth-first, appends every node page to `out`,
+  /// calls `visit(const RecordT&)` on every leaf record in walk order, and
+  /// resets to empty *without freeing anything*.  DynamicPRTree streams a
+  /// merged level's records into its rebuild this way, reading each page
+  /// once, and retires the pages (io/epoch.h) after publishing the version
+  /// swap that obsoleted them, so snapshot readers drain before the ids
+  /// return to the device free list.
+  template <typename Visit>
+  void DetachPages(std::vector<PageId>* out, Visit visit) {
     if (empty()) return;
     std::vector<PageId> stack{root_};
     PageGuard guard;
@@ -274,8 +277,12 @@ class RTree {
       stack.pop_back();
       PinNode(page, nullptr, &guard);
       ConstNodeView<D> node(guard.data(), block_size());
-      if (!node.is_leaf()) {
-        for (int i = 0; i < node.count(); ++i) stack.push_back(node.GetId(i));
+      for (int i = 0; i < node.count(); ++i) {
+        if (node.is_leaf()) {
+          visit(RecordT{node.GetRect(i), node.GetId(i)});
+        } else {
+          stack.push_back(node.GetId(i));
+        }
       }
       out->push_back(page);
     }
@@ -288,7 +295,7 @@ class RTree {
   /// resets to empty.
   void FreeAll() {
     std::vector<PageId> pages;
-    DetachPages(&pages);
+    DetachPages(&pages, [](const RecordT&) {});
     for (PageId page : pages) device_->Free(page);
   }
 

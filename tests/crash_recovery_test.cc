@@ -21,8 +21,8 @@
 //     stats and QueryStats with the journal on or off.
 //   * persist.h integration: AttachTree refuses a device with unapplied
 //     journal frames and accepts it again after recovery's checkpoint; a
-//     journal-less index that fails validation is refused by Open without
-//     a byte of it changing.
+//     journal-less index that fails validation, and a journaled index of
+//     another dimension, are refused by Open without a byte changing.
 
 #include "rtree/journaled_tree.h"
 
@@ -444,6 +444,26 @@ TEST_F(CrashRecoveryTest, FailedUpgradeOpenLeavesFileUnchanged) {
   const std::string after = FileBytes(path_);
   EXPECT_EQ(after.size(), before.size());
   EXPECT_TRUE(after == before) << "Open modified a file it refused";
+}
+
+TEST_F(CrashRecoveryTest, OpenWithTheWrongDimensionLeavesFileUnchanged) {
+  {
+    std::unique_ptr<JournaledTree<2>> t;
+    ASSERT_TRUE(JournaledTree<2>::Create(path_, MakeOpts("file"), &t).ok());
+    ApplyOps(t.get(), MakeOps(/*seed=*/17, /*n=*/40));
+  }  // destructor checkpoints: a journaled 2-D index
+  const std::string before = FileBytes(path_);
+  ASSERT_FALSE(before.empty());
+
+  JournaledTree<3>::Options opts3;
+  opts3.backend = "file";
+  opts3.device.block_size = 1024;
+  opts3.journal.region_pages = 16;
+  std::unique_ptr<JournaledTree<3>> t3;
+  Status st = JournaledTree<3>::Open(path_, opts3, &t3);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(t3, nullptr);
+  EXPECT_TRUE(FileBytes(path_) == before) << "Open modified a file it refused";
 }
 
 TEST_F(CrashRecoveryTest, DemandCountersIdenticalWithJournalOnOrOff) {

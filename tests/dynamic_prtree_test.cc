@@ -4,6 +4,7 @@
 
 #include <map>
 #include <optional>
+#include <ostream>
 
 #include "tests/test_util.h"
 
@@ -141,6 +142,26 @@ TEST(DynamicPrTreeTest, DeleteProbesThroughTheAttachedPool) {
   ASSERT_TRUE(index.Validate().ok());
 }
 
+TEST(DynamicPrTreeTest, RebuildReadsEachMergedPageOnce) {
+  MemoryBlockDevice dev(512);
+  DynamicPrTreeOptions opts;
+  opts.buffer_capacity = 8;
+  DynamicPRTree<2> index(WorkEnv{&dev, 1u << 20}, opts);
+  auto data = RandomRects<2>(48, 41);
+  for (size_t i = 0; i + 1 < data.size(); ++i) index.Insert(data[i]);
+  ASSERT_EQ(index.LevelSizes(), (std::vector<size_t>{16, 24}));
+
+  // The 48th insert fills the buffer and merges it with both levels (3
+  // pages each at 13 records per node) into one level of 48 records.
+  const uint64_t reads = dev.stats().reads;
+  index.Insert(data.back());
+  ASSERT_EQ(index.LevelSizes(), (std::vector<size_t>{0, 0, 48}));
+  // Each merged page once, plus the loader's read-back of its input
+  // stream (48 records at 12 per block).
+  EXPECT_EQ(dev.stats().reads - reads, 6u + 4u);
+  ASSERT_TRUE(index.Validate().ok());
+}
+
 TEST(DynamicPrTreeTest, MassDeletionTriggersGlobalRebuild) {
   MemoryBlockDevice dev(512);
   DynamicPrTreeOptions opts;
@@ -202,7 +223,19 @@ TEST(DynamicPrTreeTest, MoveSameIdRepeatedly) {
   EXPECT_EQ(SortedIds(res).size(), 50u);
 }
 
-class DynamicFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+// The seed and the forest's memory budget.  At 1 MB every rebuild fits in
+// memory.  At 4 KB, with 512-byte blocks, a merge of more than
+// max(4096 / 40 / 2, 4 * 13) = 52 records runs through the grid algorithm
+// (GridEmitLeaves).
+struct FuzzCase {
+  uint64_t seed;
+  size_t budget;
+};
+
+// Test names show the seed; the instantiation name tells the budgets apart.
+void PrintTo(const FuzzCase& c, std::ostream* os) { *os << c.seed; }
+
+class DynamicFuzzTest : public ::testing::TestWithParam<FuzzCase> {};
 
 // `knn(p, k)` must equal the model's kNN, ids and distance bits, for a
 // small k, a typical k and a k beyond the live count.
@@ -228,8 +261,9 @@ TEST_P(DynamicFuzzTest, AgreesWithModelUnderMixedWorkload) {
   MemoryBlockDevice dev(512);
   DynamicPrTreeOptions opts;
   opts.buffer_capacity = 13;
-  DynamicPRTree<2> index(WorkEnv{&dev, 1u << 20}, opts);
-  Rng rng(GetParam());
+  const auto [seed, budget] = GetParam();
+  DynamicPRTree<2> index(WorkEnv{&dev, budget}, opts);
+  Rng rng(seed);
   std::map<DataId, Record2> model;
   DataId next_id = 0;
   // A snapshot taken at the previous read, with the model as it was then:
@@ -297,7 +331,13 @@ TEST_P(DynamicFuzzTest, AgreesWithModelUnderMixedWorkload) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DynamicFuzzTest,
-                         ::testing::Values(1, 23, 4096));
+                         ::testing::Values(FuzzCase{1, 1u << 20},
+                                           FuzzCase{23, 1u << 20},
+                                           FuzzCase{4096, 1u << 20}));
+INSTANTIATE_TEST_SUITE_P(GridRebuildSeeds, DynamicFuzzTest,
+                         ::testing::Values(FuzzCase{1, 4096},
+                                           FuzzCase{23, 4096},
+                                           FuzzCase{4096, 4096}));
 
 TEST(DynamicPrTreeTest, QueryStatsAggregateAcrossLevels) {
   MemoryBlockDevice dev(512);
