@@ -7,10 +7,10 @@
 
 #include <cstdio>
 
-#include "core/prtree.h"
 #include "harness/bench_json.h"
 #include "harness/experiment.h"
 #include "io/buffer_pool.h"
+#include "rtree/bulk_loader.h"
 #include "util/table_printer.h"
 #include "workload/datasets.h"
 #include "workload/queries.h"
@@ -33,18 +33,19 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"block size", "fan-out B", "build I/Os",
                       "leaves/query", "%T/B"});
+  auto loader = MakeBulkLoader(LoaderKind::kPrTree,
+                               {.memory_bytes = ScaledMemoryBudget(n)});
   for (size_t block : {size_t{1024}, size_t{2048}, size_t{4096},
                        size_t{8192}, size_t{16384}}) {
     // --device forwards here too: the block size is the sweep variable, so
     // the device is opened by hand rather than through BuildIndex.
     std::unique_ptr<BlockDevice> dev = OpenDeviceOrDie(opts.device, block);
     RTree<2> tree(dev.get());
-    WorkEnv env{dev.get(), ScaledMemoryBudget(n)};
     Stream<Record2> input(dev.get());
     input.Append(data);
     input.Flush();
     dev->ResetStats();
-    AbortIfError(BulkLoadPrTree<2>(env, &input, &tree));
+    AbortIfError(loader->Build(dev.get(), &input, &tree));
     uint64_t build_io = dev->stats().Total();
     TreeStats ts = tree.ComputeStats();
 

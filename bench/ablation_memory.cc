@@ -8,10 +8,9 @@
 
 #include <cstdio>
 
-#include "core/prtree.h"
-#include "baselines/hilbert_rtree.h"
 #include "harness/bench_json.h"
 #include "harness/experiment.h"
+#include "rtree/bulk_loader.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
 #include "workload/datasets.h"
@@ -45,7 +44,8 @@ int main(int argc, char** argv) {
     in_pr.Flush();
     dev_pr.ResetStats();
     Timer t;
-    AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev_pr, mem}, &in_pr, &pr));
+    AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = mem})
+                     ->Build(&dev_pr, &in_pr, &pr));
     double pr_seconds = t.Seconds();
     uint64_t pr_io = dev_pr.stats().Total();
 
@@ -55,7 +55,8 @@ int main(int argc, char** argv) {
     in_h.Append(data);
     in_h.Flush();
     dev_h.ResetStats();
-    AbortIfError(BulkLoadHilbert(WorkEnv{&dev_h, mem}, &in_h, &h));
+    AbortIfError(MakeBulkLoader(LoaderKind::kHilbert, {.memory_bytes = mem})
+                     ->Build(&dev_h, &in_h, &h));
     uint64_t h_io = dev_h.stats().Total();
 
     table.AddRow({TablePrinter::FmtCount(mem_kb) + " KB",

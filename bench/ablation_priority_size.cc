@@ -8,10 +8,10 @@
 
 #include <cstdio>
 
-#include "core/prtree.h"
 #include "harness/bench_json.h"
 #include "harness/experiment.h"
 #include "io/buffer_pool.h"
+#include "rtree/bulk_loader.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
 #include "workload/datasets.h"
@@ -38,10 +38,10 @@ int main(int argc, char** argv) {
   for (double frac : {0.01, 0.1, 0.25, 0.5, 0.75, 1.0}) {
     MemoryBlockDevice dev(kDefaultBlockSize);
     RTree<2> tree(&dev);
-    WorkEnv env{&dev, ScaledMemoryBudget(n)};
-    PrTreeOptions popts;
-    popts.priority_fraction = frac;
-    AbortIfError(BulkLoadPrTree<2>(env, data, &tree, popts));
+    AbortIfError(MakeBulkLoader(LoaderKind::kPrTree,
+                                {.memory_bytes = ScaledMemoryBudget(n),
+                                 .priority_fraction = frac})
+                     ->Build(&dev, data, &tree));
     TreeStats ts = tree.ComputeStats();
 
     auto queries = workload::MakeSquareQueries(tree.Mbr(), 0.01,

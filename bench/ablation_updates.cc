@@ -12,10 +12,10 @@
 #include <cstdio>
 
 #include "core/dynamic_prtree.h"
-#include "core/prtree.h"
 #include "harness/bench_json.h"
 #include "harness/experiment.h"
 #include "io/buffer_pool.h"
+#include "rtree/bulk_loader.h"
 #include "rtree/update.h"
 #include "util/table_printer.h"
 #include "workload/datasets.h"
@@ -53,16 +53,16 @@ int main(int argc, char** argv) {
   std::vector<Record2> extra(data.begin() + base_n, data.end());
 
   // (a) bulk-loaded PR-tree over the base set.
+  auto loader = MakeBulkLoader(LoaderKind::kPrTree,
+                               {.memory_bytes = ScaledMemoryBudget(base_n)});
   MemoryBlockDevice dev_a(kDefaultBlockSize);
   RTree<2> tree_a(&dev_a);
-  AbortIfError(BulkLoadPrTree<2>(
-      WorkEnv{&dev_a, ScaledMemoryBudget(base_n)}, base, &tree_a));
+  AbortIfError(loader->Build(&dev_a, base, &tree_a));
 
   // (b) same, then Guttman-insert the extra records.
   MemoryBlockDevice dev_b(kDefaultBlockSize);
   RTree<2> tree_b(&dev_b);
-  AbortIfError(BulkLoadPrTree<2>(
-      WorkEnv{&dev_b, ScaledMemoryBudget(base_n)}, base, &tree_b));
+  AbortIfError(loader->Build(&dev_b, base, &tree_b));
   RTreeUpdater<2> updater(&tree_b);
   for (const auto& rec : extra) updater.Insert(rec);
 

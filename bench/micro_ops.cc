@@ -9,13 +9,13 @@
 
 #include "baselines/hilbert_rtree.h"
 #include "core/dynamic_prtree.h"
-#include "core/prtree.h"
 #include "core/pseudo_prtree.h"
 #include "geom/hilbert.h"
 #include "geom/rect_batch.h"
 #include "harness/experiment.h"
 #include "io/buffer_pool.h"
 #include "io/external_sort.h"
+#include "rtree/bulk_loader.h"
 #include "util/random.h"
 #include "workload/datasets.h"
 #include "workload/queries.h"
@@ -193,7 +193,8 @@ void BM_PrTreeWindowQuery(benchmark::State& state) {
     auto data = workload::MakeTigerLike(
         200000, workload::TigerRegion::kEastern, 7);
     auto* t = new RTree<2>(&dev);
-    AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 8u << 20}, data, t));
+    AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 8u << 20})
+                     ->Build(&dev, data, t));
     return t;
   }();
   static BufferPool pool(&dev, 1u << 16);
@@ -249,19 +250,20 @@ BENCHMARK(BM_DynamicDelete)
     ->Iterations(1000)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_BulkLoadPrTreeEndToEnd(benchmark::State& state) {
+void BM_PrTreeBuildEndToEnd(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   auto data = workload::MakeSize(n, 0.01, 9);
+  auto loader = MakeBulkLoader(
+      LoaderKind::kPrTree, {.memory_bytes = harness::ScaledMemoryBudget(n)});
   for (auto _ : state) {
     MemoryBlockDevice dev(kDefaultBlockSize);
     RTree<2> tree(&dev);
-    AbortIfError(BulkLoadPrTree<2>(
-        WorkEnv{&dev, harness::ScaledMemoryBudget(n)}, data, &tree));
+    AbortIfError(loader->Build(&dev, data, &tree));
     benchmark::DoNotOptimize(tree.size());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_BulkLoadPrTreeEndToEnd)->Arg(100000);
+BENCHMARK(BM_PrTreeBuildEndToEnd)->Arg(100000);
 
 }  // namespace
 }  // namespace prtree

@@ -79,12 +79,12 @@
 
 #include <unistd.h>
 
-#include "core/prtree.h"
 #include "harness/bench_json.h"
 #include "harness/experiment.h"
 #include "io/buffer_pool.h"
 #include "io/stream.h"
 #include "io/write_stager.h"
+#include "rtree/bulk_loader.h"
 #include "rtree/knn.h"
 #include "util/random.h"
 #include "util/timer.h"
@@ -355,13 +355,13 @@ int RunWrite(const Options& o) {
       std::remove(paths[l].c_str());
       auto dev = harness::OpenDeviceOrDie({kinds[l], paths[l], o.direct_io},
                                           kDefaultBlockSize, leg);
-      WorkEnv env{dev.get(), memory};
-      PrTreeOptions opts;
-      opts.force_grid = true;  // always the external, write-heavy path
+      // force_grid: always the external, write-heavy path.
+      auto loader = MakeBulkLoader(
+          LoaderKind::kPrTree, {.memory_bytes = memory, .force_grid = true});
       dev->ResetStats();
       Timer timer;
       RTree<2> tree(dev.get());
-      AbortIfError(BulkLoadPrTree<2>(env, data, &tree, opts));
+      AbortIfError(loader->Build(dev.get(), data, &tree));
       AbortIfError(dev->Sync());
       const double build_seconds = timer.Seconds();
       io = dev->stats();
@@ -493,13 +493,14 @@ int RunScale(const Options& o) {
       input.Flush();
     }
 
-    WorkEnv env{dev.get(), harness::ScaledMemoryBudget(n)};
-    PrTreeOptions opts;
-    opts.force_grid = true;  // always the external, write-heavy path
+    // force_grid: always the external, write-heavy path.
+    auto loader = MakeBulkLoader(
+        LoaderKind::kPrTree,
+        {.memory_bytes = harness::ScaledMemoryBudget(n), .force_grid = true});
     dev->ResetStats();
     Timer build_timer;
     RTree<2> tree(dev.get());
-    AbortIfError(BulkLoadPrTree<2>(env, &input, &tree, opts));
+    AbortIfError(loader->Build(dev.get(), &input, &tree));
     const double build_seconds = build_timer.Seconds();
     const IoStats build_io = dev->stats();
     const TreeStats ts = tree.ComputeStats();

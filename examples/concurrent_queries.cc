@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "core/dynamic_prtree.h"
-#include "core/prtree.h"
 #include "io/buffer_pool.h"
+#include "rtree/bulk_loader.h"
 #include "util/parallel.h"
 #include "workload/datasets.h"
 #include "workload/queries.h"
@@ -35,7 +35,8 @@ int main() {
                                        workload::TigerRegion::kEastern, 7);
   MemoryBlockDevice device;
   RTree<2> tree(&device);
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&device, 8u << 20}, roads, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 8u << 20})
+                   ->Build(&device, roads, &tree));
   std::printf("indexed %zu road segments (%d levels)\n", tree.size(),
               tree.height() + 1);
 

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "core/dynamic_prtree.h"
-#include "core/prtree.h"
+#include "rtree/bulk_loader.h"
 #include "rtree/update.h"
 #include "util/random.h"
 #include "workload/datasets.h"
@@ -29,8 +29,8 @@ int main() {
   // Path 1: bulk-load once, then Guttman-update in place.
   MemoryBlockDevice dev_guttman;
   RTree<2> guttman(&dev_guttman);
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev_guttman, 8u << 20}, fleet,
-                                 &guttman));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 8u << 20})
+                   ->Build(&dev_guttman, fleet, &guttman));
   RTreeUpdater<2> updater(&guttman);
 
   // Path 2: logarithmic-method dynamic PR-tree.

@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/prtree.h"
+#include "rtree/bulk_loader.h"
 #include "util/timer.h"
 #include "workload/datasets.h"
 
@@ -78,8 +78,9 @@ int main() {
 
   MemoryBlockDevice dev_a, dev_b;
   RTree<2> tree_a(&dev_a), tree_b(&dev_b);
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev_a, 8u << 20}, roads, &tree_a));
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev_b, 8u << 20}, zones, &tree_b));
+  auto loader = MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 8u << 20});
+  AbortIfError(loader->Build(&dev_a, roads, &tree_a));
+  AbortIfError(loader->Build(&dev_b, zones, &tree_b));
 
   Timer timer;
   uint64_t pairs = 0, nodes_read = 0;

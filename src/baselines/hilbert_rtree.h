@@ -17,15 +17,12 @@
 #ifndef PRTREE_BASELINES_HILBERT_RTREE_H_
 #define PRTREE_BASELINES_HILBERT_RTREE_H_
 
-#include <vector>
-
 #include "geom/hilbert.h"
 #include "io/external_sort.h"
 #include "io/stream.h"
 #include "io/work_env.h"
 #include "rtree/builder.h"
 #include "rtree/rtree.h"
-#include "util/status.h"
 
 namespace prtree {
 
@@ -56,15 +53,11 @@ Rect<D> ComputeExtent(Stream<Record<D>>* input) {
   return extent;
 }
 
-/// Shared tail of both Hilbert loaders: key, sort, pack.
+/// Shared tail of both Hilbert loaders: key, sort, pack.  `tree` is empty
+/// and `input` flushed and non-empty (BulkLoader checks both).
 template <int D, typename KeyFn>
-Status BulkLoadHilbertImpl(WorkEnv env, Stream<Record<D>>* input,
-                           RTree<D>* tree, KeyFn key_fn) {
-  if (!tree->empty()) {
-    return Status::InvalidArgument("output tree is not empty");
-  }
-  input->Flush();
-  if (input->size() == 0) return Status::OK();
+void BulkLoadHilbertImpl(WorkEnv env, Stream<Record<D>>* input,
+                         RTree<D>* tree, KeyFn key_fn) {
   Rect<D> extent = ComputeExtent(input);
 
   // Tag every record with its curve position.
@@ -93,16 +86,13 @@ Status BulkLoadHilbertImpl(WorkEnv env, Stream<Record<D>>* input,
   size_t n = sorted.size();
   sorted.Clear();
   PackUpward(tree, writer.Finish(), n, env.pool);
-  return Status::OK();
 }
-
-}  // namespace internal
 
 /// \brief Bulk-loads the packed Hilbert R-tree of Kamel and Faloutsos:
 /// records sorted by the 2-D Hilbert value of their centres.
-inline Status BulkLoadHilbert(WorkEnv env, Stream<Record<2>>* input,
-                              RTree<2>* tree) {
-  return internal::BulkLoadHilbertImpl<2>(
+inline void BulkLoadHilbert(WorkEnv env, Stream<Record<2>>* input,
+                            RTree<2>* tree) {
+  BulkLoadHilbertImpl<2>(
       env, input, tree, [](const Rect<2>& r, const Rect<2>& extent) {
         return HilbertCenterKey(r, extent);
       });
@@ -112,32 +102,15 @@ inline Status BulkLoadHilbert(WorkEnv env, Stream<Record<2>>* input,
 /// Hilbert R-tree: records sorted by the Hilbert value of their corner
 /// transformation.
 template <int D>
-Status BulkLoadHilbert4D(WorkEnv env, Stream<Record<D>>* input,
-                         RTree<D>* tree) {
-  return internal::BulkLoadHilbertImpl<D>(
+void BulkLoadHilbert4D(WorkEnv env, Stream<Record<D>>* input,
+                       RTree<D>* tree) {
+  BulkLoadHilbertImpl<D>(
       env, input, tree, [](const Rect<D>& r, const Rect<D>& extent) {
         return HilbertCornerKey<D>(r, extent);
       });
 }
 
-/// Vector convenience overloads (spill to a stream first so I/O accounting
-/// matches the stream entry points).
-inline Status BulkLoadHilbert(WorkEnv env, const std::vector<Record<2>>& input,
-                              RTree<2>* tree) {
-  Stream<Record<2>> s(env.device);
-  s.Append(input);
-  s.Flush();
-  return BulkLoadHilbert(env, &s, tree);
-}
-
-template <int D>
-Status BulkLoadHilbert4D(WorkEnv env, const std::vector<Record<D>>& input,
-                         RTree<D>* tree) {
-  Stream<Record<D>> s(env.device);
-  s.Append(input);
-  s.Flush();
-  return BulkLoadHilbert4D<D>(env, &s, tree);
-}
+}  // namespace internal
 
 }  // namespace prtree
 

@@ -17,7 +17,6 @@
 #include "io/work_env.h"
 #include "rtree/builder.h"
 #include "rtree/rtree.h"
-#include "util/status.h"
 
 namespace prtree {
 
@@ -73,32 +72,17 @@ void StrSlab(WorkEnv env, Stream<Record<D>>* input, int axis,
   }
 }
 
-}  // namespace internal
-
-/// \brief Bulk-loads `tree` with the STR packing over `input` (consumed).
+/// \brief Bulk-loads the empty `tree` with the STR packing over the
+/// flushed, non-empty `input` (consumed).
 template <int D>
-Status BulkLoadStr(WorkEnv env, Stream<Record<D>>* input, RTree<D>* tree) {
-  if (!tree->empty()) {
-    return Status::InvalidArgument("output tree is not empty");
-  }
-  input->Flush();
+void BulkLoadStr(WorkEnv env, Stream<Record<D>>* input, RTree<D>* tree) {
   const size_t n = input->size();
-  if (n == 0) return Status::OK();
   NodeWriter<D> writer(env.device, /*level=*/0);
-  internal::StrSlab<D>(env, input, 0, tree->capacity(), &writer);
+  StrSlab<D>(env, input, 0, tree->capacity(), &writer);
   PackUpward(tree, writer.Finish(), n, env.pool);
-  return Status::OK();
 }
 
-/// Vector convenience overload.
-template <int D>
-Status BulkLoadStr(WorkEnv env, const std::vector<Record<D>>& input,
-                   RTree<D>* tree) {
-  Stream<Record<D>> s(env.device);
-  s.Append(input);
-  s.Flush();
-  return BulkLoadStr<D>(env, &s, tree);
-}
+}  // namespace internal
 
 }  // namespace prtree
 

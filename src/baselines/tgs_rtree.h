@@ -213,33 +213,17 @@ class TgsLoader {
   size_t capacity_;
 };
 
-}  // namespace internal
-
-/// \brief Bulk-loads `tree` with the Top-down Greedy Split algorithm over
-/// `input` (read, not consumed).
+/// \brief Bulk-loads the empty `tree` with the Top-down Greedy Split
+/// algorithm over the flushed, non-empty `input` (read, not consumed).
 template <int D>
-Status BulkLoadTgs(WorkEnv env, Stream<Record<D>>* input, RTree<D>* tree) {
-  if (!tree->empty()) {
-    return Status::InvalidArgument("output tree is not empty");
-  }
-  input->Flush();
-  if (input->size() == 0) return Status::OK();
-  internal::TgsLoader<D> loader(env, tree->capacity());
+void BulkLoadTgs(WorkEnv env, Stream<Record<D>>* input, RTree<D>* tree) {
+  TgsLoader<D> loader(env, tree->capacity());
   int height = 0;
   LevelEntry<D> root = loader.Build(input, &height);
   tree->SetRoot(root.page, height, input->size());
-  return Status::OK();
 }
 
-/// Vector convenience overload.
-template <int D>
-Status BulkLoadTgs(WorkEnv env, const std::vector<Record<D>>& input,
-                   RTree<D>* tree) {
-  Stream<Record<D>> s(env.device);
-  s.Append(input);
-  s.Flush();
-  return BulkLoadTgs<D>(env, &s, tree);
-}
+}  // namespace internal
 
 }  // namespace prtree
 

@@ -581,7 +581,7 @@ class DynamicPRTree {
     Stream<RecordT> merged =
         DrainLocked(std::min(target + 1, levels_.size()), replaced);
     while (levels_.size() <= target) levels_.emplace_back(env_.device);
-    AbortIfError(BulkLoadPrTree<D>(env_, &merged, &levels_[target]));
+    internal::BulkLoadPrTree<D>(env_, &merged, &levels_[target]);
   }
 
   void RebuildAllLocked(std::vector<PageId>* replaced) {
@@ -593,14 +593,14 @@ class DynamicPRTree {
     size_t target = 0;
     while (LevelCapacity(target) < merged.size()) ++target;
     while (levels_.size() <= target) levels_.emplace_back(env_.device);
-    AbortIfError(BulkLoadPrTree<D>(env_, &merged, &levels_[target]));
+    internal::BulkLoadPrTree<D>(env_, &merged, &levels_[target]);
   }
 
-  /// \brief Empties the buffer and levels [0, count) into one stream: the
-  /// buffer, then each level's records in depth-first leaf order, in one
-  /// walk that reads every page once and lists it in `replaced`.  A
-  /// tombstoned record is dropped and its tombstone consumed (versions
-  /// from this stamp on no longer hold it).
+  /// \brief Empties the buffer and levels [0, count) into one flushed
+  /// stream: the buffer, then each level's records in depth-first leaf
+  /// order, in one walk that reads every page once and lists it in
+  /// `replaced`.  A tombstoned record is dropped and its tombstone consumed
+  /// (versions from this stamp on no longer hold it).
   Stream<RecordT> DrainLocked(size_t count, std::vector<PageId>* replaced) {
     Stream<RecordT> out(env_.device);
     out.Append(buffer_);
@@ -615,6 +615,7 @@ class DynamicPRTree {
         }
       });
     }
+    out.Flush();
     return out;
   }
 

@@ -562,17 +562,26 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
       }
     }
 
-    // Emit the priority leaves and remember who was captured.
-    std::unordered_set<DataId> captured;
+    // Emit the priority leaves and remember who was captured.  Two input
+    // records may share an id, so a capture matches (id, rectangle); the
+    // set points into the heaps, which live until distribution ends.
+    struct IdHash {
+      size_t operator()(const Rec* r) const {
+        return std::hash<DataId>{}(r->id);
+      }
+    };
+    struct SameRecord {
+      bool operator()(const Rec* a, const Rec* b) const { return *a == *b; }
+    };
+    std::unordered_set<const Rec*, IdHash, SameRecord> captured;
     size_t captured_count = 0;
-    for (auto& per_node : prio_leaves) {
+    for (const auto& per_node : prio_leaves) {
       for (int c = 0; c < K; ++c) {
-        auto& h = per_node[c].heap;
+        const auto& h = per_node[c].heap;
         if (h.empty()) continue;
-        for (const Rec& rec : h) captured.insert(rec.id);
+        for (const Rec& rec : h) captured.insert(&rec);
         captured_count += h.size();
         emit(h);
-        h.clear();
       }
     }
 
@@ -588,7 +597,7 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
       typename Stream<Rec>::Reader reader(&sub.lists[c]);
       while (!reader.Done()) {
         Rec rec = reader.Next();
-        if (captured.contains(rec.id)) continue;
+        if (captured.contains(&rec)) continue;
         int node = 0;
         int region = -1;
         while (true) {

@@ -17,6 +17,9 @@
 // paper's recursion structure, so measured build I/Os reproduce Figures
 // 9-10.  Stage 0 reads the loader's input stream; later stages hold their
 // input in memory and spill it to a stream only for the grid algorithm.
+// BulkLoader (rtree/bulk_loader.h) checks the tree and options before it
+// calls internal::BulkLoadPrTree; the forest's rebuild
+// (core/dynamic_prtree.h) is the one other caller.
 
 #ifndef PRTREE_CORE_PRTREE_H_
 #define PRTREE_CORE_PRTREE_H_
@@ -34,31 +37,20 @@
 
 namespace prtree {
 
-/// Options for PR-tree bulk loading.
-struct PrTreeOptions {
-  /// Priority-leaf capacity as a fraction of node capacity.  1.0 is the
-  /// paper's structure (priority leaves of size B); smaller values are the
-  /// ablation toward Agarwal et al.'s size-1 priority boxes [2].
-  double priority_fraction = 1.0;
-
-  /// Force the external grid algorithm even for stage inputs that fit in
-  /// memory (tests use this to exercise the grid path end to end).
-  bool force_grid = false;
-};
-
 namespace internal {
 
 /// Builds one PR-tree stage: groups the stage input into nodes at `level`
 /// via a pseudo-PR-tree, returning the finished nodes' (MBR, page) entries.
 /// The input is `*stream` when it is non-null (stage 0: the loader's input,
 /// cleared here), else `recs` (stages i >= 1).  The in-memory builder runs
-/// once the input fits in memory; above that the grid algorithm streams it,
-/// spilling `recs` to a stream first.
+/// once the input fits in memory (unless `force_grid`); above that the grid
+/// algorithm streams it, spilling `recs` to a stream first.
 template <int D>
 std::vector<LevelEntry<D>> BuildPrStage(WorkEnv env, Stream<Record<D>>* stream,
                                         std::vector<Record<D>> recs,
                                         int level, size_t node_capacity,
-                                        const PrTreeOptions& opts) {
+                                        double priority_fraction,
+                                        bool force_grid) {
   BlockDevice* dev = env.device;
   std::vector<LevelEntry<D>> finished;
   std::vector<std::byte> buf(dev->block_size());
@@ -76,11 +68,11 @@ std::vector<LevelEntry<D>> BuildPrStage(WorkEnv env, Stream<Record<D>>* stream,
   };
 
   size_t prio_size = std::max<size_t>(
-      1, static_cast<size_t>(opts.priority_fraction *
+      1, static_cast<size_t>(priority_fraction *
                              static_cast<double>(node_capacity)));
   size_t mem_records = env.MemoryRecords<Record<D>>() / 2;  // working space
   const size_t n = stream != nullptr ? stream->size() : recs.size();
-  if (!opts.force_grid && n <= std::max(mem_records, 4 * node_capacity)) {
+  if (!force_grid && n <= std::max(mem_records, 4 * node_capacity)) {
     if (stream != nullptr) {
       stream->ReadAll(&recs);
       stream->Clear();
@@ -117,32 +109,25 @@ std::vector<LevelEntry<D>> BuildPrStage(WorkEnv env, Stream<Record<D>>* stream,
   return finished;
 }
 
-}  // namespace internal
-
-/// \brief Bulk-loads `tree` as a PR-tree over `input` (consumed), per §2.2.
+/// \brief Bulk-loads the empty `tree` as a PR-tree over the flushed,
+/// non-empty `input` (consumed), per §2.2.
 ///
 /// All block transfers are accounted on env.device; the memory budget
 /// selects between the grid algorithm and the in-memory base case per
 /// stage.  env.pool (if set) parallelises the sorts, the pseudo-PR-tree
 /// recursion and the grid base cases; the produced tree is byte-identical
 /// for any thread count (see rtree/bulk_loader.h for the contract).
+/// `priority_fraction` (in (0, 1]) sizes the priority leaves relative to a
+/// node; 1.0 is the paper's structure.
 template <int D>
-Status BulkLoadPrTree(WorkEnv env, Stream<Record<D>>* input, RTree<D>* tree,
-                      const PrTreeOptions& opts = PrTreeOptions{}) {
-  if (!tree->empty()) {
-    return Status::InvalidArgument("output tree is not empty");
-  }
-  if (opts.priority_fraction <= 0.0 || opts.priority_fraction > 1.0) {
-    return Status::InvalidArgument("priority_fraction must be in (0, 1]");
-  }
-  input->Flush();
+void BulkLoadPrTree(WorkEnv env, Stream<Record<D>>* input, RTree<D>* tree,
+                    double priority_fraction = 1.0, bool force_grid = false) {
   const size_t n = input->size();
-  if (n == 0) return Status::OK();
   const size_t cap = tree->capacity();
 
   // Stage 0 consumes the input stream.
-  std::vector<LevelEntry<D>> level_entries =
-      internal::BuildPrStage<D>(env, input, {}, 0, cap, opts);
+  std::vector<LevelEntry<D>> level_entries = BuildPrStage<D>(
+      env, input, {}, 0, cap, priority_fraction, force_grid);
 
   // Stages i >= 1 on the bounding boxes of the previous level's nodes
   // (§2.2), until everything fits in one block — the root.
@@ -164,25 +149,13 @@ Status BulkLoadPrTree(WorkEnv env, Stream<Record<D>>* input, RTree<D>* tree,
     for (const auto& e : level_entries) {
       recs.push_back(Record<D>{e.mbr, e.page});
     }
-    level_entries = internal::BuildPrStage<D>(env, nullptr, std::move(recs),
-                                              level, cap, opts);
+    level_entries = BuildPrStage<D>(env, nullptr, std::move(recs), level, cap,
+                                    priority_fraction, force_grid);
   }
   tree->SetRoot(level_entries.front().page, level, n);
-  return Status::OK();
 }
 
-/// Convenience overload: loads from a materialised vector.  The input is
-/// first spilled to a stream on the device so build I/O accounting matches
-/// the stream-based entry point.
-template <int D>
-Status BulkLoadPrTree(WorkEnv env, const std::vector<Record<D>>& input,
-                      RTree<D>* tree,
-                      const PrTreeOptions& opts = PrTreeOptions{}) {
-  Stream<Record<D>> stream(env.device);
-  stream.Append(input);
-  stream.Flush();
-  return BulkLoadPrTree<D>(env, &stream, tree, opts);
-}
+}  // namespace internal
 
 }  // namespace prtree
 

@@ -1,23 +1,24 @@
 // Unified bulk-load entry point — one API over every loader in the paper.
 //
 // The PR-tree (§2), the packed Hilbert / four-dimensional Hilbert R-trees,
-// TGS and STR (§1.1) historically each exposed an ad-hoc BulkLoadXxx
-// function.  Benches, examples and the experiment harness now construct any
-// of them through BulkLoader: pick a LoaderKind, set BuildOptions (memory
-// budget, threads, PR-tree knobs), Build().  This header sits at the top of
-// the construction stack — it is the one place that includes the core and
-// baseline loaders together.
+// TGS and STR (§1.1) are interchangeable producers of one RTree container.
+// Every caller builds any of them through BulkLoader: pick a LoaderKind, set
+// BuildOptions (memory budget, threads, PR-tree knobs), Build().  The
+// algorithms themselves are internal:: functions that assume a checked,
+// non-empty input; BulkLoader::Build runs the shared checks once, and
+// DynamicPRTree's level rebuild is the one other caller (of the PR-tree
+// algorithm).  This header sits at the top of the construction stack — it
+// is the one place that includes the core and baseline loaders together.
 //
 // Parallel builds are deterministic by construction.  BuildOptions.threads
-// (or an external pool) accelerates the CPU-heavy stages — in-memory run
-// sorting (util/parallel.h ParallelSort), the pseudo-PR-tree kd recursion,
-// the grid builder's base-case regions, upper-level node packing — while
-// the coordinating thread performs every device Allocate/Free in the same
-// order as a serial build and retires concurrently produced leaves in
-// input order.  Same input + same options => byte-identical tree for ANY
-// thread count, so every paper-figure bench stays reproducible; the
-// determinism suite (tests/bulk_loader_test.cc) walks both trees page by
-// page to enforce it.
+// accelerates the CPU-heavy stages — in-memory run sorting (util/parallel.h
+// ParallelSort), the pseudo-PR-tree kd recursion, the grid builder's
+// base-case regions, upper-level node packing — while the coordinating
+// thread performs every device Allocate/Free in the same order as a serial
+// build and retires concurrently produced leaves in input order.  Same
+// input + same options => byte-identical tree for ANY thread count, so
+// every paper-figure bench stays reproducible; the determinism suite
+// (tests/bulk_loader_test.cc) walks both trees page by page to enforce it.
 
 #ifndef PRTREE_RTREE_BULK_LOADER_H_
 #define PRTREE_RTREE_BULK_LOADER_H_
@@ -47,13 +48,10 @@ struct BuildOptions {
   /// The built tree is byte-identical for any value (see file comment).
   int threads = 1;
 
-  /// Optional externally owned pool; overrides `threads` when non-null
-  /// (callers sharing one pool across many builds avoid re-spawning
-  /// workers).
-  ThreadPool* pool = nullptr;
-
-  /// PR-tree only: priority-leaf capacity as a fraction of node capacity
-  /// (1.0 is the paper's structure; see PrTreeOptions).
+  /// PR-tree only: priority-leaf capacity as a fraction of node capacity.
+  /// 1.0 is the paper's structure (priority leaves of size B); smaller
+  /// values are the ablation toward Agarwal et al.'s size-1 priority
+  /// boxes [2].
   double priority_fraction = 1.0;
 
   /// PR-tree only: force the external grid algorithm even when a stage
@@ -105,34 +103,65 @@ inline bool ParseLoaderKind(std::string_view name, LoaderKind* out) {
   return true;
 }
 
-/// \brief Abstract bulk loader: builds an RTree<D> over a record stream.
+/// \brief Builds an RTree<D> over a record stream with one of the paper's
+/// loaders.
 ///
-/// Concrete loaders are created by MakeBulkLoader(); they are stateless
-/// and reusable (each Build() runs independently, spawning a private pool
-/// when opts.threads > 1 and no external pool was given).
+/// Every loader shares one preamble, run here once: the tree must be empty
+/// and live on the build's device, `priority_fraction` must lie in (0, 1],
+/// and the centre-curve Hilbert loader is 2-D only.  An empty input leaves
+/// the tree empty.  Each Build() runs independently, spawning a private
+/// pool when opts.threads > 1.  TGS needs distinct ids: its cuts break
+/// coordinate ties by id (baselines/tgs_rtree.h) and abort when two
+/// records tie on both.
 template <int D>
 class BulkLoader {
  public:
-  explicit BulkLoader(const BuildOptions& opts) : opts_(opts) {}
-  virtual ~BulkLoader() = default;
+  BulkLoader(LoaderKind kind, const BuildOptions& opts)
+      : kind_(kind), opts_(opts) {}
 
-  BulkLoader(const BulkLoader&) = delete;
-  BulkLoader& operator=(const BulkLoader&) = delete;
-
-  virtual LoaderKind kind() const = 0;
-  const char* name() const { return LoaderKindName(kind()); }
-  const BuildOptions& options() const { return opts_; }
-
-  /// Bulk-loads `tree` (must be empty) over `input` on `device`.
+  /// Bulk-loads `tree` (empty, on `device`) over `input`.
   Status Build(BlockDevice* device, Stream<Record<D>>* input,
                RTree<D>* tree) const {
-    WorkEnv env{device, opts_.memory_bytes, opts_.pool};
-    std::unique_ptr<ThreadPool> owned;
-    if (env.pool == nullptr && opts_.threads > 1) {
-      owned = std::make_unique<ThreadPool>(opts_.threads);
-      env.pool = owned.get();
+    if (device != tree->device()) {
+      return Status::InvalidArgument("output tree lives on another device");
     }
-    return DoBuild(env, input, tree);
+    if (!tree->empty()) {
+      return Status::InvalidArgument("output tree is not empty");
+    }
+    if (opts_.priority_fraction <= 0.0 || opts_.priority_fraction > 1.0) {
+      return Status::InvalidArgument("priority_fraction must be in (0, 1]");
+    }
+    if (D != 2 && kind_ == LoaderKind::kHilbert) {
+      return Status::InvalidArgument(
+          "the centre-curve Hilbert loader is 2-D only; use hilbert4d");
+    }
+    input->Flush();
+    if (input->size() == 0) return Status::OK();
+    WorkEnv env{device, opts_.memory_bytes};
+    std::unique_ptr<ThreadPool> pool;
+    if (opts_.threads > 1) {
+      pool = std::make_unique<ThreadPool>(opts_.threads);
+      env.pool = pool.get();
+    }
+    switch (kind_) {
+      case LoaderKind::kPrTree:
+        internal::BulkLoadPrTree<D>(env, input, tree, opts_.priority_fraction,
+                                    opts_.force_grid);
+        break;
+      case LoaderKind::kHilbert:
+        if constexpr (D == 2) internal::BulkLoadHilbert(env, input, tree);
+        break;
+      case LoaderKind::kHilbert4D:
+        internal::BulkLoadHilbert4D<D>(env, input, tree);
+        break;
+      case LoaderKind::kTgs:
+        internal::BulkLoadTgs<D>(env, input, tree);
+        break;
+      case LoaderKind::kStr:
+        internal::BulkLoadStr<D>(env, input, tree);
+        break;
+    }
+    return Status::OK();
   }
 
   /// Convenience overload: spills `input` to a stream on `device` first so
@@ -145,110 +174,16 @@ class BulkLoader {
     return Build(device, &stream, tree);
   }
 
- protected:
-  virtual Status DoBuild(WorkEnv env, Stream<Record<D>>* input,
-                         RTree<D>* tree) const = 0;
-
+ private:
+  const LoaderKind kind_;
   const BuildOptions opts_;
 };
-
-namespace internal {
-
-template <int D>
-class PrTreeLoader final : public BulkLoader<D> {
- public:
-  using BulkLoader<D>::BulkLoader;
-  LoaderKind kind() const override { return LoaderKind::kPrTree; }
-
- protected:
-  Status DoBuild(WorkEnv env, Stream<Record<D>>* input,
-                 RTree<D>* tree) const override {
-    PrTreeOptions popts;
-    popts.priority_fraction = this->opts_.priority_fraction;
-    popts.force_grid = this->opts_.force_grid;
-    return BulkLoadPrTree<D>(env, input, tree, popts);
-  }
-};
-
-template <int D>
-class HilbertLoader final : public BulkLoader<D> {
- public:
-  using BulkLoader<D>::BulkLoader;
-  LoaderKind kind() const override { return LoaderKind::kHilbert; }
-
- protected:
-  Status DoBuild(WorkEnv env, Stream<Record<D>>* input,
-                 RTree<D>* tree) const override {
-    if constexpr (D == 2) {
-      return BulkLoadHilbert(env, input, tree);
-    } else {
-      (void)env;
-      (void)input;
-      (void)tree;
-      return Status::InvalidArgument(
-          "the centre-curve Hilbert loader is 2-D only; use hilbert4d");
-    }
-  }
-};
-
-template <int D>
-class Hilbert4DLoader final : public BulkLoader<D> {
- public:
-  using BulkLoader<D>::BulkLoader;
-  LoaderKind kind() const override { return LoaderKind::kHilbert4D; }
-
- protected:
-  Status DoBuild(WorkEnv env, Stream<Record<D>>* input,
-                 RTree<D>* tree) const override {
-    return BulkLoadHilbert4D<D>(env, input, tree);
-  }
-};
-
-template <int D>
-class TgsLoaderAdapter final : public BulkLoader<D> {
- public:
-  using BulkLoader<D>::BulkLoader;
-  LoaderKind kind() const override { return LoaderKind::kTgs; }
-
- protected:
-  Status DoBuild(WorkEnv env, Stream<Record<D>>* input,
-                 RTree<D>* tree) const override {
-    return BulkLoadTgs<D>(env, input, tree);
-  }
-};
-
-template <int D>
-class StrLoader final : public BulkLoader<D> {
- public:
-  using BulkLoader<D>::BulkLoader;
-  LoaderKind kind() const override { return LoaderKind::kStr; }
-
- protected:
-  Status DoBuild(WorkEnv env, Stream<Record<D>>* input,
-                 RTree<D>* tree) const override {
-    return BulkLoadStr<D>(env, input, tree);
-  }
-};
-
-}  // namespace internal
 
 /// Factory: one construction entry point for every index variant.
 template <int D = 2>
 std::unique_ptr<BulkLoader<D>> MakeBulkLoader(
     LoaderKind kind, const BuildOptions& opts = BuildOptions{}) {
-  switch (kind) {
-    case LoaderKind::kPrTree:
-      return std::make_unique<internal::PrTreeLoader<D>>(opts);
-    case LoaderKind::kHilbert:
-      return std::make_unique<internal::HilbertLoader<D>>(opts);
-    case LoaderKind::kHilbert4D:
-      return std::make_unique<internal::Hilbert4DLoader<D>>(opts);
-    case LoaderKind::kTgs:
-      return std::make_unique<internal::TgsLoaderAdapter<D>>(opts);
-    case LoaderKind::kStr:
-      return std::make_unique<internal::StrLoader<D>>(opts);
-  }
-  return nullptr;
+  return std::make_unique<BulkLoader<D>>(kind, opts);
 }
 
 }  // namespace prtree

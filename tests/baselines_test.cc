@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "baselines/hilbert_rtree.h"
-#include "baselines/str_rtree.h"
-#include "baselines/tgs_rtree.h"
+#include "rtree/bulk_loader.h"
 #include "rtree/validate.h"
 #include "tests/test_util.h"
 
@@ -14,35 +12,23 @@ using testing_util::RandomRects;
 using testing_util::RandomWindow;
 using testing_util::SortedIds;
 
+// The baseline loaders, in the order (and with the values) that name the
+// parameterised test cases.
 enum class Loader { kHilbert, kHilbert4D, kStr, kTgs };
 
-const char* LoaderName(Loader l) {
-  switch (l) {
-    case Loader::kHilbert:
-      return "H";
-    case Loader::kHilbert4D:
-      return "H4";
-    case Loader::kStr:
-      return "STR";
-    case Loader::kTgs:
-      return "TGS";
-  }
-  return "?";
+LoaderKind KindOf(Loader l) {
+  constexpr LoaderKind kKinds[] = {LoaderKind::kHilbert,
+                                   LoaderKind::kHilbert4D, LoaderKind::kStr,
+                                   LoaderKind::kTgs};
+  return kKinds[static_cast<int>(l)];
 }
 
-Status RunLoader(Loader l, WorkEnv env, const std::vector<Record2>& data,
-                 RTree<2>* tree) {
-  switch (l) {
-    case Loader::kHilbert:
-      return BulkLoadHilbert(env, data, tree);
-    case Loader::kHilbert4D:
-      return BulkLoadHilbert4D<2>(env, data, tree);
-    case Loader::kStr:
-      return BulkLoadStr<2>(env, data, tree);
-    case Loader::kTgs:
-      return BulkLoadTgs<2>(env, data, tree);
-  }
-  return Status::InvalidArgument("unknown loader");
+const char* LoaderName(Loader l) { return LoaderKindName(KindOf(l)); }
+
+Status RunLoader(Loader l, size_t memory_bytes,
+                 const std::vector<Record2>& data, RTree<2>* tree) {
+  return MakeBulkLoader(KindOf(l), {.memory_bytes = memory_bytes})
+      ->Build(tree->device(), data, tree);
 }
 
 class BaselineLoaderTest
@@ -51,10 +37,10 @@ class BaselineLoaderTest
 TEST_P(BaselineLoaderTest, ValidPackedTreeAndExactQueries) {
   auto [loader, n, block_size] = GetParam();
   MemoryBlockDevice dev(block_size);
-  WorkEnv env{&dev, 4u << 20};
   auto data = RandomRects<2>(n, 100 + n);
   RTree<2> tree(&dev);
-  ASSERT_TRUE(RunLoader(loader, env, data, &tree).ok()) << LoaderName(loader);
+  ASSERT_TRUE(RunLoader(loader, 4u << 20, data, &tree).ok())
+      << LoaderName(loader);
 
   ASSERT_TRUE(ValidateTree(tree).ok()) << LoaderName(loader);
   EXPECT_EQ(tree.size(), n);
@@ -86,36 +72,33 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BaselineLoaderTest, EmptyInputs) {
   MemoryBlockDevice dev(4096);
-  WorkEnv env{&dev, 1u << 20};
   std::vector<Record2> empty;
   for (Loader l : {Loader::kHilbert, Loader::kHilbert4D, Loader::kStr,
                    Loader::kTgs}) {
     RTree<2> tree(&dev);
-    ASSERT_TRUE(RunLoader(l, env, empty, &tree).ok());
+    ASSERT_TRUE(RunLoader(l, 1u << 20, empty, &tree).ok());
     EXPECT_TRUE(tree.empty());
   }
 }
 
 TEST(BaselineLoaderTest, RejectNonEmptyTree) {
   MemoryBlockDevice dev(4096);
-  WorkEnv env{&dev, 1u << 20};
   auto data = RandomRects<2>(50, 5);
   RTree<2> tree(&dev);
-  ASSERT_TRUE(BulkLoadHilbert(env, data, &tree).ok());
-  EXPECT_FALSE(BulkLoadHilbert(env, data, &tree).ok());
-  EXPECT_FALSE(BulkLoadHilbert4D<2>(env, data, &tree).ok());
-  EXPECT_FALSE(BulkLoadStr<2>(env, data, &tree).ok());
-  EXPECT_FALSE(BulkLoadTgs<2>(env, data, &tree).ok());
+  ASSERT_TRUE(RunLoader(Loader::kHilbert, 1u << 20, data, &tree).ok());
+  for (Loader l : {Loader::kHilbert, Loader::kHilbert4D, Loader::kStr,
+                   Loader::kTgs}) {
+    EXPECT_FALSE(RunLoader(l, 1u << 20, data, &tree).ok()) << LoaderName(l);
+  }
 }
 
 TEST(HilbertLoaderTest, PacksLeavesInCurveOrder) {
   // Leaves of the packed Hilbert tree must contain records whose centre
   // Hilbert keys form non-overlapping consecutive key ranges.
   MemoryBlockDevice dev(512);
-  WorkEnv env{&dev, 4u << 20};
   auto data = RandomRects<2>(3000, 23);
   RTree<2> tree(&dev);
-  ASSERT_TRUE(BulkLoadHilbert(env, data, &tree).ok());
+  ASSERT_TRUE(RunLoader(Loader::kHilbert, 4u << 20, data, &tree).ok());
 
   Rect2 extent = Rect2::Empty();
   for (const auto& r : data) extent.ExtendToCover(r.rect);
@@ -156,12 +139,11 @@ TEST(TgsLoaderTest, SubtreesArePowersOfCapacity) {
   // García et al.'s rounding (§1.1 footnote 1): every child of the root
   // holds exactly B^h records except at most one remainder.
   MemoryBlockDevice dev(512);  // capacity 13
-  WorkEnv env{&dev, 4u << 20};
   const size_t cap = NodeCapacity<2>(512);
   const size_t n = cap * cap * 3 + 7;  // forces height 2
   auto data = RandomRects<2>(n, 29);
   RTree<2> tree(&dev);
-  ASSERT_TRUE(BulkLoadTgs<2>(env, data, &tree).ok());
+  ASSERT_TRUE(RunLoader(Loader::kTgs, 4u << 20, data, &tree).ok());
   ASSERT_EQ(tree.height(), 2);
 
   std::vector<std::byte> buf(512);
@@ -196,10 +178,9 @@ TEST(StrLoaderTest, LeavesFormSlabs) {
   // slabs should rarely overlap; sanity: high utilisation + valid queries
   // is covered above, here check slab count is near sqrt(L).
   MemoryBlockDevice dev(512);
-  WorkEnv env{&dev, 4u << 20};
   auto data = testing_util::RandomPoints<2>(3380, 31);  // 13*13*20
   RTree<2> tree(&dev);
-  ASSERT_TRUE(BulkLoadStr<2>(env, data, &tree).ok());
+  ASSERT_TRUE(RunLoader(Loader::kStr, 4u << 20, data, &tree).ok());
   TreeStats ts = tree.ComputeStats();
   EXPECT_EQ(ts.num_entries, data.size());
   EXPECT_GT(ts.utilization, 0.95);
@@ -207,20 +188,18 @@ TEST(StrLoaderTest, LeavesFormSlabs) {
 
 TEST(BaselineLoaderTest, ThreeDimensionalVariants) {
   MemoryBlockDevice dev(4096);
-  WorkEnv env{&dev, 4u << 20};
   auto data = RandomRects<3>(4000, 37);
   Rng rng(41);
 
-  RTree<3> h4(&dev), str(&dev), tgs(&dev);
-  ASSERT_TRUE(BulkLoadHilbert4D<3>(env, data, &h4).ok());
-  ASSERT_TRUE(BulkLoadStr<3>(env, data, &str).ok());
-  ASSERT_TRUE(BulkLoadTgs<3>(env, data, &tgs).ok());
-  for (RTree<3>* tree : {&h4, &str, &tgs}) {
-    ASSERT_TRUE(ValidateTree(*tree).ok());
+  for (Loader l : {Loader::kHilbert4D, Loader::kStr, Loader::kTgs}) {
+    RTree<3> tree(&dev);
+    ASSERT_TRUE(MakeBulkLoader<3>(KindOf(l), {.memory_bytes = 4u << 20})
+                    ->Build(&dev, data, &tree)
+                    .ok());
+    ASSERT_TRUE(ValidateTree(tree).ok()) << LoaderName(l);
     for (int q = 0; q < 10; ++q) {
       Rect<3> w = RandomWindow<3>(&rng, 0.3);
-      EXPECT_EQ(SortedIds(tree->QueryToVector(w)),
-                BruteForceQuery(data, w));
+      EXPECT_EQ(SortedIds(tree.QueryToVector(w)), BruteForceQuery(data, w));
     }
   }
 }
@@ -233,9 +212,8 @@ TEST(BaselineLoaderTest, BuildCostOrdering) {
 
   auto measure = [&](Loader l) {
     RTree<2> tree(&dev);
-    WorkEnv env{&dev, 1u << 20};
     dev.ResetStats();
-    AbortIfError(RunLoader(l, env, data, &tree));
+    AbortIfError(RunLoader(l, 1u << 20, data, &tree));
     uint64_t io = dev.stats().Total();
     tree.FreeAll();
     return io;

@@ -16,9 +16,9 @@
 #include <thread>
 #include <vector>
 
-#include "core/prtree.h"
 #include "io/block_device.h"
 #include "io/buffer_pool.h"
+#include "rtree/bulk_loader.h"
 #include "rtree/knn.h"
 #include "tests/test_util.h"
 #include "util/parallel.h"
@@ -185,7 +185,8 @@ TEST(ConcurrentQueryTest, ManyThreadsOneTreeExactResults) {
   MemoryBlockDevice dev(512);
   auto data = RandomRects<2>(20000, 91);
   RTree<2> tree(&dev);
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 4u << 20}, data, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
+                   ->Build(&dev, data, &tree));
 
   // A pool deliberately smaller than the tree so eviction runs hot under
   // concurrency, with the internal nodes warmed per §3.3.
@@ -304,7 +305,8 @@ TEST(ConcurrentPrefetchTest, ReadaheadQueriesStayExactUnderConcurrency) {
   MemoryBlockDevice dev(512);
   auto data = RandomRects<2>(20000, 95);
   RTree<2> tree(&dev);
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 4u << 20}, data, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
+                   ->Build(&dev, data, &tree));
   TreeStats ts = tree.ComputeStats();
   BufferPool pool(&dev, ts.num_nodes / 2 + 8);
   pool.set_readahead(true);
@@ -350,7 +352,8 @@ TEST(ConcurrentQueryTest, UncachedPoolServesConcurrentMixedQueries) {
   MemoryBlockDevice dev(512);
   auto data = RandomRects<2>(5000, 93);
   RTree<2> tree(&dev);
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 4u << 20}, data, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
+                   ->Build(&dev, data, &tree));
   BufferPool pool(&dev, 0);
 
   auto expect_window = SortedIds(tree.QueryToVector(MakeRect(0.2, 0.2,

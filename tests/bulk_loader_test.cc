@@ -14,7 +14,6 @@
 
 #include "rtree/validate.h"
 #include "tests/test_util.h"
-#include "util/parallel.h"
 #include "workload/datasets.h"
 
 namespace prtree {
@@ -173,25 +172,6 @@ TEST(BulkLoaderDeterminismTest, PartialTrailingNodeAloneInPackTask) {
   }
 }
 
-TEST(BulkLoaderTest, SharedExternalPoolAcrossBuilds) {
-  ThreadPool pool(4);
-  auto data = workload::MakeCluster(60, 100, 5);
-  BuildOptions opts;
-  opts.memory_bytes = 1u << 20;
-  opts.pool = &pool;
-  Built with_pool = Build(LoaderKind::kPrTree, data, opts);
-  BuildOptions serial;
-  serial.memory_bytes = 1u << 20;
-  Built without = Build(LoaderKind::kPrTree, data, serial);
-  ExpectTreesByteIdentical(without, with_pool);
-  // The pool survives for unrelated work afterwards.
-  ThreadPool::TaskGroup group;
-  int flag = 0;
-  pool.Submit(&group, [&flag] { flag = 1; });
-  pool.WaitFor(&group);
-  EXPECT_EQ(flag, 1);
-}
-
 TEST(BulkLoaderTest, EightThreadGridBuildSmoke) {
   // TSan target: exercises concurrent base-case tasks, nested pseudo-PR
   // forks, parallel run sorts and parallel level packing in one build.
@@ -210,6 +190,40 @@ TEST(BulkLoaderTest, EightThreadGridBuildSmoke) {
   ASSERT_EQ(dumped.size(), expect.size());
   for (size_t i = 0; i < dumped.size(); ++i) {
     EXPECT_EQ(dumped[i].id, expect[i].id);
+  }
+}
+
+// Every loader shares one set of checks (BulkLoader::Build): each bad call
+// below is refused with InvalidArgument, whatever the kind, and leaves the
+// tree as it was.  A build onto a device other than the tree's would give
+// the tree a root its first query cannot read.
+TEST(BulkLoaderTest, EveryLoaderRefusesTheSameBadCalls) {
+  struct Case {
+    const char* what;
+    BuildOptions opts;
+    bool tree_elsewhere;  // the tree lives on another device
+    bool tree_filled;     // the tree is built once before the bad call
+  };
+  const Case cases[] = {
+      {"non-empty tree", {}, false, true},
+      {"priority_fraction 0", {.priority_fraction = 0.0}, false, false},
+      {"priority_fraction 1.5", {.priority_fraction = 1.5}, false, false},
+      {"tree on another device", {}, true, false},
+  };
+  auto data = testing_util::RandomRects<2>(50, 5);
+  for (LoaderKind kind : AllLoaderKinds()) {
+    for (const Case& c : cases) {
+      MemoryBlockDevice dev(4096), other(4096);
+      RTree<2> tree(c.tree_elsewhere ? &other : &dev);
+      if (c.tree_filled) {
+        ASSERT_TRUE(MakeBulkLoader(kind)->Build(&dev, data, &tree).ok());
+      }
+      const size_t size = tree.size();
+      Status st = MakeBulkLoader(kind, c.opts)->Build(&dev, data, &tree);
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+          << LoaderKindName(kind) << ": " << c.what;
+      EXPECT_EQ(tree.size(), size) << LoaderKindName(kind) << ": " << c.what;
+    }
   }
 }
 

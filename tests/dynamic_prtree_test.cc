@@ -223,6 +223,39 @@ TEST(DynamicPrTreeTest, MoveSameIdRepeatedly) {
   EXPECT_EQ(SortedIds(res).size(), 50u);
 }
 
+TEST(DynamicPrTreeTest, MoveInsertingTheNewPositionFirst) {
+  // A fleet that moves ten objects per tick by inserting their new
+  // positions before deleting the old ones keeps pairs of live records that
+  // share an id.  At a 4 KB budget a merge of them runs the grid algorithm,
+  // which must tell captured records apart by (id, rectangle), not by id.
+  MemoryBlockDevice dev(512);
+  DynamicPrTreeOptions opts;
+  opts.buffer_capacity = 8;
+  DynamicPRTree<2> index(WorkEnv{&dev, 4u << 10}, opts);
+  Rng rng(23);
+  auto place = [&rng](DataId id) {
+    double x = rng.Uniform(0, 1), y = rng.Uniform(0, 1);
+    return Record2{MakeRect(x, y, x, y), id};
+  };
+  std::vector<Record2> pos(500);
+  for (DataId id = 0; id < pos.size(); ++id) {
+    pos[id] = place(id);
+    index.Insert(pos[id]);
+  }
+  for (DataId tick = 0; tick < pos.size(); tick += 10) {
+    std::vector<Record2> old(pos.begin() + tick, pos.begin() + tick + 10);
+    for (DataId id = tick; id < tick + 10; ++id) {
+      pos[id] = place(id);
+      index.Insert(pos[id]);
+    }
+    for (const Record2& rec : old) ASSERT_TRUE(index.Delete(rec));
+  }
+  ASSERT_TRUE(index.Validate().ok());
+  EXPECT_EQ(index.size(), pos.size());
+  const Rect2 all = MakeRect(-1, -1, 2, 2);
+  EXPECT_EQ(SortedIds(index.QueryToVector(all)), BruteForceQuery(pos, all));
+}
+
 // The seed and the forest's memory budget.  At 1 MB every rebuild fits in
 // memory.  At 4 KB, with 512-byte blocks, a merge of more than
 // max(4096 / 40 / 2, 4 * 13) = 52 records runs through the grid algorithm

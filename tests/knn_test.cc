@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "core/dynamic_prtree.h"
-#include "core/prtree.h"
+#include "rtree/bulk_loader.h"
 #include "tests/test_util.h"
 
 namespace prtree {
@@ -75,7 +75,8 @@ TEST(KnnTest, EmptyTreeAndZeroK) {
   RTree<2> tree(&dev);
   EXPECT_TRUE(KnnSearch<2>(tree, {0.5, 0.5}, 5).empty());
   auto data = RandomRects<2>(100, 1);
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 1u << 20}, data, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 1u << 20})
+                   ->Build(&dev, data, &tree));
   dev.ResetStats();
   QueryStats stats;
   EXPECT_TRUE(KnnSearch<2>(tree, {0.5, 0.5}, 0, &stats).empty());
@@ -87,7 +88,8 @@ TEST(KnnTest, KLargerThanTreeReturnsEverything) {
   MemoryBlockDevice dev(4096);
   RTree<2> tree(&dev);
   auto data = RandomRects<2>(50, 3);
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 1u << 20}, data, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 1u << 20})
+                   ->Build(&dev, data, &tree));
   auto res = KnnSearch<2>(tree, {0.5, 0.5}, 500);
   EXPECT_EQ(res.size(), 50u);
   // Distances non-decreasing.
@@ -105,7 +107,8 @@ TEST_P(KnnCorrectnessTest, MatchesBruteForce) {
   MemoryBlockDevice dev(512);
   auto data = RandomRects<2>(n, seed);
   RTree<2> tree(&dev);
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 4u << 20}, data, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
+                   ->Build(&dev, data, &tree));
 
   Rng rng(seed + 99);
   for (int q = 0; q < 20; ++q) {
@@ -131,7 +134,8 @@ TEST(KnnTest, VisitsFarFewerNodesThanFullScan) {
   MemoryBlockDevice dev(4096);
   auto data = RandomRects<2>(100000, 13);
   RTree<2> tree(&dev);
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 16u << 20}, data, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 16u << 20})
+                   ->Build(&dev, data, &tree));
   QueryStats stats;
   auto res = KnnSearch<2>(tree, {0.5, 0.5}, 10, &stats);
   ASSERT_EQ(res.size(), 10u);
@@ -143,7 +147,8 @@ TEST(KnnTest, WorksThroughBufferPool) {
   MemoryBlockDevice dev(512);
   auto data = RandomRects<2>(5000, 17);
   RTree<2> tree(&dev);
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 4u << 20}, data, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
+                   ->Build(&dev, data, &tree));
   BufferPool pool(&dev, 4096);
   tree.CacheInternalNodes(&pool);
   auto with_pool = KnnSearch<2>(tree, {0.3, 0.7}, 25, nullptr, &pool);
@@ -158,7 +163,8 @@ TEST(KnnTest, ReadaheadPoolGivesIdenticalNeighborsAndStats) {
   MemoryBlockDevice dev(512);
   auto data = RandomRects<2>(5000, 21);
   RTree<2> tree(&dev);
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 4u << 20}, data, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
+                   ->Build(&dev, data, &tree));
   // Small pool, readahead on: best-first expansion prefetches each pushed
   // frontier; some of that is speculative, none of it may change answers.
   BufferPool pool(&dev, 64);
@@ -194,7 +200,8 @@ TEST(KnnVisitCountTest, StaticTreeExpandsExactlyTheNodesWithinTheKthDistance) {
     ScopedLayout pin(layout);
     MemoryBlockDevice dev(512);
     RTree<2> tree(&dev);
-    AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 4u << 20}, data, &tree));
+    AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
+                     ->Build(&dev, data, &tree));
     for (const auto& p : points) {
       for (size_t k : {size_t{1}, size_t{16}, size_t{150}, size_t{250},
                        data.size() + 5}) {
@@ -265,7 +272,9 @@ TEST(KnnTest, ThreeDimensional) {
   MemoryBlockDevice dev(4096);
   auto data = RandomRects<3>(3000, 19);
   RTree<3> tree(&dev);
-  AbortIfError(BulkLoadPrTree<3>(WorkEnv{&dev, 4u << 20}, data, &tree));
+  AbortIfError(
+      MakeBulkLoader<3>(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
+          ->Build(&dev, data, &tree));
   Rng rng(23);
   for (int q = 0; q < 10; ++q) {
     std::array<Real, 3> p{rng.Uniform(0, 1), rng.Uniform(0, 1),

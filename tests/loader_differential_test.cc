@@ -6,10 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/hilbert_rtree.h"
-#include "baselines/str_rtree.h"
-#include "baselines/tgs_rtree.h"
-#include "core/prtree.h"
+#include "rtree/bulk_loader.h"
 #include "rtree/validate.h"
 #include "tests/test_util.h"
 #include "workload/datasets.h"
@@ -48,18 +45,17 @@ TEST_P(LoaderDifferentialTest, AllLoadersAnswerIdentically) {
   const size_t n = 6000;
   auto data = MakeData(GetParam(), n);
   MemoryBlockDevice dev(512);
-  WorkEnv env{&dev, 256u << 10};  // small budget: external paths exercised
+  // Small budget: external paths exercised (the PR-tree's grid path too).
+  const BuildOptions opts{.memory_bytes = 256u << 10, .force_grid = true};
 
   RTree<2> pr(&dev), h(&dev), h4(&dev), tgs(&dev), str(&dev);
-  PrTreeOptions popts;
-  popts.force_grid = true;
-  AbortIfError(BulkLoadPrTree<2>(env, data, &pr, popts));
-  AbortIfError(BulkLoadHilbert(env, data, &h));
-  AbortIfError(BulkLoadHilbert4D<2>(env, data, &h4));
-  AbortIfError(BulkLoadTgs<2>(env, data, &tgs));
-  AbortIfError(BulkLoadStr<2>(env, data, &str));
+  RTree<2>* const trees[] = {&pr, &h, &h4, &tgs, &str};
+  const std::vector<LoaderKind> kinds = AllLoaderKinds();  // same order
+  for (size_t i = 0; i < kinds.size(); ++i) {
+    AbortIfError(MakeBulkLoader(kinds[i], opts)->Build(&dev, data, trees[i]));
+  }
 
-  for (const RTree<2>* tree : {&pr, &h, &h4, &tgs, &str}) {
+  for (const RTree<2>* tree : trees) {
     ASSERT_TRUE(ValidateTree(*tree).ok());
     ASSERT_EQ(tree->size(), data.size());
   }

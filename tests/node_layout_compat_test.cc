@@ -20,9 +20,9 @@
 #include <tuple>
 #include <vector>
 
-#include "core/prtree.h"
 #include "geom/rect_batch.h"
 #include "io/file_block_device.h"
+#include "rtree/bulk_loader.h"
 #include "rtree/knn.h"
 #include "rtree/persist.h"
 #include "rtree/update.h"
@@ -91,13 +91,13 @@ TEST_F(NodeLayoutCompatTest, QueryStatsMatrixAcrossLayoutsAndSimd) {
   RTree<2> tree_v1(&dev_v1), tree_v2(&dev_v2);
   {
     ScopedLayout pin(NodeLayout::kAoS);
-    AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev_v1, 4u << 20}, data,
-                                   &tree_v1));
+    AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
+                     ->Build(&dev_v1, data, &tree_v1));
   }
   {
     ScopedLayout pin(NodeLayout::kSoA);
-    AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev_v2, 4u << 20}, data,
-                                   &tree_v2));
+    AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
+                     ->Build(&dev_v2, data, &tree_v2));
   }
   ASSERT_EQ(tree_v1.height(), tree_v2.height());
   ASSERT_EQ(dev_v1.num_allocated(), dev_v2.num_allocated());
@@ -168,7 +168,8 @@ TEST_F(NodeLayoutCompatTest, MixedLayoutTreeAfterUpdates) {
   RTree<2> tree(&dev);
   {
     ScopedLayout pin(NodeLayout::kAoS);
-    AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 4u << 20}, data, &tree));
+    AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
+                     ->Build(&dev, data, &tree));
   }
   auto [v1_before, v2_before] = CountLayouts(&dev);
   EXPECT_GT(v1_before, 0);
@@ -215,7 +216,8 @@ TEST_F(NodeLayoutCompatTest, SnapshotRoundTripPreservesPerNodeLayout) {
   RTree<2> tree(&dev);
   {
     ScopedLayout pin(NodeLayout::kAoS);
-    AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 4u << 20}, data, &tree));
+    AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
+                     ->Build(&dev, data, &tree));
   }
   ASSERT_TRUE(SaveTree(tree, path).ok());
 
@@ -329,8 +331,8 @@ TEST_F(GoldenFileTest, AttachedV1FileMatchesV2Rebuild) {
   RTree<2> rebuilt(&mdev);
   {
     ScopedLayout pin(NodeLayout::kSoA);
-    AbortIfError(BulkLoadPrTree<2>(WorkEnv{&mdev, 4u << 20}, data,
-                                   &rebuilt));
+    AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
+                     ->Build(&mdev, data, &rebuilt));
   }
   ASSERT_EQ(rebuilt.height(), attached.height());
 
@@ -375,7 +377,8 @@ TEST_F(GoldenFileTest, DISABLED_RegenerateGoldenFile) {
   ASSERT_TRUE(FileBlockDevice::Open(golden_, opts, &dev).ok());
   RTree<2> tree(dev.get());
   ScopedLayout pin(NodeLayout::kAoS);
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{dev.get(), 4u << 20}, data, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
+                   ->Build(dev.get(), data, &tree));
   ASSERT_TRUE(PersistTree(tree, dev.get()).ok());
 }
 

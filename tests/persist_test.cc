@@ -7,8 +7,8 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/prtree.h"
 #include "io/file_block_device.h"
+#include "rtree/bulk_loader.h"
 #include "rtree/update.h"
 #include "rtree/validate.h"
 #include "tests/test_util.h"
@@ -38,7 +38,8 @@ TEST_F(PersistTest, RoundTripPreservesEverything) {
   MemoryBlockDevice dev(512);
   auto data = RandomRects<2>(5000, 7);
   RTree<2> tree(&dev);
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 4u << 20}, data, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
+                   ->Build(&dev, data, &tree));
   ASSERT_TRUE(SaveTree(tree, path_).ok());
 
   // Load onto a completely different device with prior allocations (so
@@ -70,7 +71,8 @@ TEST_F(PersistTest, LoadedTreeRemainsUpdatable) {
   MemoryBlockDevice dev(512);
   auto data = RandomRects<2>(1000, 13);
   RTree<2> tree(&dev);
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 4u << 20}, data, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
+                   ->Build(&dev, data, &tree));
   ASSERT_TRUE(SaveTree(tree, path_).ok());
 
   MemoryBlockDevice dev2(512);
@@ -92,7 +94,8 @@ TEST_F(PersistTest, SingleLeafTree) {
   MemoryBlockDevice dev(4096);
   auto data = RandomRects<2>(5, 19);
   RTree<2> tree(&dev);
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 1u << 20}, data, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 1u << 20})
+                   ->Build(&dev, data, &tree));
   ASSERT_EQ(tree.height(), 0);
   ASSERT_TRUE(SaveTree(tree, path_).ok());
   MemoryBlockDevice dev2(4096);
@@ -110,7 +113,8 @@ TEST_F(PersistTest, RejectsEmptyTreeAndBadTargets) {
 
   auto data = RandomRects<2>(100, 23);
   RTree<2> tree(&dev);
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 1u << 20}, data, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 1u << 20})
+                   ->Build(&dev, data, &tree));
   ASSERT_TRUE(SaveTree(tree, path_).ok());
 
   // Non-empty output tree.
@@ -135,7 +139,8 @@ TEST_F(PersistTest, DetectsTruncationAndCorruption) {
   MemoryBlockDevice dev(512);
   auto data = RandomRects<2>(2000, 29);
   RTree<2> tree(&dev);
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 4u << 20}, data, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
+                   ->Build(&dev, data, &tree));
   ASSERT_TRUE(SaveTree(tree, path_).ok());
 
   // Truncate the file.
@@ -187,8 +192,8 @@ TEST_F(PersistTest, FileDeviceWriteReopenQueryRoundTrip) {
     std::unique_ptr<FileBlockDevice> dev;
     ASSERT_TRUE(FileBlockDevice::Open(path_, opts, &dev).ok());
     RTree<2> tree(dev.get());
-    AbortIfError(BulkLoadPrTree<2>(WorkEnv{dev.get(), 2u << 20}, data,
-                                   &tree));
+    AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 2u << 20})
+                     ->Build(dev.get(), data, &tree));
     for (const auto& w : windows) {
       expected.push_back(SortedIds(tree.QueryToVector(w)));
     }
@@ -228,7 +233,8 @@ TEST_F(PersistTest, AttachRejectsMissingOrMismatchedMeta) {
   EXPECT_EQ(AttachTree(dev.get(), &tree).code(), StatusCode::kNotFound);
 
   auto data = RandomRects<2>(500, 41);
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{dev.get(), 1u << 20}, data, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 1u << 20})
+                   ->Build(dev.get(), data, &tree));
   ASSERT_TRUE(PersistTree(tree, dev.get()).ok());
 
   // Dimension mismatch and non-empty output tree are both rejected.
@@ -246,8 +252,8 @@ TEST_F(PersistTest, AttachRejectsStaleMetadataAfterUpdates) {
     ASSERT_TRUE(FileBlockDevice::Open(path_, opts, &dev).ok());
     RTree<2> tree(dev.get());
     auto data = RandomRects<2>(2000, 47);
-    AbortIfError(BulkLoadPrTree<2>(WorkEnv{dev.get(), 1u << 20}, data,
-                                   &tree));
+    AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 1u << 20})
+                     ->Build(dev.get(), data, &tree));
     ASSERT_TRUE(PersistTree(tree, dev.get()).ok());
     // Mutate after the persist: enough inserts to allocate pages (and
     // possibly move the root), then close WITHOUT re-persisting.
@@ -274,7 +280,8 @@ TEST_F(PersistTest, SnapshotRestoresOntoFileDevice) {
   MemoryBlockDevice mdev(512);
   auto data = RandomRects<2>(3000, 43);
   RTree<2> tree(&mdev);
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&mdev, 2u << 20}, data, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 2u << 20})
+                   ->Build(&mdev, data, &tree));
   ASSERT_TRUE(SaveTree(tree, path_).ok());
 
   std::string dev_path = path_ + ".dev";

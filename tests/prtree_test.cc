@@ -1,9 +1,8 @@
-#include "core/prtree.h"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "rtree/bulk_loader.h"
 #include "rtree/validate.h"
 #include "tests/test_util.h"
 #include "workload/datasets.h"
@@ -16,15 +15,19 @@ using testing_util::RandomRects;
 using testing_util::RandomWindow;
 using testing_util::SortedIds;
 
-WorkEnv Env(BlockDevice* dev, size_t mem = 8u << 20) {
-  return WorkEnv{dev, mem};
+/// Builds `tree` as a PR-tree over `data` on the tree's device.
+template <int D>
+Status BuildPr(const std::vector<Record<D>>& data, RTree<D>* tree,
+               const BuildOptions& opts = {.memory_bytes = 8u << 20}) {
+  return MakeBulkLoader<D>(LoaderKind::kPrTree, opts)
+      ->Build(tree->device(), data, tree);
 }
 
 TEST(PrTreeTest, EmptyInput) {
   MemoryBlockDevice dev(4096);
   RTree<2> tree(&dev);
   std::vector<Record2> empty;
-  ASSERT_TRUE(BulkLoadPrTree<2>(Env(&dev), empty, &tree).ok());
+  ASSERT_TRUE(BuildPr(empty, &tree).ok());
   EXPECT_TRUE(tree.empty());
 }
 
@@ -32,8 +35,8 @@ TEST(PrTreeTest, RejectsNonEmptyTree) {
   MemoryBlockDevice dev(4096);
   RTree<2> tree(&dev);
   auto data = RandomRects<2>(10, 1);
-  ASSERT_TRUE(BulkLoadPrTree<2>(Env(&dev), data, &tree).ok());
-  Status st = BulkLoadPrTree<2>(Env(&dev), data, &tree);
+  ASSERT_TRUE(BuildPr(data, &tree).ok());
+  Status st = BuildPr(data, &tree);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
@@ -42,11 +45,8 @@ TEST(PrTreeTest, RejectsBadPriorityFraction) {
   MemoryBlockDevice dev(4096);
   RTree<2> tree(&dev);
   auto data = RandomRects<2>(10, 1);
-  PrTreeOptions opts;
-  opts.priority_fraction = 0.0;
-  EXPECT_FALSE(BulkLoadPrTree<2>(Env(&dev), data, &tree, opts).ok());
-  opts.priority_fraction = 1.5;
-  EXPECT_FALSE(BulkLoadPrTree<2>(Env(&dev), data, &tree, opts).ok());
+  EXPECT_FALSE(BuildPr(data, &tree, {.priority_fraction = 0.0}).ok());
+  EXPECT_FALSE(BuildPr(data, &tree, {.priority_fraction = 1.5}).ok());
 }
 
 class PrTreeCorrectnessTest
@@ -57,11 +57,11 @@ TEST_P(PrTreeCorrectnessTest, ValidTreeAndExactQueries) {
   MemoryBlockDevice dev(block_size);
   auto data = RandomRects<2>(n, 31 * n + block_size);
   RTree<2> tree(&dev);
-  PrTreeOptions opts;
-  opts.force_grid = force_grid;
   // A small memory budget forces multi-level grid recursion when forced.
-  WorkEnv env = Env(&dev, force_grid ? 64u << 10 : 8u << 20);
-  ASSERT_TRUE(BulkLoadPrTree<2>(env, data, &tree, opts).ok());
+  ASSERT_TRUE(BuildPr(data, &tree,
+                      {.memory_bytes = force_grid ? 64u << 10 : 8u << 20,
+                       .force_grid = force_grid})
+                  .ok());
 
   ASSERT_TRUE(ValidateTree(tree).ok());
   EXPECT_EQ(tree.size(), n);
@@ -97,7 +97,7 @@ TEST(PrTreeTest, AllLeavesOnBottomLevelAndPacked) {
   MemoryBlockDevice dev(4096);
   auto data = RandomRects<2>(100000, 41);
   RTree<2> tree(&dev);
-  ASSERT_TRUE(BulkLoadPrTree<2>(Env(&dev, 64u << 20), data, &tree).ok());
+  ASSERT_TRUE(BuildPr(data, &tree, {.memory_bytes = 64u << 20}).ok());
   ASSERT_TRUE(ValidateTree(tree).ok());
   TreeStats ts = tree.ComputeStats();
   // §3.3: "in all experiments and for all R-trees we achieved a space
@@ -109,26 +109,37 @@ TEST(PrTreeTest, AllLeavesOnBottomLevelAndPacked) {
 }
 
 TEST(PrTreeTest, GridAndInMemoryBuildsAreBothValidOnSameData) {
-  MemoryBlockDevice dev(512);
-  auto data = RandomRects<2>(20000, 43);
-  RTree<2> mem_tree(&dev), grid_tree(&dev);
-  ASSERT_TRUE(BulkLoadPrTree<2>(Env(&dev), data, &mem_tree).ok());
-  PrTreeOptions opts;
-  opts.force_grid = true;
-  ASSERT_TRUE(
-      BulkLoadPrTree<2>(Env(&dev, 128u << 10), data, &grid_tree, opts).ok());
-  ASSERT_TRUE(ValidateTree(mem_tree).ok());
-  ASSERT_TRUE(ValidateTree(grid_tree).ok());
-  // Identical answers.
-  Rng rng(47);
-  for (int q = 0; q < 20; ++q) {
-    Rect2 w = RandomWindow<2>(&rng, 0.1);
-    EXPECT_EQ(SortedIds(mem_tree.QueryToVector(w)),
-              SortedIds(grid_tree.QueryToVector(w)));
+  // The second input gives every id to two records, as a forest merge does
+  // when a moved object's new position is inserted before its old one is
+  // deleted; the grid path must still tell the two apart.
+  auto shared_ids = RandomRects<2>(500, 45);
+  for (size_t i = 0; i < shared_ids.size(); ++i) {
+    shared_ids[i].id = static_cast<DataId>(i / 2);
   }
-  // Both near-full.
-  EXPECT_GT(mem_tree.ComputeStats().utilization, 0.95);
-  EXPECT_GT(grid_tree.ComputeStats().utilization, 0.90);
+  const std::pair<std::vector<Record2>, size_t> inputs[] = {
+      {RandomRects<2>(20000, 43), 128u << 10}, {shared_ids, 8u << 10}};
+  for (const auto& [data, grid_memory] : inputs) {
+    MemoryBlockDevice dev(512);
+    RTree<2> mem_tree(&dev), grid_tree(&dev);
+    ASSERT_TRUE(BuildPr(data, &mem_tree).ok());
+    ASSERT_TRUE(
+        BuildPr(data, &grid_tree,
+                {.memory_bytes = grid_memory, .force_grid = true})
+            .ok());
+    ASSERT_TRUE(ValidateTree(mem_tree).ok());
+    ASSERT_TRUE(ValidateTree(grid_tree).ok());
+    EXPECT_EQ(grid_tree.size(), data.size());
+    // Identical answers.
+    Rng rng(47);
+    for (int q = 0; q < 20; ++q) {
+      Rect2 w = RandomWindow<2>(&rng, 0.1);
+      EXPECT_EQ(SortedIds(mem_tree.QueryToVector(w)),
+                SortedIds(grid_tree.QueryToVector(w)));
+    }
+    // Both near-full.
+    EXPECT_GT(mem_tree.ComputeStats().utilization, 0.95);
+    EXPECT_GT(grid_tree.ComputeStats().utilization, 0.90);
+  }
 }
 
 TEST(PrTreeTest, BuildIoIsSortLike) {
@@ -143,8 +154,10 @@ TEST(PrTreeTest, BuildIoIsSortLike) {
 
   dev.ResetStats();
   RTree<2> tree(&dev);
-  WorkEnv env = Env(&dev, 1u << 20);  // M << N forces external behaviour
-  ASSERT_TRUE(BulkLoadPrTree<2>(env, &input, &tree).ok());
+  // M << N forces external behaviour.
+  ASSERT_TRUE(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 1u << 20})
+                  ->Build(&dev, &input, &tree)
+                  .ok());
   uint64_t io = dev.stats().Total();
   // 4 sorts (read+write each ~2 passes) + counting/filter/distribute scans
   // + output: generously under 40 passes over the data.
@@ -158,9 +171,9 @@ TEST(PrTreeTest, PriorityFractionAblationStillCorrect) {
   auto data = RandomRects<2>(8000, 59);
   for (double frac : {0.25, 0.5, 1.0}) {
     RTree<2> tree(&dev);
-    PrTreeOptions opts;
-    opts.priority_fraction = frac;
-    ASSERT_TRUE(BulkLoadPrTree<2>(Env(&dev), data, &tree, opts).ok());
+    ASSERT_TRUE(BuildPr(data, &tree,
+                        {.memory_bytes = 8u << 20, .priority_fraction = frac})
+                    .ok());
     ASSERT_TRUE(ValidateTree(tree).ok());
     Rng rng(61);
     for (int q = 0; q < 10; ++q) {
@@ -176,7 +189,7 @@ TEST(PrTreeTest, ThreeDimensionalPrTree) {
   MemoryBlockDevice dev(4096);
   auto data = RandomRects<3>(20000, 67);
   RTree<3> tree(&dev);
-  ASSERT_TRUE(BulkLoadPrTree<3>(Env(&dev), data, &tree).ok());
+  ASSERT_TRUE(BuildPr(data, &tree).ok());
   ASSERT_TRUE(ValidateTree(tree).ok());
   EXPECT_GT(tree.ComputeStats().utilization, 0.95);
   Rng rng(71);
@@ -190,10 +203,9 @@ TEST(PrTreeTest, ThreeDimensionalGridPath) {
   MemoryBlockDevice dev(4096);
   auto data = RandomRects<3>(15000, 73);
   RTree<3> tree(&dev);
-  PrTreeOptions opts;
-  opts.force_grid = true;
   ASSERT_TRUE(
-      BulkLoadPrTree<3>(Env(&dev, 256u << 10), data, &tree, opts).ok());
+      BuildPr(data, &tree, {.memory_bytes = 256u << 10, .force_grid = true})
+          .ok());
   ASSERT_TRUE(ValidateTree(tree).ok());
   Rng rng(79);
   for (int q = 0; q < 10; ++q) {
@@ -212,7 +224,7 @@ TEST_P(PrTreeQueryBoundTest, EmptyQueryLeafVisitsAreSqrtBounded) {
   const size_t b = NodeCapacity<2>(512);  // 13
   auto data = workload::MakeWorstCaseGrid(columns, b);
   RTree<2> tree(&dev);
-  ASSERT_TRUE(BulkLoadPrTree<2>(Env(&dev), data, &tree).ok());
+  ASSERT_TRUE(BuildPr(data, &tree).ok());
 
   double worst = 0;
   const size_t n = data.size();

@@ -5,7 +5,7 @@
 #include <map>
 #include <vector>
 
-#include "core/prtree.h"
+#include "rtree/bulk_loader.h"
 #include "rtree/validate.h"
 #include "tests/test_util.h"
 
@@ -78,7 +78,8 @@ TEST(RTreeInsertTest, UpdatesOnBulkLoadedPrTree) {
   auto data = RandomRects<2>(2000, 29);
   std::vector<Record2> base(data.begin(), data.begin() + 1500);
   std::vector<Record2> extra(data.begin() + 1500, data.end());
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{&dev, 4u << 20}, base, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
+                   ->Build(&dev, base, &tree));
   RTreeUpdater<2> upd(&tree);
   for (const auto& rec : extra) upd.Insert(rec);
   EXPECT_EQ(tree.size(), data.size());

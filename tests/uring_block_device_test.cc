@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "io/buffer_pool.h"
-#include "core/prtree.h"
+#include "rtree/bulk_loader.h"
 #include "rtree/knn.h"
 #include "rtree/persist.h"
 #include "tests/test_util.h"
@@ -312,7 +312,8 @@ TEST_F(UringBlockDeviceTest, TreeQueriesWithReadaheadMatchScalar) {
   auto dev = Create(/*block_size=*/512);
   auto data = testing_util::RandomRects<2>(8000, 7);
   RTree<2> tree(dev.get());
-  AbortIfError(BulkLoadPrTree<2>(WorkEnv{dev.get(), 4u << 20}, data, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
+                   ->Build(dev.get(), data, &tree));
   TreeStats ts = tree.ComputeStats();
 
   Rect2 window = MakeRect(0.2, 0.3, 0.5, 0.6);

@@ -5,10 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
-#include "baselines/hilbert_rtree.h"
-#include "baselines/tgs_rtree.h"
-#include "core/prtree.h"
+#include "rtree/bulk_loader.h"
 #include "rtree/validate.h"
 #include "workload/datasets.h"
 #include "workload/queries.h"
@@ -21,15 +20,17 @@ struct BuiltTrees {
   explicit BuiltTrees(BlockDevice* dev) : h(dev), h4(dev), pr(dev), tgs(dev) {}
 };
 
-void BuildAll(WorkEnv env, const std::vector<Record2>& data, BuiltTrees* t) {
-  AbortIfError(BulkLoadHilbert(env, data, &t->h));
-  AbortIfError(BulkLoadHilbert4D<2>(env, data, &t->h4));
-  AbortIfError(BulkLoadPrTree<2>(env, data, &t->pr));
-  AbortIfError(BulkLoadTgs<2>(env, data, &t->tgs));
-  ASSERT_TRUE(ValidateTree(t->h).ok());
-  ASSERT_TRUE(ValidateTree(t->h4).ok());
-  ASSERT_TRUE(ValidateTree(t->pr).ok());
-  ASSERT_TRUE(ValidateTree(t->tgs).ok());
+void BuildAll(const std::vector<Record2>& data, BuiltTrees* t) {
+  const std::pair<LoaderKind, RTree<2>*> builds[] = {
+      {LoaderKind::kHilbert, &t->h},
+      {LoaderKind::kHilbert4D, &t->h4},
+      {LoaderKind::kPrTree, &t->pr},
+      {LoaderKind::kTgs, &t->tgs}};
+  for (auto [kind, tree] : builds) {
+    AbortIfError(MakeBulkLoader(kind, {.memory_bytes = 2u << 20})
+                     ->Build(tree->device(), data, tree));
+    ASSERT_TRUE(ValidateTree(*tree).ok()) << LoaderKindName(kind);
+  }
 }
 
 TEST(WorstCaseTest, Theorem3GridForcesHeuristicsToVisitAllLeaves) {
@@ -38,9 +39,8 @@ TEST(WorstCaseTest, Theorem3GridForcesHeuristicsToVisitAllLeaves) {
   const size_t columns = 512;
   auto data = workload::MakeWorstCaseGrid(columns, b);
   const size_t n = data.size();
-  WorkEnv env{&dev, 2u << 20};
   BuiltTrees trees(&dev);
-  BuildAll(env, data, &trees);
+  BuildAll(data, &trees);
 
   // A horizontal line query between point rows: T = 0 (§2.4 proof).
   double y = 6.0 / static_cast<double>(b) - 0.5 / static_cast<double>(n);
@@ -75,9 +75,9 @@ TEST(WorstCaseTest, TgsSplitsWorstCaseGridIntoColumns) {
   MemoryBlockDevice dev(512);
   const size_t b = NodeCapacity<2>(512);
   auto data = workload::MakeWorstCaseGrid(169, b);  // 13^2 columns
-  WorkEnv env{&dev, 2u << 20};
   RTree<2> tree(&dev);
-  AbortIfError(BulkLoadTgs<2>(env, data, &tree));
+  AbortIfError(MakeBulkLoader(LoaderKind::kTgs, {.memory_bytes = 2u << 20})
+                   ->Build(&dev, data, &tree));
 
   std::vector<std::byte> buf(512);
   std::vector<PageId> stack{tree.root()};
@@ -103,9 +103,8 @@ TEST(WorstCaseTest, ClusterDatasetStabQueries) {
   // H, H4 and TGS visit large fractions (paper: 37 %, 94 %, 25 % vs 1.2 %).
   MemoryBlockDevice dev(4096);
   auto data = workload::MakeCluster(1000, 200, 7);  // 200k points
-  WorkEnv env{&dev, 2u << 20};
   BuiltTrees trees(&dev);
-  BuildAll(env, data, &trees);
+  BuildAll(data, &trees);
 
   Rect2 extent = trees.pr.Mbr();
   auto queries = workload::MakeHorizontalStabQueries(

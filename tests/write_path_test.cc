@@ -19,14 +19,13 @@
 #include <string>
 #include <vector>
 
-#include "core/prtree.h"
 #include "io/external_sort.h"
 #include "io/file_block_device.h"
 #include "io/stream.h"
 #include "io/uring_block_device.h"
 #include "io/write_stager.h"
+#include "rtree/bulk_loader.h"
 #include "tests/test_util.h"
-#include "util/parallel.h"
 
 namespace prtree {
 namespace {
@@ -173,15 +172,15 @@ TEST(WritePathTest, ExternalSortParityFileVsUring) {
 // match too; only write_batches (audit-only) may differ with threads.
 TEST(WritePathTest, BuildByteIdentityScalarVsBatchedVsParallel) {
   auto data = testing_util::RandomRects<2>(6000, 11);
-  PrTreeOptions opts;
-  opts.force_grid = true;  // exercise the external grid emitters too
 
-  auto build = [&](BlockDevice* dev, ThreadPool* pool, IoStats* io) {
-    WorkEnv env{dev, /*memory_bytes=*/1u << 16};
-    env.pool = pool;
+  auto build = [&](BlockDevice* dev, int threads, IoStats* io) {
+    // force_grid: exercise the external grid emitters too.
+    auto loader = MakeBulkLoader(
+        LoaderKind::kPrTree,
+        {.memory_bytes = 1u << 16, .threads = threads, .force_grid = true});
     dev->ResetStats();
     RTree<2> tree(dev);
-    AbortIfError(BulkLoadPrTree<2>(env, data, &tree, opts));
+    AbortIfError(loader->Build(dev, data, &tree));
     *io = dev->stats();
     AbortIfError(dev->Sync());
   };
@@ -198,16 +197,15 @@ TEST(WritePathTest, BuildByteIdentityScalarVsBatchedVsParallel) {
     fopts.truncate = true;
     std::unique_ptr<FileBlockDevice> dev;
     AbortIfError(FileBlockDevice::Open(spath, fopts, &dev));
-    build(dev.get(), nullptr, &scalar_io);
+    build(dev.get(), 1, &scalar_io);
   }
   {
     auto dev = OpenUring(bpath);
-    build(dev.get(), nullptr, &batched_io);
+    build(dev.get(), 1, &batched_io);
   }
   {
     auto dev = OpenUring(ppath);
-    ThreadPool pool(8);
-    build(dev.get(), &pool, &parallel_io);
+    build(dev.get(), 8, &parallel_io);
   }
 
   auto scalar_bytes = FileBytes(spath);
@@ -236,8 +234,8 @@ TEST(WritePathTest, NoUringEnvBuildIsByteAndCounterIdentical) {
   // counter — write_batches included, because PreferredWriteBatch() reports
   // the configured depth either way — must be identical to the ring build.
   auto data = testing_util::RandomRects<2>(4000, 13);
-  PrTreeOptions opts;
-  opts.force_grid = true;
+  auto loader = MakeBulkLoader(
+      LoaderKind::kPrTree, {.memory_bytes = 1u << 16, .force_grid = true});
 
   auto build = [&](const std::string& path, bool no_uring, IoStats* io) {
     if (no_uring) ::setenv("PRTREE_NO_URING", "1", 1);
@@ -246,9 +244,8 @@ TEST(WritePathTest, NoUringEnvBuildIsByteAndCounterIdentical) {
       ::unsetenv("PRTREE_NO_URING");
       EXPECT_FALSE(dev->ring_active());
     }
-    WorkEnv env{dev.get(), /*memory_bytes=*/1u << 16};
     RTree<2> tree(dev.get());
-    AbortIfError(BulkLoadPrTree<2>(env, data, &tree, opts));
+    AbortIfError(loader->Build(dev.get(), data, &tree));
     *io = dev->stats();
     AbortIfError(dev->Sync());
   };
