@@ -132,20 +132,6 @@ void BM_RectKernelIntersect(benchmark::State& state) {
 }
 BENCHMARK(BM_RectKernelIntersect)->Arg(0)->Arg(1);
 
-void BM_RectKernelContains(benchmark::State& state) {
-  ScopedSimdLevel pin(state, state.range(0));
-  KernelRuns runs = MakeKernelRuns(4);
-  Rect2 q = MakeRect(0.2, 0.2, 0.8, 0.8);
-  uint64_t mask[RectMaskWords(kKernelFanout)];
-  for (auto _ : state) {
-    BatchContainedIn(q, runs.xmin.data(), runs.ymin.data(), runs.xmax.data(),
-                     runs.ymax.data(), kKernelFanout, mask);
-    benchmark::DoNotOptimize(mask[0]);
-  }
-  state.SetItemsProcessed(state.iterations() * kKernelFanout);
-}
-BENCHMARK(BM_RectKernelContains)->Arg(0)->Arg(1);
-
 void BM_RectKernelMinDist(benchmark::State& state) {
   ScopedSimdLevel pin(state, state.range(0));
   KernelRuns runs = MakeKernelRuns(4);

@@ -56,13 +56,6 @@ inline bool ScalarIntersects(const Rect2& q, Real xmin, Real ymin, Real xmax,
          !(q.lo[1] > ymax);
 }
 
-// Exactly q.Contains(entry): !(lo < q.lo) && !(hi > q.hi) per dimension.
-inline bool ScalarContainedIn(const Rect2& q, Real xmin, Real ymin, Real xmax,
-                              Real ymax) {
-  return !(xmin < q.lo[0]) && !(xmax > q.hi[0]) && !(ymin < q.lo[1]) &&
-         !(ymax > q.hi[1]);
-}
-
 // Exactly entry.Contains(q): !(q.lo < lo) && !(q.hi > hi) per dimension.
 inline bool ScalarCovers(const Rect2& q, Real xmin, Real ymin, Real xmax,
                          Real ymax) {
@@ -107,15 +100,6 @@ void ScalarIntersectKernel(const Rect2& q, const Real* xmin, const Real* ymin,
   ScalarMaskKernel(q, xmin, ymin, xmax, ymax, n, mask,
                    [](const Rect2& w, Real a, Real b, Real c, Real d) {
                      return ScalarIntersects(w, a, b, c, d);
-                   });
-}
-
-void ScalarContainedInKernel(const Rect2& q, const Real* xmin,
-                             const Real* ymin, const Real* xmax,
-                             const Real* ymax, size_t n, uint64_t* mask) {
-  ScalarMaskKernel(q, xmin, ymin, xmax, ymax, n, mask,
-                   [](const Rect2& w, Real a, Real b, Real c, Real d) {
-                     return ScalarContainedIn(w, a, b, c, d);
                    });
 }
 
@@ -170,35 +154,6 @@ __attribute__((target("avx2"))) void Avx2IntersectKernel(
   for (size_t i = full; i < n; ++i) {
     if (ScalarIntersects(q, LoadReal(xmin, i), LoadReal(ymin, i),
                          LoadReal(xmax, i), LoadReal(ymax, i))) {
-      mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void Avx2ContainedInKernel(
-    const Rect2& q, const Real* xmin, const Real* ymin, const Real* xmax,
-    const Real* ymax, size_t n, uint64_t* mask) {
-  std::memset(mask, 0, RectMaskWords(n) * sizeof(uint64_t));
-  const __m256d qxmin = _mm256_set1_pd(q.lo[0]);
-  const __m256d qymin = _mm256_set1_pd(q.lo[1]);
-  const __m256d qxmax = _mm256_set1_pd(q.hi[0]);
-  const __m256d qymax = _mm256_set1_pd(q.hi[1]);
-  const size_t full = n & ~size_t{3};
-  for (size_t i = 0; i < full; i += 4) {
-    __m256d m =
-        _mm256_cmp_pd(_mm256_loadu_pd(xmin + i), qxmin, _CMP_NLT_UQ);
-    m = _mm256_and_pd(
-        m, _mm256_cmp_pd(_mm256_loadu_pd(xmax + i), qxmax, _CMP_NGT_UQ));
-    m = _mm256_and_pd(
-        m, _mm256_cmp_pd(_mm256_loadu_pd(ymin + i), qymin, _CMP_NLT_UQ));
-    m = _mm256_and_pd(
-        m, _mm256_cmp_pd(_mm256_loadu_pd(ymax + i), qymax, _CMP_NGT_UQ));
-    uint64_t bits = static_cast<unsigned>(_mm256_movemask_pd(m));
-    mask[i >> 6] |= bits << (i & 63);
-  }
-  for (size_t i = full; i < n; ++i) {
-    if (ScalarContainedIn(q, LoadReal(xmin, i), LoadReal(ymin, i),
-                          LoadReal(xmax, i), LoadReal(ymax, i))) {
       mask[i >> 6] |= uint64_t{1} << (i & 63);
     }
   }
@@ -297,32 +252,6 @@ void NeonIntersectKernel(const Rect2& q, const Real* xmin, const Real* ymin,
   for (size_t i = full; i < n; ++i) {
     if (ScalarIntersects(q, LoadReal(xmin, i), LoadReal(ymin, i),
                          LoadReal(xmax, i), LoadReal(ymax, i))) {
-      mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-}
-
-void NeonContainedInKernel(const Rect2& q, const Real* xmin, const Real* ymin,
-                           const Real* xmax, const Real* ymax, size_t n,
-                           uint64_t* mask) {
-  std::memset(mask, 0, RectMaskWords(n) * sizeof(uint64_t));
-  const float64x2_t qxmin = vdupq_n_f64(q.lo[0]);
-  const float64x2_t qymin = vdupq_n_f64(q.lo[1]);
-  const float64x2_t qxmax = vdupq_n_f64(q.hi[0]);
-  const float64x2_t qymax = vdupq_n_f64(q.hi[1]);
-  const size_t full = n & ~size_t{1};
-  for (size_t i = 0; i < full; i += 2) {
-    uint64x2_t reject =
-        vorrq_u64(vcltq_f64(vld1q_f64(xmin + i), qxmin),
-                  vcgtq_f64(vld1q_f64(xmax + i), qxmax));
-    reject = vorrq_u64(reject, vcltq_f64(vld1q_f64(ymin + i), qymin));
-    reject = vorrq_u64(reject, vcgtq_f64(vld1q_f64(ymax + i), qymax));
-    uint64_t bits = NeonPairBits(veorq_u64(reject, vdupq_n_u64(~0ull)));
-    mask[i >> 6] |= bits << (i & 63);
-  }
-  for (size_t i = full; i < n; ++i) {
-    if (ScalarContainedIn(q, LoadReal(xmin, i), LoadReal(ymin, i),
-                          LoadReal(xmax, i), LoadReal(ymax, i))) {
       mask[i >> 6] |= uint64_t{1} << (i & 63);
     }
   }
@@ -466,25 +395,6 @@ void BatchIntersect(const Rect2& q, const Real* xmin, const Real* ymin,
 #endif
     default:
       ScalarIntersectKernel(q, xmin, ymin, xmax, ymax, n, mask);
-  }
-}
-
-void BatchContainedIn(const Rect2& q, const Real* xmin, const Real* ymin,
-                      const Real* xmax, const Real* ymax, size_t n,
-                      uint64_t* mask) {
-  switch (ActiveSimdLevel()) {
-#ifdef PRTREE_HAVE_AVX2_PATH
-    case SimdLevel::kAvx2:
-      Avx2ContainedInKernel(q, xmin, ymin, xmax, ymax, n, mask);
-      return;
-#endif
-#ifdef PRTREE_HAVE_NEON_PATH
-    case SimdLevel::kNeon:
-      NeonContainedInKernel(q, xmin, ymin, xmax, ymax, n, mask);
-      return;
-#endif
-    default:
-      ScalarContainedInKernel(q, xmin, ymin, xmax, ymax, n, mask);
   }
 }
 

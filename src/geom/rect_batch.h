@@ -72,11 +72,6 @@ void BatchIntersect(const Rect2& q, const Real* xmin, const Real* ymin,
                     const Real* xmax, const Real* ymax, size_t n,
                     uint64_t* mask);
 
-/// Entry i lies entirely inside `q` (exactly q.Contains(entry)).
-void BatchContainedIn(const Rect2& q, const Real* xmin, const Real* ymin,
-                      const Real* xmax, const Real* ymax, size_t n,
-                      uint64_t* mask);
-
 /// Entry i entirely covers `q` (exactly entry.Contains(q)) — the delete
 /// descent's "which subtree can hold this rectangle" test.
 void BatchCovers(const Rect2& q, const Real* xmin, const Real* ymin,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <vector>
 
 #include "util/check.h"
 
@@ -17,65 +16,61 @@ BlockDevice::~BlockDevice() = default;
 
 Status BlockDevice::ReadBatch(BlockReadRequest* reqs, size_t n,
                               ReadKind kind) const {
-  // Reference implementation: one DoRead per request, in order.  Backends
-  // with a real asynchronous engine (io_uring) override this; the contract
-  // — per-request status, per-success accounting, every request attempted —
-  // is fixed here.
+  // Reference implementation: one Read() body per request, in order.
+  // Backends with a real asynchronous engine (io_uring) override this; the
+  // contract — per-request status, per-success accounting, every request
+  // attempted — is fixed here.
+  const ReadCounter count = kind == ReadKind::kDemand
+                                ? &BlockDevice::CountRead
+                                : &BlockDevice::CountPrefetchRead;
   Status first;
   for (size_t i = 0; i < n; ++i) {
-    BlockReadRequest& req = reqs[i];
-    if (HasReadFault(req.page)) {
-      req.status = Status::IoError("injected read fault on page " +
-                                   std::to_string(req.page));
-    } else {
-      req.status = DoRead(req.page, req.buf);
-    }
-    if (req.status.ok()) {
-      CountBatchedRead(kind);
-    } else if (first.ok()) {
-      first = req.status;
-    }
+    reqs[i].status = ReadImpl(reqs[i].page, reqs[i].buf, count);
+    if (!reqs[i].status.ok() && first.ok()) first = reqs[i].status;
   }
   return first;
 }
 
 Status BlockDevice::DoWriteBatch(BlockWriteRequest* reqs, size_t n,
                                  WriteKind kind) {
-  // Reference implementation: one DoWrite per request, in order — the
-  // mirror of the ReadBatch loop above, with the same contract: per-request
-  // status, per-success accounting, every request attempted.  The ordered
-  // loop is also the deterministic carrier for injected crash points and
-  // torn writes (engines with concurrent in-flight writes fall back here
-  // while an injection is armed).
+  // Reference implementation: one Write() body per request, in order —
+  // the mirror of the ReadBatch loop above, with the same contract.  The
+  // ordered loop is also the deterministic carrier for injected crash
+  // points and torn writes (engines with concurrent in-flight writes fall
+  // back here while an injection is armed).
   Status first;
   for (size_t i = 0; i < n; ++i) {
-    BlockWriteRequest& req = reqs[i];
-    size_t prefix = 0;
-    if (HasWriteFault(req.page)) {
-      req.status = Status::IoError("injected write fault on page " +
-                                   std::to_string(req.page));
-    } else if (TakeTornWrite(req.page, &prefix)) {
-      req.status = TornDoWrite(req.page, req.buf, prefix);
-    } else {
-      req.status = DoWrite(req.page, req.buf);
-    }
-    if (req.status.ok()) {
-      CountBatchedWrite(kind);
-    } else if (first.ok()) {
-      first = req.status;
-    }
+    reqs[i].status = WriteImpl(reqs[i].page, reqs[i].buf, kind);
+    if (!reqs[i].status.ok() && first.ok()) first = reqs[i].status;
   }
   return first;
 }
 
-Status BlockDevice::TornDoWrite(PageId page, const void* buf, size_t prefix) {
-  // Merge the valid prefix of the new bytes over the block's previous
-  // contents, then land the merged block through the normal backend write
-  // (which still consults the crash switch, power cut dominating).
-  std::vector<std::byte> merged(block_size_);
-  PRTREE_RETURN_NOT_OK(DoRead(page, merged.data()));
-  std::memcpy(merged.data(), buf, std::min(prefix, block_size_));
-  return DoWrite(page, merged.data());
+BlockDevice::WriteOutcome BlockDevice::ConsumeWriteBudget(
+    PageId page, size_t* tear_prefix) {
+  write_attempts_.fetch_add(1, std::memory_order_relaxed);
+  size_t prefix = kNoTear;
+  if (torn_count_.load(std::memory_order_acquire) != 0) {
+    std::lock_guard<std::mutex> lock(torn_mu_);
+    auto it = torn_writes_.find(page);
+    if (it != torn_writes_.end()) {
+      prefix = it->second;
+      torn_writes_.erase(it);
+      torn_count_.store(torn_writes_.size(), std::memory_order_release);
+    }
+  }
+  if (crash_armed_.load(std::memory_order_acquire)) {
+    const int64_t prev =
+        crash_budget_.fetch_sub(1, std::memory_order_acq_rel);
+    if (prev <= 0) {
+      dropped_writes_.fetch_add(1, std::memory_order_relaxed);
+      return WriteOutcome::kDrop;
+    }
+    if (prev == 1) prefix = std::min(prefix, crash_tear_prefix_);
+  }
+  if (prefix == kNoTear) return WriteOutcome::kLand;
+  *tear_prefix = prefix;
+  return WriteOutcome::kTear;
 }
 
 MemoryBlockDevice::MemoryBlockDevice(size_t block_size)
@@ -180,17 +175,11 @@ Status MemoryBlockDevice::DoWrite(PageId page, const void* buf) {
     return Status::IoError("write of unallocated page " +
                            std::to_string(page));
   }
-  size_t tear = 0;
-  switch (ConsumeWriteBudget(&tear)) {
-    case WriteOutcome::kDrop:
-      return Status::OK();  // power cut: acknowledged, never landed
-    case WriteOutcome::kTear:
-      std::memcpy(slot->data.get(), buf, std::min(tear, block_size()));
-      return Status::OK();
-    case WriteOutcome::kLand:
-      break;
+  size_t prefix = block_size();  // the whole block unless torn
+  if (ConsumeWriteBudget(page, &prefix) == WriteOutcome::kDrop) {
+    return Status::OK();  // power cut: acknowledged, never landed
   }
-  std::memcpy(slot->data.get(), buf, block_size());
+  std::memcpy(slot->data.get(), buf, std::min(prefix, block_size()));
   return Status::OK();
 }
 

@@ -128,13 +128,7 @@ class BlockDevice {
   /// backends implement DoRead(); fault injection and accounting live
   /// here, identically for every backend.
   Status Read(PageId page, void* buf) const {
-    if (HasReadFault(page)) {
-      return Status::IoError("injected read fault on page " +
-                             std::to_string(page));
-    }
-    Status st = DoRead(page, buf);
-    if (st.ok()) CountRead();
-    return st;
+    return ReadImpl(page, buf, &BlockDevice::CountRead);
   }
 
   /// Copies `buf` (block_size() bytes) into the block.  Counts one write.
@@ -156,13 +150,7 @@ class BlockDevice {
   /// stats().meta_reads instead of the demand counter (journal recovery
   /// scans and reachability sweeps read through this).
   Status ReadMeta(PageId page, void* buf) const {
-    if (HasReadFault(page)) {
-      return Status::IoError("injected read fault on page " +
-                             std::to_string(page));
-    }
-    Status st = DoRead(page, buf);
-    if (st.ok()) CountMetaRead();
-    return st;
+    return ReadImpl(page, buf, &BlockDevice::CountMetaRead);
   }
 
   /// \brief Writes `n` blocks in one call.  Semantically identical to `n`
@@ -250,11 +238,14 @@ class BlockDevice {
     write_fault_count_.store(write_faults_.size(), std::memory_order_release);
   }
 
-  /// One-shot torn write: the next Write()/WriteMeta()/WriteBatch() of
-  /// `page` lands only its first `valid_prefix_bytes` bytes — the rest of
-  /// the block keeps its previous contents — and reports success, modelling
-  /// a sector-granular partial write at power cut.  Later writes of the
-  /// page behave normally.  Test-only; arm before the writes start.
+  /// One-shot torn write: the next block write of `page` lands only its
+  /// first `valid_prefix_bytes` bytes — the rest of the block keeps its
+  /// previous contents — and reports success, modelling a sector-granular
+  /// partial write at power cut.  "Next write" is counted where bytes land
+  /// (see ConsumeWriteBudget): a client Write()/WriteMeta()/WriteBatch(),
+  /// or the file backends' own zeroing (Allocate) or free-list stamp
+  /// (Free) of the page.  Later writes of the page behave normally.
+  /// Test-only; arm before the writes start.
   void InjectTornWrite(PageId page, size_t valid_prefix_bytes) {
     std::lock_guard<std::mutex> lock(torn_mu_);
     torn_writes_[page] = valid_prefix_bytes;
@@ -322,7 +313,8 @@ class BlockDevice {
   /// Backend half of WriteBatch(): per-request status, one counted write
   /// per success (demand or meta per `kind`), every request attempted,
   /// write faults honoured.  The default (block_device.cc) is the scalar
-  /// reference loop; UringBlockDevice overrides it with the ring engine.
+  /// reference loop of Write() bodies; UringBlockDevice overrides it with
+  /// the ring engine.
   virtual Status DoWriteBatch(BlockWriteRequest* reqs, size_t n,
                               WriteKind kind);
 
@@ -348,44 +340,20 @@ class BlockDevice {
            crash_armed_.load(std::memory_order_acquire);
   }
 
-  /// What the armed power-cut switch decides for one write, consumed at
-  /// the lowest layer where bytes land (MemoryBlockDevice::DoWrite,
-  /// FileBlockDevice::PWriteBlock).  Also ticks write_attempts().
+  /// What the armed injections decide for one block write of `page`,
+  /// asked at the lowest layer where bytes land (MemoryBlockDevice::DoWrite,
+  /// FileBlockDevice::PWriteBlock; the superblock asks as kInvalidPageId).
+  /// Takes a one-shot InjectTornWrite() arming of `page`, then consumes the
+  /// power-cut budget: a drop wins over any tear, and a write torn twice
+  /// keeps the shorter prefix, written to `*tear_prefix` on kTear.  Also
+  /// ticks write_attempts().
   enum class WriteOutcome { kLand, kTear, kDrop };
-  WriteOutcome ConsumeWriteBudget(size_t* tear_prefix) {
-    write_attempts_.fetch_add(1, std::memory_order_relaxed);
-    if (!crash_armed_.load(std::memory_order_acquire)) {
-      return WriteOutcome::kLand;
-    }
-    int64_t prev = crash_budget_.fetch_sub(1, std::memory_order_acq_rel);
-    if (prev > 1) return WriteOutcome::kLand;
-    if (prev == 1) {
-      if (crash_tear_prefix_ != kNoTear) {
-        *tear_prefix = crash_tear_prefix_;
-        return WriteOutcome::kTear;
-      }
-      return WriteOutcome::kLand;
-    }
-    dropped_writes_.fetch_add(1, std::memory_order_relaxed);
-    return WriteOutcome::kDrop;
-  }
+  WriteOutcome ConsumeWriteBudget(PageId page, size_t* tear_prefix);
 
   /// Attempt tick for engines that bypass ConsumeWriteBudget (the io_uring
   /// ring path, which only runs with no injection armed).
   void CountWriteAttempt() {
     write_attempts_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Consumes a one-shot torn-write arming for `page`, if any.
-  bool TakeTornWrite(PageId page, size_t* prefix) {
-    if (torn_count_.load(std::memory_order_acquire) == 0) return false;
-    std::lock_guard<std::mutex> lock(torn_mu_);
-    auto it = torn_writes_.find(page);
-    if (it == torn_writes_.end()) return false;
-    *prefix = it->second;
-    torn_writes_.erase(it);
-    torn_count_.store(torn_writes_.size(), std::memory_order_release);
-    return true;
   }
 
   void CountRead() const { stats_.CountRead(); }
@@ -402,26 +370,30 @@ class BlockDevice {
   void CountWriteBatch() { stats_.CountWriteBatch(); }
 
  private:
-  /// Shared body of Write()/WriteMeta(): fault check, one-shot torn merge,
-  /// backend write, per-kind accounting.
+  /// Shared body of Read()/ReadMeta() and the reference ReadBatch(): fault
+  /// check, backend read, then `count` on success.
+  using ReadCounter = void (BlockDevice::*)() const;
+  Status ReadImpl(PageId page, void* buf, ReadCounter count) const {
+    if (HasReadFault(page)) {
+      return Status::IoError("injected read fault on page " +
+                             std::to_string(page));
+    }
+    Status st = DoRead(page, buf);
+    if (st.ok()) (this->*count)();
+    return st;
+  }
+
+  /// Shared body of Write()/WriteMeta() and the reference DoWriteBatch():
+  /// fault check, backend write, per-kind accounting.
   Status WriteImpl(PageId page, const void* buf, WriteKind kind) {
     if (HasWriteFault(page)) {
       return Status::IoError("injected write fault on page " +
                              std::to_string(page));
     }
-    Status st;
-    size_t prefix = 0;
-    if (TakeTornWrite(page, &prefix)) {
-      st = TornDoWrite(page, buf, prefix);
-    } else {
-      st = DoWrite(page, buf);
-    }
+    Status st = DoWrite(page, buf);
     if (st.ok()) CountBatchedWrite(kind);
     return st;
   }
-
-  /// Read-merge-write realisation of a one-shot torn write (block_device.cc).
-  Status TornDoWrite(PageId page, const void* buf, size_t prefix);
 
   const size_t block_size_;
   mutable AtomicIoStats stats_;

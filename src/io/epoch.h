@@ -119,8 +119,6 @@ class EpochManager {
   void AttachPool(BufferPool* pool);
   void DetachPool(BufferPool* pool);
 
-  /// Epoch of the newest retirement (0 before any).  Diagnostics.
-  uint64_t current_epoch() const;
   /// Pages awaiting drain across all limbo entries.
   size_t limbo_pages() const;
   /// Active (entered, not yet released) reader guards.

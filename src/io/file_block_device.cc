@@ -364,55 +364,15 @@ void FileBlockDevice::Free(PageId page) {
 }
 
 Status FileBlockDevice::DoRead(PageId page, void* buf) const {
-  {
-    std::shared_lock lock(mu_);
-    if (page >= num_pages_ || live_[page] == 0) {
-      return Status::IoError("read of unallocated page " +
-                             std::to_string(page));
-    }
-  }
-  return PReadBlock(PageOffset(page), buf);
+  BlockReadRequest req{page, buf, Status::OK()};
+  ScreenBatchLiveness(&req, 1);
+  return req.status.ok() ? PReadBlock(PageOffset(page), buf) : req.status;
 }
 
 Status FileBlockDevice::DoWrite(PageId page, const void* buf) {
-  {
-    std::shared_lock lock(mu_);
-    if (page >= num_pages_ || live_[page] == 0) {
-      return Status::IoError("write of unallocated page " +
-                             std::to_string(page));
-    }
-  }
-  return PWriteBlock(PageOffset(page), buf);
-}
-
-size_t FileBlockDevice::ScreenBatchLiveness(BlockReadRequest* reqs,
-                                            size_t n) const {
-  std::shared_lock lock(mu_);
-  size_t live = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (reqs[i].page >= num_pages_ || live_[reqs[i].page] == 0) {
-      reqs[i].status = Status::IoError("read of unallocated page " +
-                                       std::to_string(reqs[i].page));
-    } else {
-      ++live;
-    }
-  }
-  return live;
-}
-
-size_t FileBlockDevice::ScreenBatchLiveness(BlockWriteRequest* reqs,
-                                            size_t n) const {
-  std::shared_lock lock(mu_);
-  size_t live = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (reqs[i].page >= num_pages_ || live_[reqs[i].page] == 0) {
-      reqs[i].status = Status::IoError("write of unallocated page " +
-                                       std::to_string(reqs[i].page));
-    } else {
-      ++live;
-    }
-  }
-  return live;
+  BlockWriteRequest req{page, buf, Status::OK()};
+  ScreenBatchLiveness(&req, 1);
+  return req.status.ok() ? PWriteBlock(PageOffset(page), buf) : req.status;
 }
 
 void FileBlockDevice::PrefetchHint(const PageId* pages, size_t n) const {
@@ -521,12 +481,15 @@ size_t FileBlockDevice::AdoptOrphanPages() {
 Status FileBlockDevice::PWriteBlock(uint64_t off, const void* buf) {
   // Every byte this backend puts on disk funnels through here — client
   // writes, superblock write-out, free-list stamps, zeroing of reused
-  // pages — so this is where the injected power cut consumes its budget:
-  // a dropped write is acknowledged but never issued, a torn one lands
-  // only its prefix over the previous on-disk bytes.
+  // pages — so this is where the injected faults are decided: a dropped
+  // write is acknowledged but never issued, a torn one lands only its
+  // prefix over the previous on-disk bytes.  Offset 0, the superblock, is
+  // no page.
+  const PageId page = off == 0 ? kInvalidPageId
+                               : static_cast<PageId>(off / block_size() - 1);
   size_t tear = 0;
   std::vector<std::byte> merged;
-  switch (ConsumeWriteBudget(&tear)) {
+  switch (ConsumeWriteBudget(page, &tear)) {
     case WriteOutcome::kDrop:
       return Status::OK();
     case WriteOutcome::kTear:

@@ -51,6 +51,7 @@
 #include <memory>
 #include <shared_mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "io/block_device.h"
@@ -85,8 +86,9 @@ struct FileDeviceOptions {
 /// for layout, durability and accounting semantics.
 ///
 /// Not final: UringBlockDevice (io/uring_block_device.h) shares the whole
-/// on-disk format and scalar I/O path and only replaces the ReadBatch()
-/// engine.  A file written by one opens under the other.
+/// on-disk format and scalar I/O path and replaces only the batch engine
+/// (ReadBatch() and DoWriteBatch()).  A file written by one opens under the
+/// other.
 class FileBlockDevice : public BlockDevice {
  public:
   /// Bytes available to SetUserMeta (fits the superblock with room to
@@ -173,14 +175,25 @@ class FileBlockDevice : public BlockDevice {
   /// Scalar file I/O, shared with subclasses.
   int fd() const { return fd_; }
 
-  /// Per-request liveness screen for a batched read or write, one lock
+  /// Per-request liveness screen for a read or write batch, one lock
   /// acquisition for the whole batch: requests whose page is unallocated
   /// get an IoError status; the survivors' statuses are left untouched.
-  /// Returns the number of surviving requests.
-  size_t ScreenBatchLiveness(BlockReadRequest* reqs, size_t n) const;
-  size_t ScreenBatchLiveness(BlockWriteRequest* reqs, size_t n) const;
+  /// The scalar DoRead()/DoWrite() screen their one request through here.
+  template <typename Request>
+  void ScreenBatchLiveness(Request* reqs, size_t n) const {
+    const char* verb =
+        std::is_same_v<Request, BlockReadRequest> ? "read" : "write";
+    std::shared_lock lock(mu_);
+    for (size_t i = 0; i < n; ++i) {
+      if (reqs[i].page >= num_pages_ || live_[reqs[i].page] == 0) {
+        reqs[i].status = Status::IoError(std::string(verb) +
+                                         " of unallocated page " +
+                                         std::to_string(reqs[i].page));
+      }
+    }
+  }
 
-  /// BlockDevice backend hooks (liveness check + pread/pwrite).
+  /// BlockDevice backend hooks (liveness screen + pread/pwrite).
   Status DoRead(PageId page, void* buf) const override;
   Status DoWrite(PageId page, const void* buf) override;
 

@@ -256,8 +256,6 @@ class JournalWriter {
   uint64_t next_seq() const { return next_seq_; }
   uint64_t committed_ops() const { return committed_ops_; }
   size_t journal_pages() const { return region_.size(); }
-  size_t deferred_frees() const { return deferred_.size(); }
-  const JournalOptions& options() const { return opts_; }
 
   /// The frame page the next commit appends to, and the committed bytes
   /// already on it — tests tear exactly at this boundary.

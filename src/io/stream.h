@@ -203,8 +203,6 @@ class Stream {
       return v;
     }
 
-    size_t position() const { return pos_; }
-
    private:
     void LoadBlockIfNeeded() {
       size_t block = pos_ / stream_->per_block_;

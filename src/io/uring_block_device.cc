@@ -26,6 +26,23 @@ AlignedBuffer AllocAligned(size_t bytes) {
       static_cast<std::byte*>(std::aligned_alloc(4096, rounded)));
 }
 
+// The request-side steps in which a ring read and a ring write differ:
+// writes are copied into their arena slots before the submission, and
+// the submission takes the read or the write opcode.
+void CopyIn(const BlockReadRequest&, void*, size_t) {}
+void CopyIn(const BlockWriteRequest& req, void* slot, size_t block) {
+  std::memcpy(slot, req.buf, block);
+}
+
+Status Submit(UringQueue* ring, const BlockReadRequest*, UringIoOp* ops,
+              size_t m) {
+  return ring->SubmitAndWaitReads(ops, m);
+}
+Status Submit(UringQueue* ring, const BlockWriteRequest*, UringIoOp* ops,
+              size_t m) {
+  return ring->SubmitAndWaitWrites(ops, m);
+}
+
 }  // namespace
 
 Status UringBlockDevice::Open(const std::string& path,
@@ -83,72 +100,59 @@ Status UringBlockDevice::ReadBatch(BlockReadRequest* reqs, size_t n,
                                    ReadKind kind) const {
   // A 0/1-request batch gains nothing from the ring; and without a ring the
   // inherited loop IS the transparent pread fallback.
-  if (ring_ == nullptr || n < 2) {
-    return BlockDevice::ReadBatch(reqs, n, kind);
-  }
+  if (ring_ == nullptr || n < 2) return BlockDevice::ReadBatch(reqs, n, kind);
+  return RingBatch(this, reqs, n, kind);
+}
 
-  const size_t block = block_size();
+Status UringBlockDevice::DoWriteBatch(BlockWriteRequest* reqs, size_t n,
+                                      WriteKind kind) {
+  // Armed write injections (faults, torn writes, the crash switch) need
+  // the ordered scalar loop to be deterministic.
+  if (ring_ == nullptr || n < 2 || WriteInjectionArmed()) {
+    return BlockDevice::DoWriteBatch(reqs, n, kind);
+  }
+  return RingBatch(this, reqs, n, kind);
+}
+
+template <typename Self, typename Request, typename Kind>
+Status UringBlockDevice::RingBatch(Self* self, Request* reqs, size_t n,
+                                   Kind kind) {
+  const size_t block = self->block_size();
   for (size_t i = 0; i < n; ++i) reqs[i].status = Status::OK();
-  ScreenBatchLiveness(reqs, n);
-  for (size_t i = 0; i < n; ++i) {
-    if (reqs[i].status.ok() && HasReadFault(reqs[i].page)) {
-      reqs[i].status = Status::IoError("injected read fault on page " +
-                                       std::to_string(reqs[i].page));
-    }
-  }
-
+  self->ScreenBatchLiveness(reqs, n);
   std::vector<size_t> pending;
   pending.reserve(n);
   for (size_t i = 0; i < n; ++i) {
+    if (reqs[i].status.ok()) reqs[i].status = self->InjectedFault(reqs[i]);
     if (reqs[i].status.ok()) pending.push_back(i);
   }
 
-  if (!pending.empty()) {
-    // Registered mode (and O_DIRECT) bounces through the arena, chunked at
-    // its slot count, so every submission takes the FIXED opcodes; the
-    // unregistered buffered path reads straight into caller memory.
-    const bool via_arena = registered_ || direct_io();
-    const size_t chunk =
-        via_arena ? std::min(pending.size(), arena_slots_) : pending.size();
-    std::vector<UringIoOp> ops(chunk);
-    for (size_t base = 0; base < pending.size(); base += chunk) {
-      const size_t m = std::min(chunk, pending.size() - base);
-      // The arena is shared between concurrent batches, so arena chunks
-      // hold the ring mutex across the whole fill/submit/copy-out; the
-      // direct-into-caller path only needs it around the submission.
-      std::unique_lock<std::mutex> arena_lock;
-      if (via_arena) arena_lock = std::unique_lock<std::mutex>(ring_mu_);
-      for (size_t k = 0; k < m; ++k) {
-        BlockReadRequest& req = reqs[pending[base + k]];
-        ops[k].offset = PageOffset(req.page);
-        ops[k].buf = via_arena ? arena_.get() + k * block : req.buf;
-        ops[k].len = static_cast<uint32_t>(block);
-      }
-
-      Status ring_status;
-      if (via_arena) {
-        ring_status = ring_->SubmitAndWaitReads(ops.data(), m);
+  // Chunked at the arena's slot count.  The arena is shared between
+  // concurrent batches, so each chunk holds the ring mutex across the
+  // copy in, the submission and the copy out.
+  std::vector<UringIoOp> ops(std::min(pending.size(), self->arena_slots_));
+  for (size_t base = 0; base < pending.size(); base += ops.size()) {
+    const size_t m = std::min(ops.size(), pending.size() - base);
+    std::lock_guard<std::mutex> lock(self->ring_mu_);
+    for (size_t k = 0; k < m; ++k) {
+      const Request& req = reqs[pending[base + k]];
+      ops[k].offset = self->PageOffset(req.page);
+      ops[k].buf = self->arena_.get() + k * block;
+      ops[k].len = static_cast<uint32_t>(block);
+      CopyIn(req, ops[k].buf, block);
+    }
+    const Status ring_status = Submit(self->ring_.get(), reqs, ops.data(), m);
+    for (size_t k = 0; k < m; ++k) {
+      Request& req = reqs[pending[base + k]];
+      if (ring_status.ok() && ops[k].result == static_cast<int32_t>(block)) {
+        self->Served(req, ops[k].buf);
       } else {
-        std::lock_guard<std::mutex> lock(ring_mu_);
-        ring_status = ring_->SubmitAndWaitReads(ops.data(), m);
+        // Per-request retry through the scalar path: a short transfer, an
+        // opcode the kernel lacks (-EINVAL) or a ring-level failure must
+        // never fail harder than the same Read()/Write() call would.
+        req.status = self->Retry(req);
       }
-
-      for (size_t k = 0; k < m; ++k) {
-        BlockReadRequest& req = reqs[pending[base + k]];
-        if (ring_status.ok() &&
-            ops[k].result == static_cast<int32_t>(block)) {
-          if (ops[k].buf != req.buf) {
-            std::memcpy(req.buf, ops[k].buf, block);
-          }
-          req.status = Status::OK();
-        } else {
-          // Per-request retry through the scalar path: a short read, an
-          // opcode the kernel lacks (-EINVAL) or a ring-level failure must
-          // never fail harder than the same Read() call would.
-          req.status = DoRead(req.page, req.buf);
-        }
-        if (req.status.ok()) CountBatchedRead(kind);
-      }
+      if (req.status.ok()) self->Count(kind);
     }
   }
 
@@ -158,75 +162,29 @@ Status UringBlockDevice::ReadBatch(BlockReadRequest* reqs, size_t n,
   return Status::OK();
 }
 
-Status UringBlockDevice::DoWriteBatch(BlockWriteRequest* reqs, size_t n,
-                                      WriteKind kind) {
-  // Mirror of ReadBatch: same screens, same chunking, same per-request
-  // scalar retry — a batch never fails harder than the same Write() calls.
-  // Armed write injections (torn writes, the crash switch) need the
-  // ordered scalar loop to be deterministic.
-  if (ring_ == nullptr || arena_ == nullptr || n < 2 ||
-      WriteInjectionArmed()) {
-    return BlockDevice::DoWriteBatch(reqs, n, kind);
-  }
+Status UringBlockDevice::InjectedFault(const BlockReadRequest& req) const {
+  return HasReadFault(req.page)
+             ? Status::IoError("injected read fault on page " +
+                               std::to_string(req.page))
+             : Status::OK();
+}
 
-  const size_t block = block_size();
-  for (size_t i = 0; i < n; ++i) reqs[i].status = Status::OK();
-  ScreenBatchLiveness(reqs, n);
-  for (size_t i = 0; i < n; ++i) {
-    if (reqs[i].status.ok() && HasWriteFault(reqs[i].page)) {
-      reqs[i].status = Status::IoError("injected write fault on page " +
-                                       std::to_string(reqs[i].page));
-    }
-  }
+Status UringBlockDevice::InjectedFault(const BlockWriteRequest& req) const {
+  return HasWriteFault(req.page)
+             ? Status::IoError("injected write fault on page " +
+                               std::to_string(req.page))
+             : Status::OK();
+}
 
-  std::vector<size_t> pending;
-  pending.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (reqs[i].status.ok()) pending.push_back(i);
-  }
+void UringBlockDevice::Served(const BlockReadRequest& req,
+                              const void* slot) const {
+  std::memcpy(req.buf, slot, block_size());
+}
 
-  if (!pending.empty()) {
-    // Writes always bounce through the arena: the slots are what is
-    // registered (FIXED opcodes), and caller buffers need not satisfy
-    // O_DIRECT alignment.
-    const size_t chunk = std::min(pending.size(), arena_slots_);
-    std::vector<UringIoOp> ops(chunk);
-    for (size_t base = 0; base < pending.size(); base += chunk) {
-      const size_t m = std::min(chunk, pending.size() - base);
-      // Arena chunks hold the ring mutex across fill + submit (the arena is
-      // shared with concurrent batches).
-      std::lock_guard<std::mutex> lock(ring_mu_);
-      for (size_t k = 0; k < m; ++k) {
-        BlockWriteRequest& req = reqs[pending[base + k]];
-        std::byte* slot = arena_.get() + k * block;
-        std::memcpy(slot, req.buf, block);
-        ops[k].offset = PageOffset(req.page);
-        ops[k].buf = slot;
-        ops[k].len = static_cast<uint32_t>(block);
-      }
-
-      Status ring_status = ring_->SubmitAndWaitWrites(ops.data(), m);
-
-      for (size_t k = 0; k < m; ++k) {
-        BlockWriteRequest& req = reqs[pending[base + k]];
-        if (ring_status.ok() &&
-            ops[k].result == static_cast<int32_t>(block)) {
-          req.status = Status::OK();
-          // The ring path bypasses PWriteBlock, where attempts are
-          // normally ticked; the scalar retry below ticks its own.
-          CountWriteAttempt();
-        } else {
-          req.status = DoWrite(req.page, req.buf);
-        }
-        if (req.status.ok()) CountBatchedWrite(kind);
-      }
-    }
-  }
-
-  for (size_t i = 0; i < n; ++i) {
-    if (!reqs[i].status.ok()) return reqs[i].status;
-  }
-  return Status::OK();
+void UringBlockDevice::Served(const BlockWriteRequest&, const void*) {
+  // The ring bypasses PWriteBlock, where attempts are normally ticked;
+  // the scalar retry ticks its own.
+  CountWriteAttempt();
 }
 
 Status OpenFileBackedDevice(const std::string& kind, const std::string& path,

@@ -13,15 +13,17 @@
 // syscall either way, and the pread path runs lock-free from any number of
 // threads while a ring must be serialised.
 //
-// Registered resources.  Open() performs the one-time
-// IORING_REGISTER_FILES / IORING_REGISTER_BUFFERS handshake: the ring owns
-// a page-aligned arena of depth() block-sized slots, batches bounce through
-// it, and both read and write submissions use the FIXED opcodes — no
-// per-op buffer pinning or fd lookup on the hot path.  The arena doubles
-// as the O_DIRECT bounce (its slots satisfy the sector-alignment rules).
-// Registration is best-effort: a kernel without io_uring_register, or an
-// exhausted RLIMIT_MEMLOCK, leaves the ring on the plain opcodes —
-// registered() reports what was negotiated.
+// Registered resources.  The ring owns a page-aligned arena of depth()
+// block-sized slots, and every batched read and write bounces through it:
+// writes are copied into their slots before the submission, reads out of
+// theirs after it.  Open() performs the one-time IORING_REGISTER_FILES /
+// IORING_REGISTER_BUFFERS handshake, so submissions use the FIXED opcodes
+// — no per-op buffer pinning or fd lookup on the hot path.  The arena
+// doubles as the O_DIRECT bounce (its slots satisfy the sector-alignment
+// rules).  Registration is best-effort: a kernel without
+// io_uring_register, or an exhausted RLIMIT_MEMLOCK, leaves the ring on the
+// plain opcodes over the same arena — registered() reports what was
+// negotiated.
 //
 // Fallback.  io_uring availability is a runtime property (kernel < 5.1,
 // seccomp, the io_uring_disabled sysctl).  Open() probes: if a ring cannot
@@ -100,16 +102,36 @@ class UringBlockDevice final : public FileBlockDevice {
 
  protected:
   /// Same engine and same never-fails-harder contract as ReadBatch, for
-  /// writes: requests bounce through the registered arena and retry through
-  /// the scalar pwrite path individually on any per-op failure.  While any
-  /// write injection (fault, torn write, crash switch) is armed the batch
-  /// takes the ordered scalar loop instead, so injected crash points are
-  /// deterministic — the ring keeps a whole batch in flight at once and
-  /// has no defined inter-request order to crash between.
+  /// writes.  While any write injection (fault, torn write, crash switch)
+  /// is armed the batch takes the ordered scalar loop instead, so injected
+  /// crash points are deterministic — the ring keeps a whole batch in
+  /// flight at once and has no defined inter-request order to crash
+  /// between.
   Status DoWriteBatch(BlockWriteRequest* reqs, size_t n,
                       WriteKind kind) override;
 
  private:
+  /// The one ring engine behind ReadBatch() and DoWriteBatch() (the .cc).
+  /// `self` carries the caller's constness: a read batch is const.
+  template <typename Self, typename Request, typename Kind>
+  static Status RingBatch(Self* self, Request* reqs, size_t n, Kind kind);
+
+  // The device-side steps in which a ring read and a ring write differ,
+  // overloaded on the request (or kind) type: the injected-fault screen,
+  // what a request the ring served still needs (a read's copy out of the
+  // arena, a write's attempt tick), the scalar retry of a request the ring
+  // failed, and the counter each successful request ticks.
+  Status InjectedFault(const BlockReadRequest& req) const;
+  Status InjectedFault(const BlockWriteRequest& req) const;
+  void Served(const BlockReadRequest& req, const void* slot) const;
+  void Served(const BlockWriteRequest& req, const void* slot);
+  Status Retry(BlockReadRequest& req) const {
+    return DoRead(req.page, req.buf);
+  }
+  Status Retry(BlockWriteRequest& req) { return DoWrite(req.page, req.buf); }
+  void Count(ReadKind kind) const { CountBatchedRead(kind); }
+  void Count(WriteKind kind) { CountBatchedWrite(kind); }
+
   struct ArenaDeleter {
     void operator()(std::byte* p) const { std::free(p); }
   };

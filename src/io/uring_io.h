@@ -106,9 +106,6 @@ class UringQueue {
   /// batch.  `len` counts against RLIMIT_MEMLOCK; keep it ring-sized.
   Status RegisterBuffer(void* base, size_t len);
 
-  bool file_registered() const { return file_registered_; }
-  bool buffer_registered() const { return reg_base_ != nullptr; }
-
  private:
   UringQueue() = default;
 

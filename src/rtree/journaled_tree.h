@@ -245,7 +245,6 @@ class JournaledTree {
   const RTree<D>& tree() const { return *tree_; }
   FileBlockDevice* device() { return device_.get(); }
   JournalWriter& journal() { return *journal_; }
-  const Options& options() const { return opts_; }
 
  private:
   explicit JournaledTree(const Options& opts) : opts_(opts) {}

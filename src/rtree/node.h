@@ -168,12 +168,13 @@ class BasicNodeView {
     soa_ = layout == NodeLayout::kSoA;
   }
 
-  /// The block carries the node magic and a known layout byte.  (The
-  /// layout check matters for AttachTree root validation: a garbage block
-  /// that happens to start with the magic still gets rejected unless its
-  /// layout byte is one of the two defined values.)
+  /// The block carries the node magic, a known layout byte and an entry
+  /// count within capacity().  (The layout check matters for AttachTree
+  /// root validation: a garbage block that happens to start with the magic
+  /// still gets rejected unless its layout byte is one of the two defined
+  /// values.  The count bounds every entry loop over the block.)
   bool IsFormatted() const {
-    if (ReadU32(0) != kNodeMagic) return false;
+    if (ReadU32(0) != kNodeMagic || count() > capacity_) return false;
     uint8_t tag = static_cast<uint8_t>(block_[kNodeLayoutOffset]);
     return tag == static_cast<uint8_t>(NodeLayout::kAoS) ||
            tag == static_cast<uint8_t>(NodeLayout::kSoA);

@@ -62,23 +62,6 @@ class NodeScanner {
     return ScalarMask(n, [&](int i) { return node.GetRect(i).Intersects(q); });
   }
 
-  /// Bitmask of entries whose rectangle lies entirely inside `q`
-  /// (q.Contains(entry)).
-  template <bool M>
-  const uint64_t* ContainedInMask(const BasicNodeView<D, M>& node,
-                                  const Rect<D>& q) {
-    const size_t n = node.count();
-    if constexpr (D == 2) {
-      if (node.layout() == NodeLayout::kSoA) {
-        GrowMask(n);
-        BatchContainedIn(q, node.CoordRun(0), node.CoordRun(1),
-                         node.CoordRun(2), node.CoordRun(3), n, mask_.data());
-        return mask_.data();
-      }
-    }
-    return ScalarMask(n, [&](int i) { return q.Contains(node.GetRect(i)); });
-  }
-
   /// Bitmask of entries whose rectangle entirely covers `q`
   /// (entry.Contains(q)) — the delete descent's subtree test.
   template <bool M>

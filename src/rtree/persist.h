@@ -220,6 +220,23 @@ Status LoadTree(const std::string& path, RTree<D>* tree) {
     std::fclose(f);
     return Status::Corruption("snapshot with zero pages");
   }
+  // The body must hold every page the header claims, checked before the
+  // destination pages are allocated: a hostile count must not allocate.
+  std::fseek(f, 0, SEEK_END);
+  const long file_bytes = std::ftell(f);
+  std::fseek(f, sizeof(header), SEEK_SET);
+  const uint64_t body_pages =
+      file_bytes < static_cast<long>(sizeof(header))
+          ? 0
+          : (static_cast<uint64_t>(file_bytes) - sizeof(header)) /
+                tree->block_size();
+  if (header.page_count > body_pages) {
+    std::fclose(f);
+    return Status::Corruption(
+        "snapshot truncated: header claims " +
+        std::to_string(header.page_count) + " pages, file holds " +
+        std::to_string(body_pages));
+  }
 
   // Allocate destination pages up front so BFS indices can be remapped.
   std::vector<PageId> pages(header.page_count);

@@ -19,6 +19,7 @@
 
 #include <functional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -243,6 +244,12 @@ class RTree {
       stack.pop_back();
       PinNode(page, nullptr, &guard);
       ConstNodeView<D> node(guard.data(), block_size());
+      if (node.level() > height_) {
+        AbortIfError(Status::Corruption(
+            "page " + std::to_string(page) + " claims level " +
+            std::to_string(node.level()) + " under a root at level " +
+            std::to_string(height_)));
+      }
       ++ts.num_nodes;
       ts.nodes_per_level[node.level()] += 1;
       slots += node.capacity();
@@ -303,14 +310,22 @@ class RTree {
   /// (zero-copy over the cached frame), else a private copy read from the
   /// device (a hoisted guard re-pinned in a loop reuses its buffer, so
   /// pool-less traversals stay allocation-free).  Any previous pin held by
-  /// `guard` is dropped.  Aborts on I/O error — node pages are internal
-  /// pointers, so an unreadable page is index corruption, not a
-  /// recoverable condition.
+  /// `guard` is dropped.  Aborts on I/O error, and on a node whose entry
+  /// count exceeds its capacity — node pages are internal pointers, so an
+  /// unreadable page, or one whose entries would run past the block, is
+  /// index corruption, not a recoverable condition.
   void PinNode(PageId page, BufferPool* pool, PageGuard* guard) const {
     if (pool != nullptr) {
       AbortIfError(pool->Pin(page, guard));
     } else {
       AbortIfError(ReadPage(*device_, page, guard));
+    }
+    ConstNodeView<D> node(guard->data(), block_size());
+    if (node.count() > node.capacity()) {
+      AbortIfError(Status::Corruption(
+          "page " + std::to_string(page) + " holds " +
+          std::to_string(node.count()) + " entries, over its capacity of " +
+          std::to_string(node.capacity())));
     }
   }
 

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "rtree/node_scan.h"
 #include "rtree/rtree.h"
 #include "util/status.h"
 
@@ -53,7 +52,6 @@ Status ValidateTree(const RTree<D>& tree,
   std::vector<Item> stack{{tree.root(), tree.height(), true, Rect<D>::Empty(),
                            false}};
   PageGuard guard;
-  NodeScanner<D> scan;
   while (!stack.empty()) {
     Item item = stack.back();
     stack.pop_back();
@@ -81,24 +79,9 @@ Status ValidateTree(const RTree<D>& tree,
                                 ": " + std::to_string(node.count()) + " < " +
                                 std::to_string(opts.min_entries));
     }
-    if (item.check_mbr) {
-      if (node.ComputeMbr() != item.expected_mbr) {
-        return Status::Corruption("stale parent MBR for page " +
-                                  std::to_string(item.page));
-      }
-      // Batched cross-check: every entry must lie inside the parent's
-      // claimed MBR.  Implied by the exact-union check above, so this is
-      // really validating the kernel seam — the same BatchContainedIn the
-      // query layers dispatch must agree with the scalar geometry on live
-      // on-disk nodes of either layout.
-      const uint64_t* inside = scan.ContainedInMask(node, item.expected_mbr);
-      for (int i = 0; i < node.count(); ++i) {
-        if ((inside[i >> 6] & (uint64_t{1} << (i & 63))) == 0) {
-          return Status::Corruption(
-              "entry " + std::to_string(i) + " of page " +
-              std::to_string(item.page) + " escapes the parent MBR");
-        }
-      }
+    if (item.check_mbr && node.ComputeMbr() != item.expected_mbr) {
+      return Status::Corruption("stale parent MBR for page " +
+                                std::to_string(item.page));
     }
     for (int i = 0; i < node.count(); ++i) {
       Rect<D> r = node.GetRect(i);

@@ -305,32 +305,38 @@ TEST_F(CrashRecoveryTest, RandomizedRecoveryProperty) {
   }
 }
 
+// On both backends: uring's commit flush goes through WriteBatch, whose
+// ordered scalar loop carries the armed tear to the page's pwrite.
 TEST_F(CrashRecoveryTest, TornJournalTailIsTruncated) {
-  auto opts = MakeOpts("file");
-  opts.checkpoint_on_close = false;
-  const std::vector<Op> ops = MakeOps(/*seed=*/99, /*n=*/7);
-  {
+  for (const std::string backend : {"file", "uring"}) {
+    SCOPED_TRACE(backend);
+    auto opts = MakeOpts(backend);
+    opts.checkpoint_on_close = false;
+    const std::vector<Op> ops = MakeOps(/*seed=*/99, /*n=*/7);
+    {
+      std::unique_ptr<JournaledTree<2>> t;
+      ASSERT_TRUE(JournaledTree<2>::Create(path_, opts, &t).ok());
+      std::vector<Op> first(ops.begin(), ops.begin() + 6);
+      ApplyOps(t.get(), first);
+      ASSERT_EQ(t->journal().committed_ops(), 6u);
+
+      // Tear the 7th op's commit flush so its record frame lands whole but
+      // the commit frame does not: a torn journal tail.
+      const size_t tail = t->journal().tail_bytes();
+      t->device()->InjectTornWrite(t->journal().tail_page(),
+                                   tail + /*record frame*/ 64 + 20);
+      ApplyOps(t.get(), {ops[6]});
+    }  // no close checkpoint: the dirty journal survives as-is
+
     std::unique_ptr<JournaledTree<2>> t;
-    ASSERT_TRUE(JournaledTree<2>::Create(path_, opts, &t).ok());
-    std::vector<Op> first(ops.begin(), ops.begin() + 6);
-    ApplyOps(t.get(), first);
-    ASSERT_EQ(t->journal().committed_ops(), 6u);
-
-    // Tear the 7th op's commit flush so its record frame lands whole but
-    // the commit frame does not: a torn journal tail.
-    const size_t tail = t->journal().tail_bytes();
-    t->device()->InjectTornWrite(t->journal().tail_page(),
-                                 tail + /*record frame*/ 64 + 20);
-    ApplyOps(t.get(), {ops[6]});
-  }  // no close checkpoint: the dirty journal survives as-is
-
-  std::unique_ptr<JournaledTree<2>> t;
-  JournaledTree<2>::RecoveryReport rep;
-  ASSERT_TRUE(JournaledTree<2>::Open(path_, MakeOpts("file"), &t, &rep).ok());
-  EXPECT_EQ(rep.committed_ops, 6u);
-  EXPECT_GE(rep.truncated_frames, 1u);  // the orphaned record frame
-  auto expected = ExpectedAfter(ops, 6);
-  EXPECT_EQ(t->tree().size(), expected.size());
+    JournaledTree<2>::RecoveryReport rep;
+    ASSERT_TRUE(
+        JournaledTree<2>::Open(path_, MakeOpts(backend), &t, &rep).ok());
+    EXPECT_EQ(rep.committed_ops, 6u);
+    EXPECT_GE(rep.truncated_frames, 1u);  // the orphaned record frame
+    auto expected = ExpectedAfter(ops, 6);
+    EXPECT_EQ(t->tree().size(), expected.size());
+  }
 }
 
 TEST_F(CrashRecoveryTest, TornDataPageUnderUncommittedOpStaysInvisible) {

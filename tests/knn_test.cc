@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "core/dynamic_prtree.h"
 #include "rtree/bulk_loader.h"
@@ -13,6 +14,8 @@ namespace {
 
 using testing_util::Bits;
 using testing_util::BruteForceKnn;
+using testing_util::DamageNodeHeader;
+using testing_util::kCountField;
 using testing_util::RandomRects;
 using testing_util::ScopedLayout;
 
@@ -266,6 +269,28 @@ TEST(KnnVisitCountTest, ForestExpandsEachRootAndTheNodesWithinTheKthDistance) {
       EXPECT_EQ(stats.results, got.size());
     }
   }
+}
+
+// kNN reads every node through RTree::PinNode, which refuses a node whose
+// entry count exceeds its capacity instead of scanning past the block.
+TEST(KnnDeathTest, RefusesANodeCountOverCapacity) {
+  MemoryBlockDevice dev(4096);
+  RTree<2> tree(&dev);
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
+                   ->Build(&dev, RandomRects<2>(2000, 41), &tree));
+  ASSERT_EQ(tree.height(), 1);
+  PageGuard guard;
+  tree.PinNode(tree.root(), nullptr, &guard);
+  ConstNodeView<2> root(guard.data(), tree.block_size());
+  const PageId leaf = root.GetId(0);
+  const Rect2 mbr = root.GetRect(0);
+  DamageNodeHeader(&dev, leaf, kCountField, 0xFFFF);
+  // A point inside the damaged leaf's MBR: best-first search expands it.
+  const std::array<Real, 2> p{(mbr.lo[0] + mbr.hi[0]) / 2,
+                              (mbr.lo[1] + mbr.hi[1]) / 2};
+  EXPECT_DEATH(KnnSearch<2>(tree, p, 10),
+               "page " + std::to_string(leaf) +
+                   " holds 65535 entries, over its capacity of 113");
 }
 
 TEST(KnnTest, ThreeDimensional) {

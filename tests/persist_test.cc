@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <memory>
 
@@ -158,8 +159,26 @@ TEST_F(PersistTest, DetectsTruncationAndCorruption) {
   Status st = LoadTree(path_, &loaded);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kCorruption);
-  // No leaked pages after the failed load.
+  // No leaked pages after the failed load, and none allocated on the way:
+  // the file's size is checked against the header before any page is.
   EXPECT_EQ(dev2.num_allocated(), baseline);
+  EXPECT_EQ(dev2.peak_allocated(), baseline);
+
+  // A header claiming far more pages than the body holds.
+  ASSERT_TRUE(SaveTree(tree, path_).ok());
+  {
+    std::FILE* f = std::fopen(path_.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    const uint32_t claimed = 100000;
+    std::fseek(f, offsetof(persist_internal::SnapshotHeader, page_count),
+               SEEK_SET);
+    std::fwrite(&claimed, sizeof(claimed), 1, f);
+    std::fclose(f);
+  }
+  MemoryBlockDevice dev4(512);
+  RTree<2> loaded4(&dev4);
+  EXPECT_EQ(LoadTree(path_, &loaded4).code(), StatusCode::kCorruption);
+  EXPECT_EQ(dev4.peak_allocated(), 0u);
 
   // Corrupt the magic.
   ASSERT_TRUE(SaveTree(tree, path_).ok());

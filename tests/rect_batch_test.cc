@@ -128,13 +128,6 @@ TEST_F(RectBatchTest, MasksMatchScalarPredicatesAtEveryLevel) {
         EXPECT_EQ(got, EntryRect(runs, i).Intersects(q))
             << SimdLevelName(level) << " intersect entry " << i << "/" << n;
       }
-      BatchContainedIn(q, runs.xmin.data(), runs.ymin.data(),
-                       runs.xmax.data(), runs.ymax.data(), n, mask.data());
-      for (size_t i = 0; i < n; ++i) {
-        bool got = (mask[i >> 6] >> (i & 63)) & 1;
-        EXPECT_EQ(got, q.Contains(EntryRect(runs, i)))
-            << SimdLevelName(level) << " contained-in entry " << i << "/" << n;
-      }
       BatchCovers(q, runs.xmin.data(), runs.ymin.data(), runs.xmax.data(),
                   runs.ymax.data(), n, mask.data());
       for (size_t i = 0; i < n; ++i) {

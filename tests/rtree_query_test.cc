@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "rtree/builder.h"
@@ -11,6 +12,9 @@ namespace prtree {
 namespace {
 
 using testing_util::BruteForceQuery;
+using testing_util::DamageNodeHeader;
+using testing_util::kCountField;
+using testing_util::kLevelField;
 using testing_util::RandomRects;
 using testing_util::RandomWindow;
 using testing_util::SortedIds;
@@ -223,6 +227,36 @@ TEST(ValidateTest, DetectsWrongRecordCount) {
   auto tree = PackInOrder(&dev, data);
   tree.set_size(99);
   EXPECT_FALSE(ValidateTree(tree).ok());
+}
+
+// The first child of a height-1 tree's root: a leaf.
+PageId FirstLeaf(const RTree<2>& tree) {
+  PageGuard guard;
+  tree.PinNode(tree.root(), nullptr, &guard);
+  return ConstNodeView<2>(guard.data(), tree.block_size()).GetId(0);
+}
+
+// An entry count over the node's capacity would send every entry loop past
+// the end of the block.
+TEST(ValidateTest, DetectsEntryCountOverCapacity) {
+  MemoryBlockDevice dev(4096);
+  auto tree = PackInOrder(&dev, RandomRects<2>(500, 79));
+  ASSERT_EQ(tree.height(), 1);
+  DamageNodeHeader(&dev, FirstLeaf(tree), kCountField, 0xFFFF);
+  Status st = ValidateTree(tree);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+}
+
+// A level above the root's would index past the per-level node counts.
+TEST(TreeStatsDeathTest, RefusesANodeAboveTheRootLevel) {
+  MemoryBlockDevice dev(4096);
+  auto tree = PackInOrder(&dev, RandomRects<2>(500, 83));
+  ASSERT_EQ(tree.height(), 1);
+  const PageId leaf = FirstLeaf(tree);
+  DamageNodeHeader(&dev, leaf, kLevelField, 5000);
+  EXPECT_DEATH(tree.ComputeStats(),
+               "page " + std::to_string(leaf) +
+                   " claims level 5000 under a root at level 1");
 }
 
 }  // namespace

@@ -103,6 +103,21 @@ inline uint64_t Bits(Real v) {
   return b;
 }
 
+/// Byte offsets of a node header's 16-bit level and entry-count fields
+/// (rtree/node.h).
+inline constexpr size_t kLevelField = 4;
+inline constexpr size_t kCountField = 6;
+
+/// Overwrites one 16-bit node header field of `page` in place, bypassing
+/// the node view's checks, as a damaged file would.
+inline void DamageNodeHeader(BlockDevice* dev, PageId page, size_t field,
+                             uint16_t value) {
+  std::vector<std::byte> buf(dev->block_size());
+  AbortIfError(dev->Read(page, buf.data()));
+  std::memcpy(buf.data() + field, &value, sizeof(value));
+  AbortIfError(dev->Write(page, buf.data()));
+}
+
 /// Pins the process-wide default layout for new nodes; restores on scope
 /// exit so test order cannot leak one test's layout into another.
 class ScopedLayout {
