@@ -336,7 +336,13 @@ int CmdKnn(const std::map<std::string, std::string>& flags) {
 int CmdStats(const std::map<std::string, std::string>& flags) {
   IndexHandle h = OpenIndexOrDie(flags);
   RTree<2>& tree = *h.tree;
+  // Validate first: the stats walk trusts what validation checks (a
+  // damaged node aborts it), so a failed index only gets the verdict.
   Status st = ValidateTree(tree);
+  if (!st.ok()) {
+    std::printf("validation:    %s\n", st.ToString().c_str());
+    return 1;
+  }
   TreeStats ts = tree.ComputeStats();
   std::printf("records:       %zu\n", tree.size());
   std::printf("height:        %d\n", tree.height());
@@ -351,7 +357,7 @@ int CmdStats(const std::map<std::string, std::string>& flags) {
     std::printf("  level %zu: %llu nodes\n", lvl,
                 static_cast<unsigned long long>(ts.nodes_per_level[lvl]));
   }
-  return st.ok() ? 0 : 1;
+  return 0;
 }
 
 int CmdUpdate(const std::map<std::string, std::string>& flags) {

@@ -106,41 +106,35 @@ class GridCounts {
   /// Splits slab `j` of dimension `d` in two.  Both new slabs start at
   /// zero; the caller re-adds the slab's records via Increment.
   void SubdivideSlab(int d, int j) {
-    std::array<int, K> new_sizes = sizes_;
-    new_sizes[d] += 1;
-    size_t total = 1;
-    for (int c = 0; c < K; ++c) total *= static_cast<size_t>(new_sizes[c]);
-    std::vector<uint32_t> fresh(total, 0);
-    // Copy every old cell to its new position; the split slab's two halves
-    // stay zero.
-    std::array<int, K> idx{};
-    while (true) {
-      if (idx[d] != j) {
-        std::array<int, K> nidx = idx;
-        if (idx[d] > j) nidx[d] += 1;
-        fresh[FlattenWith(nidx, new_sizes)] = counts_[Flatten(idx)];
-      }
-      int c = 0;
-      for (; c < K; ++c) {
-        if (++idx[c] < sizes_[c]) break;
-        idx[c] = 0;
-      }
-      if (c == K) break;
+    // Cells are row-major with dimension 0 outermost, so for each index
+    // over dimensions [0, d) the cells of slabs [0, j) and (j, size) are
+    // two contiguous runs; they move whole, and the new slabs j and j + 1
+    // between them stay zero.
+    size_t outer = 1;
+    size_t inner = 1;
+    for (int c = 0; c < d; ++c) outer *= static_cast<size_t>(sizes_[c]);
+    for (int c = d + 1; c < K; ++c) inner *= static_cast<size_t>(sizes_[c]);
+    const size_t before = static_cast<size_t>(j) * inner;
+    const size_t after = static_cast<size_t>(sizes_[d] - j - 1) * inner;
+    const size_t old_block = static_cast<size_t>(sizes_[d]) * inner;
+    const size_t new_block = old_block + inner;
+    std::vector<uint32_t> fresh(outer * new_block, 0);
+    for (size_t o = 0; o < outer; ++o) {
+      const uint32_t* src = counts_.data() + o * old_block;
+      uint32_t* dst = fresh.data() + o * new_block;
+      std::copy_n(src, before, dst);
+      std::copy_n(src + before + inner, after, dst + before + 2 * inner);
     }
-    sizes_ = new_sizes;
+    sizes_[d] += 1;
     counts_ = std::move(fresh);
   }
 
  private:
   size_t Flatten(const std::array<int, K>& idx) const {
-    return FlattenWith(idx, sizes_);
-  }
-  static size_t FlattenWith(const std::array<int, K>& idx,
-                            const std::array<int, K>& sizes) {
     size_t flat = 0;
     for (int d = 0; d < K; ++d) {
-      PRTREE_DCHECK(idx[d] >= 0 && idx[d] < sizes[d]);
-      flat = flat * static_cast<size_t>(sizes[d]) +
+      PRTREE_DCHECK(idx[d] >= 0 && idx[d] < sizes_[d]);
+      flat = flat * static_cast<size_t>(sizes_[d]) +
              static_cast<size_t>(idx[d]);
     }
     return flat;

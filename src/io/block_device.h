@@ -113,12 +113,15 @@ class BlockDevice {
 
   size_t block_size() const { return block_size_; }
 
-  /// Allocates a zeroed block and returns its id.  Reuses freed blocks
-  /// (LIFO), so the result is a pure function of the preceding
-  /// Allocate/Free call sequence.  Thread-safe.
+  /// Allocates a block that reads as zeros and returns its id.  Reuses
+  /// freed blocks (LIFO), so the result is a pure function of the
+  /// preceding Allocate/Free call sequence.  Writes nothing on any backend
+  /// (the file backends defer a reused page's zeroing to its first write
+  /// or to Sync).  Thread-safe.
   virtual PageId Allocate() = 0;
 
   /// Returns `page` to the free list.  The block's contents are discarded.
+  /// Writes nothing (the file backends stamp the free list at Sync).
   /// Thread-safe (but freeing a page another thread is reading is a usage
   /// error, as on a real disk).
   virtual void Free(PageId page) = 0;
@@ -243,9 +246,10 @@ class BlockDevice {
   /// previous contents — and reports success, modelling a sector-granular
   /// partial write at power cut.  "Next write" is counted where bytes land
   /// (see ConsumeWriteBudget): a client Write()/WriteMeta()/WriteBatch(),
-  /// or the file backends' own zeroing (Allocate) or free-list stamp
-  /// (Free) of the page.  Later writes of the page behave normally.
-  /// Test-only; arm before the writes start.
+  /// or the file backends' own zeroing or free-list stamp of the page,
+  /// both written by Sync() (or the close).  A page that still reads as
+  /// zeros keeps zeros past a torn client write's prefix.  Later writes of
+  /// the page behave normally.  Test-only; arm before the writes start.
   void InjectTornWrite(PageId page, size_t valid_prefix_bytes) {
     std::lock_guard<std::mutex> lock(torn_mu_);
     torn_writes_[page] = valid_prefix_bytes;
@@ -254,7 +258,8 @@ class BlockDevice {
 
   /// Power-cut simulator: the next `n` block writes land normally — client
   /// writes AND backend-internal metadata writes (superblock, free-list
-  /// stamps, page zeroing) alike — and every write after them is silently
+  /// stamps, page zeroing; on the file backends all three come from
+  /// Sync() or the close) alike — and every write after them is silently
   /// dropped while still reporting success, exactly as a dead machine
   /// acknowledges nothing further.  When `tear_prefix_bytes` is given the
   /// n-th (final surviving) write lands torn: only that prefix reaches the

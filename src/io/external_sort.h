@@ -86,28 +86,33 @@ Stream<T> ExternalSort(WorkEnv env, Stream<T>* input, Less less) {
         readers.push_back(
             std::make_unique<typename Stream<T>::Reader>(&runs[r]));
       }
+      // Each run's head record, taken off its reader once: the heap
+      // compares these copies, not the readers.
+      std::vector<T> heads(readers.size());
       auto heap_greater = [&](size_t a, size_t b) {
         // std::priority_queue is a max-heap; invert to pop the least
         // record.  Equal records pop lowest-run-first (a stable merge), so
         // the pass is deterministic even for non-total comparators.
-        const T& ra = readers[a]->Peek();
-        const T& rb = readers[b]->Peek();
-        if (less(rb, ra)) return true;
-        if (less(ra, rb)) return false;
+        if (less(heads[b], heads[a])) return true;
+        if (less(heads[a], heads[b])) return false;
         return a > b;
       };
       std::priority_queue<size_t, std::vector<size_t>,
                           decltype(heap_greater)>
           heap(heap_greater);
       for (size_t i = 0; i < readers.size(); ++i) {
-        if (!readers[i]->Done()) heap.push(i);
+        if (readers[i]->Done()) continue;
+        heads[i] = readers[i]->Next();
+        heap.push(i);
       }
       Stream<T> merged(env.device);
       while (!heap.empty()) {
         size_t i = heap.top();
         heap.pop();
-        merged.Push(readers[i]->Next());
-        if (!readers[i]->Done()) heap.push(i);
+        merged.Push(heads[i]);
+        if (readers[i]->Done()) continue;
+        heads[i] = readers[i]->Next();
+        heap.push(i);
       }
       merged.Flush();
       next.push_back(std::move(merged));

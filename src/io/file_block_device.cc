@@ -203,7 +203,7 @@ FileBlockDevice::~FileBlockDevice() {
     // Best effort, and only when there is something to save: a device
     // whose Open() failed must not clobber the (possibly diagnosable)
     // on-disk state, and a purely read session must not dirty the file.
-    if (init_ok_ && meta_dirty_) WriteSuperblockLocked();
+    if (init_ok_ && meta_dirty_) WriteMetadataLocked();
   }
   ::close(fd_);
 }
@@ -261,12 +261,13 @@ Status FileBlockDevice::LoadExisting() {
   //
   // Chain states that post-Sync mutations (then a crash) legitimately
   // produce are NOT corruption and degrade gracefully:
-  //  * a stamp without the magic — the chained page was reused and zeroed
-  //    post-Sync;
+  //  * a stamp without the magic — the chained page was reused and
+  //    written (or zeroed by a Sync cut before its superblock) post-Sync;
   //  * the chain ending early (next == kInvalidPageId before count runs
-  //    out) — pages past a reused one were re-freed with a shorter chain;
-  //  * a tail beyond the recorded count — extra pages were freed
-  //    post-Sync.
+  //    out) — a Sync cut before its superblock stamped pages re-freed
+  //    with a shorter chain;
+  //  * a tail beyond the recorded count — such a Sync stamped extra
+  //    pages freed post-Sync.
   // Recovery keeps the walkable prefix of the recorded free list and
   // conservatively treats everything else as allocated: a bounded space
   // leak, never reuse of a page that might hold data.  Out-of-range
@@ -302,6 +303,7 @@ Status FileBlockDevice::LoadExisting() {
   // A tail beyond the recorded count (cur != kInvalidPageId here) is the
   // post-Sync "freed more pages" state: ignore it, those pages stay live.
   free_list_.assign(chain.rbegin(), chain.rend());
+  stamped_ = free_list_.size();
   if (chain_broken) {
     // Leaked pages count as allocated; write the repaired state out on
     // the next Sync/close so later opens see a clean chain.
@@ -318,17 +320,16 @@ PageId FileBlockDevice::Allocate() {
   if (!free_list_.empty()) {
     page = free_list_.back();
     free_list_.pop_back();
-    // Zero the block on disk: clears the free-list stamp and restores the
-    // "fresh blocks read as zeros" contract.  Internal write, uncounted.
-    std::fill(scratch_.begin(), scratch_.end(), std::byte{0});
-    Status st = PWriteBlock(PageOffset(page), scratch_.data());
-    PRTREE_CHECK(st.ok());
-    live_[page] = 1;
+    stamped_ = std::min(stamped_, free_list_.size());
+    // The page reads as zeros until a client write lands on it; the file
+    // keeps its stamp (or older bytes) until then, or until Sync zeroes
+    // it.  Nothing is written here.
+    live_[page] = kZeroPage;
   } else {
     PRTREE_CHECK(num_pages_ < kInvalidPageId);
     page = static_cast<PageId>(num_pages_);
     ++num_pages_;
-    live_.push_back(1);
+    live_.push_back(kLivePage);
     // Extend the file so a never-written fresh page reads back as zeros.
     // Grown geometrically (sparse), so a build costs O(log N) ftruncate
     // calls instead of one per page.
@@ -347,16 +348,9 @@ PageId FileBlockDevice::Allocate() {
 
 void FileBlockDevice::Free(PageId page) {
   std::unique_lock lock(mu_);
-  PRTREE_CHECK(page < num_pages_ && live_[page] != 0);
-  // Stamp the page as the new chain head: its next pointer is the previous
-  // LIFO top.  Internal write, uncounted.
-  std::fill(scratch_.begin(), scratch_.end(), std::byte{0});
-  FreePageStamp stamp{kFreePageMagic,
-                      free_list_.empty() ? kInvalidPageId : free_list_.back()};
-  std::memcpy(scratch_.data(), &stamp, sizeof(stamp));
-  Status st = PWriteBlock(PageOffset(page), scratch_.data());
-  PRTREE_CHECK(st.ok());
-  live_[page] = 0;
+  PRTREE_CHECK(page < num_pages_ && live_[page] != kFreePage);
+  // The page's stamp (next = the previous LIFO top) waits for Sync.
+  live_[page] = kFreePage;
   free_list_.push_back(page);
   PRTREE_CHECK(allocated_ > 0);
   --allocated_;
@@ -365,14 +359,38 @@ void FileBlockDevice::Free(PageId page) {
 
 Status FileBlockDevice::DoRead(PageId page, void* buf) const {
   BlockReadRequest req{page, buf, Status::OK()};
-  ScreenBatchLiveness(&req, 1);
-  return req.status.ok() ? PReadBlock(PageOffset(page), buf) : req.status;
+  uint8_t reads_zero = 0;
+  ScreenBatchLiveness(&req, 1, &reads_zero);
+  if (!req.status.ok()) return req.status;
+  if (reads_zero != 0) {
+    std::memset(buf, 0, block_size());
+    return Status::OK();
+  }
+  return PReadBlock(PageOffset(page), buf);
 }
 
 Status FileBlockDevice::DoWrite(PageId page, const void* buf) {
   BlockWriteRequest req{page, buf, Status::OK()};
-  ScreenBatchLiveness(&req, 1);
-  return req.status.ok() ? PWriteBlock(PageOffset(page), buf) : req.status;
+  uint8_t reads_zero = 0;
+  ScreenBatchLiveness(&req, 1, &reads_zero);
+  if (!req.status.ok()) return req.status;
+  if (reads_zero == 0) return PWriteBlock(PageOffset(page), buf);
+  bool still_zero = true;
+  PRTREE_RETURN_NOT_OK(PWriteBlock(PageOffset(page), buf, &still_zero));
+  if (!still_zero) MarkWritten(&req, 1, &reads_zero);
+  return Status::OK();
+}
+
+void FileBlockDevice::MarkWritten(const BlockWriteRequest* reqs, size_t n,
+                                  const uint8_t* reads_zero) {
+  if (std::find(reads_zero, reads_zero + n, 1) == reads_zero + n) return;
+  std::unique_lock lock(mu_);
+  for (size_t i = 0; i < n; ++i) {
+    if (reads_zero[i] != 0 && reqs[i].status.ok() &&
+        live_[reqs[i].page] == kZeroPage) {
+      live_[reqs[i].page] = kLivePage;
+    }
+  }
 }
 
 void FileBlockDevice::PrefetchHint(const PageId* pages, size_t n) const {
@@ -380,7 +398,8 @@ void FileBlockDevice::PrefetchHint(const PageId* pages, size_t n) const {
   if (direct_io_) return;  // no page cache to warm
   std::shared_lock lock(mu_);
   for (size_t i = 0; i < n; ++i) {
-    if (pages[i] >= num_pages_ || live_[pages[i]] == 0) continue;
+    // A page that reads as zeros is served without touching the file.
+    if (pages[i] >= num_pages_ || live_[pages[i]] != kLivePage) continue;
     // Purely advisory; a failure (e.g. an fs without fadvise) is ignored.
     ::posix_fadvise(fd_, static_cast<off_t>(PageOffset(pages[i])),
                     static_cast<off_t>(block_size()), POSIX_FADV_WILLNEED);
@@ -403,7 +422,7 @@ size_t FileBlockDevice::peak_allocated() const {
 
 Status FileBlockDevice::Sync() {
   std::unique_lock lock(mu_);
-  PRTREE_RETURN_NOT_OK(WriteSuperblockLocked());
+  PRTREE_RETURN_NOT_OK(WriteMetadataLocked());
   if (::fsync(fd_) != 0) {
     return Status::IoError(ErrnoMessage("fsync failed on", path_));
   }
@@ -457,7 +476,7 @@ size_t FileBlockDevice::num_pages() const {
 
 bool FileBlockDevice::IsAllocated(PageId page) const {
   std::shared_lock lock(mu_);
-  return page < num_pages_ && live_[page] != 0;
+  return page < num_pages_ && live_[page] != kFreePage;
 }
 
 size_t FileBlockDevice::AdoptOrphanPages() {
@@ -470,7 +489,7 @@ size_t FileBlockDevice::AdoptOrphanPages() {
   // committed op wrote become readable, and the rest — garbage or never
   // used — is exactly what the recovery sweep exists to free.
   const size_t adopted = file_pages_ - num_pages_;
-  live_.resize(file_pages_, 1);
+  live_.resize(file_pages_, kLivePage);
   num_pages_ = file_pages_;
   allocated_ += adopted;
   peak_allocated_ = std::max(peak_allocated_, allocated_);
@@ -478,12 +497,14 @@ size_t FileBlockDevice::AdoptOrphanPages() {
   return adopted;
 }
 
-Status FileBlockDevice::PWriteBlock(uint64_t off, const void* buf) {
+Status FileBlockDevice::PWriteBlock(uint64_t off, const void* buf,
+                                    bool* reads_zero) {
   // Every byte this backend puts on disk funnels through here — client
   // writes, superblock write-out, free-list stamps, zeroing of reused
   // pages — so this is where the injected faults are decided: a dropped
   // write is acknowledged but never issued, a torn one lands only its
-  // prefix over the previous on-disk bytes.  Offset 0, the superblock, is
+  // prefix over the page's previous contents (zeros for a page that still
+  // reads as zeros, else the on-disk bytes).  Offset 0, the superblock, is
   // no page.
   const PageId page = off == 0 ? kInvalidPageId
                                : static_cast<PageId>(off / block_size() - 1);
@@ -493,8 +514,10 @@ Status FileBlockDevice::PWriteBlock(uint64_t off, const void* buf) {
     case WriteOutcome::kDrop:
       return Status::OK();
     case WriteOutcome::kTear:
-      merged.resize(block_size());
-      PRTREE_RETURN_NOT_OK(PReadBlock(off, merged.data()));
+      merged.resize(block_size());  // zeros
+      if (reads_zero == nullptr || !*reads_zero) {
+        PRTREE_RETURN_NOT_OK(PReadBlock(off, merged.data()));
+      }
       std::memcpy(merged.data(), buf, std::min(tear, block_size()));
       buf = merged.data();
       break;
@@ -517,7 +540,33 @@ Status FileBlockDevice::PWriteBlock(uint64_t off, const void* buf) {
     }
     done += static_cast<size_t>(w);
   }
+  if (reads_zero != nullptr) *reads_zero = false;
   return Status::OK();
+}
+
+Status FileBlockDevice::WriteMetadataLocked() {
+  // Zeroing comes first and the superblock last, so a crash anywhere in
+  // between leaves the previous superblock naming a chain that the
+  // writes so far can only have shortened, extended or cut (LoadExisting
+  // degrades each of those to a leak).
+  std::fill(scratch_.begin(), scratch_.end(), std::byte{0});
+  for (auto it = std::find(live_.begin(), live_.end(), kZeroPage);
+       it != live_.end(); it = std::find(it + 1, live_.end(), kZeroPage)) {
+    const auto page = static_cast<PageId>(it - live_.begin());
+    PRTREE_RETURN_NOT_OK(PWriteBlock(PageOffset(page), scratch_.data()));
+    *it = kLivePage;
+  }
+  // Entries below stamped_ have not moved since their stamps were
+  // written; each one above gets {magic, next = the entry below it}.
+  for (; stamped_ < free_list_.size(); ++stamped_) {
+    const FreePageStamp stamp{
+        kFreePageMagic,
+        stamped_ == 0 ? kInvalidPageId : free_list_[stamped_ - 1]};
+    std::memcpy(scratch_.data(), &stamp, sizeof(stamp));
+    PRTREE_RETURN_NOT_OK(
+        PWriteBlock(PageOffset(free_list_[stamped_]), scratch_.data()));
+  }
+  return WriteSuperblockLocked();
 }
 
 Status FileBlockDevice::WriteSuperblockLocked() {

@@ -9,29 +9,42 @@
 // eight bytes hold a stamp {kFreePageMagic, next} — so it persists whole
 // regardless of length while the superblock stays a single page.
 //
-// Durability.  Data pages hit the file on every Write() (pwrite); metadata
-// (superblock) is written out by Sync(), which then fsync()s the file, and
-// best-effort on clean close when it changed.  There is no write-ahead
-// log, so crash recovery is bounded, not perfect: Open() restores the
-// allocation metadata recorded by the most recent superblock write.
-// Allocate/Free traffic after that write can leave the recorded free-list
-// chain partially unwalkable (stamps destroyed by reuse, the chain
-// shortened or extended) — Open() detects every such state and
-// conservatively treats whatever it cannot walk as allocated (a bounded
-// space leak, never reuse of a page that might hold data).  A page
-// *freed* after the last Sync has had its as-of-Sync
-// contents destroyed by the stamp; callers that need a consistent
-// reopenable image must Sync() after mutating (PersistTree does).  A
-// damaged superblock (bad magic/version/bounds, broken chain topology)
-// fails Open() with Corruption, and a failed Open() never writes to the
-// file.
+// Durability.  Data pages hit the file on every Write() (pwrite).
+// Allocation metadata is kept in memory and written out by Sync(), which
+// then fsync()s the file, and best-effort on clean close when it changed:
+// Free() only pushes the page onto the in-memory LIFO, and Allocate() of
+// a recycled page only marks it "reads as zeros" (reads return zeros
+// until its first client write lands).  Sync() puts that state on disk in
+// an order a crash can cut anywhere: it first zeroes the live pages still
+// marked, then stamps the part of the free list that changed since the
+// last Sync (entries below the lowest point the list shrank to still hold
+// valid stamps), and writes the superblock last.  So at every Sync and on
+// close the file holds exactly the bytes the device reads back, and
+// between Syncs only client writes touch the file.  There is no
+// write-ahead log, so crash recovery is bounded, not perfect: Open()
+// restores the allocation metadata recorded by the most recent superblock
+// write.  A client write over a page on the recorded free-list chain
+// (reused after the Sync) destroys its stamp, and a Sync cut before its
+// superblock can leave the recorded chain shortened or extended — Open()
+// detects every such state and conservatively treats whatever it cannot
+// walk as allocated (a bounded space leak, never reuse of a page that
+// might hold data).  A page freed after the last Sync keeps its as-of-Sync
+// contents until it is reused and written, or until the next Sync stamps
+// it; callers that need a consistent reopenable image must Sync() after
+// mutating (PersistTree does).  A damaged superblock (bad
+// magic/version/bounds, broken chain topology) fails Open() with
+// Corruption, and a failed Open() never writes to the file.
 //
 // I/O accounting.  Only client Read()/Write() calls count toward stats();
 // internal metadata traffic (superblock write-out, free-list stamps,
-// zeroing of reused pages) is never charged.  A build or query therefore
+// zeroing of reused pages, all of it inside Sync() or the close) is never
+// charged, and a read of a page that still reads as zeros is counted like
+// any other read although it moves no bytes.  A build or query therefore
 // reports exactly the same I/O numbers on this backend as on
 // MemoryBlockDevice — wall-clock time is where the backends differ, which
-// is why file-backed bench runs report both (docs/IO_MODEL.md).
+// is why file-backed bench runs report both (docs/IO_MODEL.md).  Allocate()
+// and Free() write nothing, so a build that never syncs makes exactly the
+// block writes it is charged for.
 //
 // O_DIRECT.  FileDeviceOptions::direct_io requests kernel-page-cache bypass
 // where the platform supports it (block size must be a multiple of 512;
@@ -103,10 +116,11 @@ class FileBlockDevice : public BlockDevice {
   static Status Open(const std::string& path, const FileDeviceOptions& opts,
                      std::unique_ptr<FileBlockDevice>* out);
 
-  /// Closes the file, writing the superblock out first when metadata
-  /// changed since the last write (best effort, no fsync — call Sync()
-  /// when durability matters).  A device whose Open() failed, or that was
-  /// only read, never rewrites the file on close.
+  /// Closes the file, first writing out what Sync() would (page zeroing,
+  /// free-list stamps, superblock) when metadata changed since the last
+  /// write (best effort, no fsync — call Sync() when durability matters).
+  /// A device whose Open() failed, or that was only read, never rewrites
+  /// the file on close.
   ~FileBlockDevice() override;
 
   /// BlockDevice interface.  Note Allocate()/Free() have no error channel,
@@ -126,9 +140,10 @@ class FileBlockDevice : public BlockDevice {
   /// page cache to warm.
   void PrefetchHint(const PageId* pages, size_t n) const override;
 
-  /// Writes the superblock and fsync()s the file.  After an OK Sync the
-  /// device state (pages, free list, counters, user metadata) survives a
-  /// crash and is recovered by Open.
+  /// Zeroes the recycled pages not written since Allocate(), stamps the
+  /// changed part of the free list, writes the superblock and fsync()s
+  /// the file.  After an OK Sync the device state (pages, free list,
+  /// counters, user metadata) survives a crash and is recovered by Open.
   Status Sync() override;
 
   const std::string& path() const { return path_; }
@@ -178,29 +193,47 @@ class FileBlockDevice : public BlockDevice {
   /// Per-request liveness screen for a read or write batch, one lock
   /// acquisition for the whole batch: requests whose page is unallocated
   /// get an IoError status; the survivors' statuses are left untouched.
-  /// The scalar DoRead()/DoWrite() screen their one request through here.
+  /// `reads_zero[i]` is set to 1 iff request i's page is live and still
+  /// reads as zeros (recycled, and no write has landed on it since), else
+  /// 0.  The scalar DoRead()/DoWrite() screen their one request through
+  /// here.
   template <typename Request>
-  void ScreenBatchLiveness(Request* reqs, size_t n) const {
+  void ScreenBatchLiveness(Request* reqs, size_t n,
+                           uint8_t* reads_zero) const {
     const char* verb =
         std::is_same_v<Request, BlockReadRequest> ? "read" : "write";
     std::shared_lock lock(mu_);
     for (size_t i = 0; i < n; ++i) {
-      if (reqs[i].page >= num_pages_ || live_[reqs[i].page] == 0) {
+      const PageId page = reqs[i].page;
+      const uint8_t state = page < num_pages_ ? live_[page] : kFreePage;
+      if (state == kFreePage) {
         reqs[i].status = Status::IoError(std::string(verb) +
                                          " of unallocated page " +
-                                         std::to_string(reqs[i].page));
+                                         std::to_string(page));
       }
+      reads_zero[i] = state == kZeroPage;
     }
   }
+
+  /// Clears the "reads as zeros" mark of every request that had it
+  /// (`reads_zero`, from the screen) and whose write landed.  One lock
+  /// acquisition, and none when no request had the mark.
+  void MarkWritten(const BlockWriteRequest* reqs, size_t n,
+                   const uint8_t* reads_zero);
 
   /// BlockDevice backend hooks (liveness screen + pread/pwrite).
   Status DoRead(PageId page, void* buf) const override;
   Status DoWrite(PageId page, const void* buf) override;
 
   /// Raw full-block file I/O at byte offset `off`, bouncing through an
-  /// aligned buffer under O_DIRECT.  Never touches the I/O counters.
+  /// aligned buffer under O_DIRECT.  Never touches the I/O counters.  A
+  /// write over a page that still reads as zeros passes `reads_zero`
+  /// (true): a torn write then keeps zeros past its prefix, as the page
+  /// reads, and `*reads_zero` turns false once the write lands in whole
+  /// or in part (a dropped write leaves it true).
   Status PReadBlock(uint64_t off, void* buf) const;
-  Status PWriteBlock(uint64_t off, const void* buf);
+  Status PWriteBlock(uint64_t off, const void* buf,
+                     bool* reads_zero = nullptr);
 
   uint64_t PageOffset(PageId page) const {
     return (static_cast<uint64_t>(page) + 1) * block_size();
@@ -217,23 +250,35 @@ class FileBlockDevice : public BlockDevice {
   /// after initialisation, before the device is published.
   void NegotiateDirectIo();
 
+  /// What Sync() and the close write before any fsync: zeroes the live
+  /// pages still marked, stamps the free-list entries from stamped_ up,
+  /// then writes the superblock.  Caller holds mu_ exclusively (or is
+  /// single-threaded, as in the dtor).
+  Status WriteMetadataLocked();
+
   /// Serialises the current metadata into the superblock page.  Caller
   /// holds mu_ exclusively (or is single-threaded, as in Open/dtor).
   Status WriteSuperblockLocked();
+
+  // Per-page state in live_.
+  static constexpr uint8_t kFreePage = 0;
+  static constexpr uint8_t kLivePage = 1;
+  static constexpr uint8_t kZeroPage = 2;  // live; reads as zeros, file stale
 
   const std::string path_;
   const int fd_;
   bool direct_io_;  // settled by NegotiateDirectIo() before publication
 
   mutable std::shared_mutex mu_;      // guards all fields below
-  std::vector<uint8_t> live_;         // liveness per page ever created
-  std::vector<PageId> free_list_;     // LIFO; back() == on-disk chain head
+  std::vector<uint8_t> live_;         // k*Page state per page ever created
+  std::vector<PageId> free_list_;     // LIFO; back() == chain head at Sync
+  size_t stamped_ = 0;  // free_list_[0, stamped_) hold valid stamps on disk
   size_t num_pages_ = 0;              // pages ever created (monotonic)
   size_t file_pages_ = 0;             // pages the file's extent covers
   size_t allocated_ = 0;
   size_t peak_allocated_ = 0;
   std::vector<std::byte> user_meta_;  // <= kUserMetaCapacity bytes
-  std::vector<std::byte> scratch_;    // zero/stamp block for Allocate/Free
+  std::vector<std::byte> scratch_;    // zero/stamp block for Sync's writes
   bool init_ok_ = false;              // Open() completed successfully
   bool meta_dirty_ = false;           // metadata changed since last write-out
 };

@@ -110,8 +110,11 @@ struct RegionHeader {
 static_assert(sizeof(RegionHeader) == 32);
 
 /// Frame-page prefix: identifies the page as frame `index` of the region
-/// written in `epoch`.  A freshly allocated (zeroed) page fails the magic
-/// check, which is how the scan knows the journal ends before it.
+/// written in `epoch`.  A frame page this epoch has not written yet fails
+/// the check, which is how the scan knows the journal ends before it: it
+/// reads as zeros (the checkpoint's Sync zeroes a recycled region page
+/// before the superblock names the region), and bytes an older epoch's
+/// tenant left on a page carry the wrong epoch.
 struct PageHeader {
   uint32_t magic;
   uint32_t epoch;

@@ -168,56 +168,58 @@ class Stream {
   /// \brief Sequential reader over a record range of a stream.
   ///
   /// Holds one block in memory at a time; advancing across a block boundary
-  /// costs one device read.
+  /// costs one device read, made when the next record is first looked at.
+  /// The cursor is a block index plus an offset inside it, so a step costs
+  /// no division.
   class Reader {
    public:
     /// Reader over [first, first + count).
     Reader(Stream* stream, size_t first, size_t count)
         : stream_(stream),
-          pos_(first),
-          end_(first + count),
+          block_(first / stream->per_block_),
+          offset_(first % stream->per_block_),
+          left_(count),
           buf_(stream->device_->block_size()) {
       stream_->Flush();
-      PRTREE_CHECK(end_ <= stream_->size_);
+      PRTREE_CHECK(first + count <= stream_->size_);
     }
 
     /// Reader over the whole stream.
     explicit Reader(Stream* stream) : Reader(stream, 0, stream->size()) {}
 
-    bool Done() const { return pos_ >= end_; }
+    bool Done() const { return left_ == 0; }
 
     /// Current record; requires !Done().
     const T& Peek() {
       PRTREE_DCHECK(!Done());
-      LoadBlockIfNeeded();
-      std::memcpy(&current_, buf_.data() + (pos_ % stream_->per_block_) *
-                                               sizeof(T),
-                  sizeof(T));
+      if (!loaded_) {
+        AbortIfError(
+            stream_->device_->Read(stream_->pages_[block_], buf_.data()));
+        loaded_ = true;
+      }
+      std::memcpy(&current_, buf_.data() + offset_ * sizeof(T), sizeof(T));
       return current_;
     }
 
     /// Returns the current record and advances.
     T Next() {
       T v = Peek();
-      ++pos_;
+      --left_;
+      if (++offset_ == stream_->per_block_) {
+        offset_ = 0;
+        ++block_;
+        loaded_ = false;
+      }
       return v;
     }
 
    private:
-    void LoadBlockIfNeeded() {
-      size_t block = pos_ / stream_->per_block_;
-      if (static_cast<ptrdiff_t>(block) != loaded_block_) {
-        AbortIfError(
-            stream_->device_->Read(stream_->pages_[block], buf_.data()));
-        loaded_block_ = static_cast<ptrdiff_t>(block);
-      }
-    }
-
     Stream* stream_;
-    size_t pos_;
-    size_t end_;
+    size_t block_;   // stream block holding the current record
+    size_t offset_;  // the current record's index inside that block
+    size_t left_;    // records not yet returned by Next()
     std::vector<std::byte> buf_;
-    ptrdiff_t loaded_block_ = -1;
+    bool loaded_ = false;  // buf_ holds block_
     T current_;
   };
 
@@ -231,9 +233,10 @@ class Stream {
   }
 
   void FreeBlocks() {
-    // Drain first: a staged write landing after Free() would overwrite the
-    // free-list stamp — and the write counters must not depend on whether a
-    // block happened to still be staged when the stream died.
+    // Drain first: a staged write landing after Free() would fail the
+    // device's liveness check (or land on the page's next owner) — and the
+    // write counters must not depend on whether a block happened to still
+    // be staged when the stream died.
     stager_.Drain();
     for (PageId p : pages_) device_->Free(p);
   }

@@ -119,12 +119,18 @@ Status UringBlockDevice::RingBatch(Self* self, Request* reqs, size_t n,
                                    Kind kind) {
   const size_t block = self->block_size();
   for (size_t i = 0; i < n; ++i) reqs[i].status = Status::OK();
-  self->ScreenBatchLiveness(reqs, n);
+  std::vector<uint8_t> reads_zero(n);
+  self->ScreenBatchLiveness(reqs, n, reads_zero.data());
   std::vector<size_t> pending;
   pending.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     if (reqs[i].status.ok()) reqs[i].status = self->InjectedFault(reqs[i]);
-    if (reqs[i].status.ok()) pending.push_back(i);
+    if (!reqs[i].status.ok()) continue;
+    if (reads_zero[i] != 0 && self->ServedAsZeros(reqs[i])) {
+      self->Count(kind);
+    } else {
+      pending.push_back(i);
+    }
   }
 
   // Chunked at the arena's slot count.  The arena is shared between
@@ -155,6 +161,7 @@ Status UringBlockDevice::RingBatch(Self* self, Request* reqs, size_t n,
       if (req.status.ok()) self->Count(kind);
     }
   }
+  self->Landed(reqs, n, reads_zero.data());
 
   for (size_t i = 0; i < n; ++i) {
     if (!reqs[i].status.ok()) return reqs[i].status;
@@ -174,6 +181,11 @@ Status UringBlockDevice::InjectedFault(const BlockWriteRequest& req) const {
              ? Status::IoError("injected write fault on page " +
                                std::to_string(req.page))
              : Status::OK();
+}
+
+bool UringBlockDevice::ServedAsZeros(const BlockReadRequest& req) const {
+  std::memset(req.buf, 0, block_size());
+  return true;
 }
 
 void UringBlockDevice::Served(const BlockReadRequest& req,

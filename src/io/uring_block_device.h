@@ -118,11 +118,21 @@ class UringBlockDevice final : public FileBlockDevice {
 
   // The device-side steps in which a ring read and a ring write differ,
   // overloaded on the request (or kind) type: the injected-fault screen,
-  // what a request the ring served still needs (a read's copy out of the
-  // arena, a write's attempt tick), the scalar retry of a request the ring
-  // failed, and the counter each successful request ticks.
+  // a request whose page still reads as zeros (a read is served as zeros
+  // without a transfer; a write goes to the ring like any other, and once
+  // it has landed the batch clears the page's mark), what a request the
+  // ring served still needs (a read's copy out of the arena, a write's
+  // attempt tick), the scalar retry of a request the ring failed, and the
+  // counter each successful request ticks.
   Status InjectedFault(const BlockReadRequest& req) const;
   Status InjectedFault(const BlockWriteRequest& req) const;
+  bool ServedAsZeros(const BlockReadRequest& req) const;
+  bool ServedAsZeros(const BlockWriteRequest&) const { return false; }
+  void Landed(const BlockReadRequest*, size_t, const uint8_t*) const {}
+  void Landed(const BlockWriteRequest* reqs, size_t n,
+              const uint8_t* reads_zero) {
+    MarkWritten(reqs, n, reads_zero);
+  }
   void Served(const BlockReadRequest& req, const void* slot) const;
   void Served(const BlockWriteRequest& req, const void* slot);
   Status Retry(BlockReadRequest& req) const {

@@ -23,7 +23,9 @@
 // scalar writes (asserted by tests/write_path_test.cc).  The caller owns
 // the drain points: a staged page's bytes are not on the device until
 // Drain() — so drain before reading a staged page, and before Free()ing
-// one (a stale drain after Free would overwrite the free-list stamp).
+// one: a stale drain after Free would fail the device's liveness check (or
+// land on the page's next owner), and the write counters must not depend
+// on when a drain happened.
 // Stream<T> and NodeWriter hide those rules behind their own Flush/Finish.
 //
 // Not thread-safe; parallel serializers use one stager per worker (their

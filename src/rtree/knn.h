@@ -124,6 +124,7 @@ std::vector<Neighbor<D>> KnnSearchFrom(const RTree<D>& tree,
   struct Entry {
     Real dist;
     PageId page;
+    int max_level;  // PinNode's bound: kAnyLevel for a root
   };
   auto farther = [](const Entry& a, const Entry& b) {
     if (a.dist != b.dist) return a.dist > b.dist;
@@ -132,7 +133,9 @@ std::vector<Neighbor<D>> KnnSearchFrom(const RTree<D>& tree,
   std::priority_queue<Entry, std::vector<Entry>, decltype(farther)> frontier(
       farther);
   for (PageId root : roots) {
-    if (root != kInvalidPageId) frontier.push(Entry{0.0, root});
+    if (root != kInvalidPageId) {
+      frontier.push(Entry{0.0, root, RTree<D>::kAnyLevel});
+    }
   }
 
   QueryStats local;
@@ -141,9 +144,9 @@ std::vector<Neighbor<D>> KnnSearchFrom(const RTree<D>& tree,
   PageGuard guard;  // hoisted: pool-less searches reuse one buffer
   NodeScanner<D> scan;  // batched MINDIST scratch (rtree/node_scan.h)
   while (!frontier.empty() && within(frontier.top().dist)) {
-    const PageId page = frontier.top().page;
+    const Entry top = frontier.top();
     frontier.pop();
-    tree.PinNode(page, pool, &guard);
+    tree.PinNode(top.page, pool, &guard, top.max_level);
     ConstNodeView<D> node(guard.data(), tree.block_size());
     ++local.nodes_visited;
     // One batched squared-MINDIST pass per node; std::sqrt(d2[i]) is
@@ -162,10 +165,11 @@ std::vector<Neighbor<D>> KnnSearchFrom(const RTree<D>& tree,
     } else {
       ++local.internal_visited;
       if (readahead) pushed.clear();
+      const int child_level = node.level() - 1;
       for (int i = 0; i < node.count(); ++i) {
         const Real dist = std::sqrt(d2[i]);
         if (!within(dist)) continue;
-        frontier.push(Entry{dist, node.GetId(i)});
+        frontier.push(Entry{dist, node.GetId(i), child_level});
         if (readahead) pushed.push_back(node.GetId(i));
       }
       if (readahead && pushed.size() >= 2) {

@@ -257,6 +257,14 @@ Status LoadTree(const std::string& path, RTree<D>* tree) {
       return Status::Corruption("snapshot page " + std::to_string(i) +
                                 " is not a node");
     }
+    // Page 0 is the root: every traversal starts from the recorded height.
+    if (i == 0 && node.level() != header.height) {
+      std::fclose(f);
+      for (auto p : pages) tree->device()->Free(p);
+      return Status::Corruption(
+          "snapshot root is at level " + std::to_string(node.level()) +
+          " but the header records height " + std::to_string(header.height));
+    }
     if (!node.is_leaf()) {
       for (int e = 0; e < node.count(); ++e) {
         uint32_t idx = node.GetId(e);
@@ -344,8 +352,14 @@ Status AttachTree(FileBlockDevice* device, RTree<D>* tree) {
     return Status::Corruption("persisted root page is not readable: " +
                               st.message());
   }
-  if (!NodeView<D>(buf.data(), tree->block_size()).IsFormatted()) {
+  const NodeView<D> root(buf.data(), tree->block_size());
+  if (!root.IsFormatted()) {
     return Status::Corruption("persisted root page is not a node");
+  }
+  if (root.level() != meta.height) {
+    return Status::Corruption(
+        "persisted root is at level " + std::to_string(root.level()) +
+        " but the metadata records height " + std::to_string(meta.height));
   }
   tree->SetRoot(meta.root, meta.height, meta.record_count);
   return Status::OK();

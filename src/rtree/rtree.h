@@ -18,7 +18,7 @@
 #define PRTREE_RTREE_RTREE_H_
 
 #include <functional>
-#include <span>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -146,13 +146,15 @@ class RTree {
     QueryStats qs;
     if (root == kInvalidPageId) return qs;
     const bool readahead = pool != nullptr && pool->readahead_enabled();
-    std::vector<PageId> stack{root};
+    // (page, the highest level it may claim); the root's is not bounded.
+    std::vector<std::pair<PageId, int>> stack{{root, kAnyLevel}};
+    std::vector<PageId> ahead;  // readahead: the children just pushed
     PageGuard guard;  // hoisted: pool-less traversals reuse one buffer
     NodeScanner<D> scan;  // per-traversal scratch for the batched tests
     while (!stack.empty()) {
-      PageId page = stack.back();
+      const auto [page, max_level] = stack.back();
       stack.pop_back();
-      PinNode(page, pool, &guard);
+      PinNode(page, pool, &guard, max_level);
       ConstNodeView<D> node(guard.data(), block_size());
       ++qs.nodes_visited;
       // One batched intersection test per node (SIMD over SoA runs when
@@ -170,11 +172,16 @@ class RTree {
       } else {
         ++qs.internal_visited;
         const size_t frontier = stack.size();
-        ForEachSetBit(mask, words,
-                      [&](int i) { stack.push_back(node.GetId(i)); });
+        const int child_level = node.level() - 1;
+        ForEachSetBit(mask, words, [&](int i) {
+          stack.emplace_back(node.GetId(i), child_level);
+        });
         if (readahead && stack.size() - frontier >= 2) {
-          pool->Prefetch(std::span<const PageId>(stack.data() + frontier,
-                                                 stack.size() - frontier));
+          ahead.clear();
+          for (size_t i = frontier; i < stack.size(); ++i) {
+            ahead.push_back(stack[i].first);
+          }
+          pool->Prefetch(ahead);
         }
       }
     }
@@ -196,13 +203,13 @@ class RTree {
   /// match.  Reads through `pool` when given, else from the device.
   bool Contains(const RecordT& rec, BufferPool* pool = nullptr) const {
     if (empty()) return false;
-    std::vector<PageId> stack{root_};
+    std::vector<std::pair<PageId, int>> stack{{root_, height_}};
     PageGuard guard;
     NodeScanner<D> scan;
     while (!stack.empty()) {
-      PageId page = stack.back();
+      const auto [page, max_level] = stack.back();
       stack.pop_back();
-      PinNode(page, pool, &guard);
+      PinNode(page, pool, &guard, max_level);
       ConstNodeView<D> node(guard.data(), block_size());
       if (node.is_leaf()) {
         for (int i = 0; i < node.count(); ++i) {
@@ -212,8 +219,9 @@ class RTree {
         }
       } else {
         ForEachSetBit(scan.CoversMask(node, rec.rect),
-                      RectMaskWords(node.count()),
-                      [&](int i) { stack.push_back(node.GetId(i)); });
+                      RectMaskWords(node.count()), [&](int i) {
+                        stack.emplace_back(node.GetId(i), node.level() - 1);
+                      });
       }
     }
     return false;
@@ -237,19 +245,13 @@ class RTree {
     ts.nodes_per_level.assign(height_ + 1, 0);
     uint64_t slots = 0;
     uint64_t filled = 0;
-    std::vector<PageId> stack{root_};
+    std::vector<std::pair<PageId, int>> stack{{root_, height_}};
     PageGuard guard;
     while (!stack.empty()) {
-      PageId page = stack.back();
+      const auto [page, max_level] = stack.back();
       stack.pop_back();
-      PinNode(page, nullptr, &guard);
+      PinNode(page, nullptr, &guard, max_level);
       ConstNodeView<D> node(guard.data(), block_size());
-      if (node.level() > height_) {
-        AbortIfError(Status::Corruption(
-            "page " + std::to_string(page) + " claims level " +
-            std::to_string(node.level()) + " under a root at level " +
-            std::to_string(height_)));
-      }
       ++ts.num_nodes;
       ts.nodes_per_level[node.level()] += 1;
       slots += node.capacity();
@@ -259,7 +261,7 @@ class RTree {
         ts.num_entries += node.count();
       } else {
         for (int i = 0; i < node.count(); ++i) {
-          stack.push_back(node.GetId(i));
+          stack.emplace_back(node.GetId(i), node.level() - 1);
         }
       }
     }
@@ -277,18 +279,18 @@ class RTree {
   template <typename Visit>
   void DetachPages(std::vector<PageId>* out, Visit visit) {
     if (empty()) return;
-    std::vector<PageId> stack{root_};
+    std::vector<std::pair<PageId, int>> stack{{root_, height_}};
     PageGuard guard;
     while (!stack.empty()) {
-      PageId page = stack.back();
+      const auto [page, max_level] = stack.back();
       stack.pop_back();
-      PinNode(page, nullptr, &guard);
+      PinNode(page, nullptr, &guard, max_level);
       ConstNodeView<D> node(guard.data(), block_size());
       for (int i = 0; i < node.count(); ++i) {
         if (node.is_leaf()) {
           visit(RecordT{node.GetRect(i), node.GetId(i)});
         } else {
-          stack.push_back(node.GetId(i));
+          stack.emplace_back(node.GetId(i), node.level() - 1);
         }
       }
       out->push_back(page);
@@ -306,15 +308,28 @@ class RTree {
     for (PageId page : pages) device_->Free(page);
   }
 
+  /// The `max_level` to pass PinNode for a node whose level nothing
+  /// bounds: the root of a traversal from an explicit page (QueryFrom,
+  /// KnnSearchFrom), or a reader that checks levels itself and reports
+  /// them as a Status (ValidateTree).
+  static constexpr int kAnyLevel = std::numeric_limits<int>::max();
+
   /// \brief Pins node `page` into `guard`: through `pool` when given
   /// (zero-copy over the cached frame), else a private copy read from the
   /// device (a hoisted guard re-pinned in a loop reuses its buffer, so
   /// pool-less traversals stay allocation-free).  Any previous pin held by
-  /// `guard` is dropped.  Aborts on I/O error, and on a node whose entry
-  /// count exceeds its capacity — node pages are internal pointers, so an
-  /// unreadable page, or one whose entries would run past the block, is
-  /// index corruption, not a recoverable condition.
-  void PinNode(PageId page, BufferPool* pool, PageGuard* guard) const {
+  /// `guard` is dropped.  Aborts on I/O error, on a node whose entry count
+  /// exceeds its capacity, and on a node whose level field is above
+  /// `max_level`: one below its parent's level for a child, the tree
+  /// height for the tree's own root.  Not "exactly one below": the
+  /// pseudo-PR-tree index (core/pseudo_prtree.h) keeps leaves on many
+  /// levels.  In a height-balanced tree every leaf's parent is at level
+  /// 1, so no damaged leaf level gets past the check.  Node pages are
+  /// internal pointers, so an unreadable page, one whose entries would run
+  /// past the block, or a leaf whose data ids a wrong level would follow
+  /// as pages, is index corruption, not a recoverable condition.
+  void PinNode(PageId page, BufferPool* pool, PageGuard* guard,
+               int max_level = kAnyLevel) const {
     if (pool != nullptr) {
       AbortIfError(pool->Pin(page, guard));
     } else {
@@ -326,6 +341,13 @@ class RTree {
           "page " + std::to_string(page) + " holds " +
           std::to_string(node.count()) + " entries, over its capacity of " +
           std::to_string(node.capacity())));
+    }
+    if (node.level() > max_level) {
+      AbortIfError(Status::Corruption(
+          "page " + std::to_string(page) + " claims level " +
+          std::to_string(node.level()) +
+          ", but its place in the tree allows at most level " +
+          std::to_string(max_level)));
     }
   }
 
@@ -339,14 +361,14 @@ class RTree {
     std::vector<std::pair<PageId, int>> stack{{root_, height_}};
     PageGuard guard;
     while (!stack.empty()) {
-      auto [page, level] = stack.back();
+      auto [page, max_level] = stack.back();
       stack.pop_back();
-      PinNode(page, pool, &guard);
+      PinNode(page, pool, &guard, max_level);
       ConstNodeView<D> node(guard.data(), block_size());
       ++loaded;
-      if (level <= 1) continue;  // children are leaves
+      if (node.level() <= 1) continue;  // children are leaves
       for (int i = 0; i < node.count(); ++i) {
-        stack.push_back({node.GetId(i), level - 1});
+        stack.push_back({node.GetId(i), node.level() - 1});
       }
     }
     return loaded;

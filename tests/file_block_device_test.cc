@@ -14,6 +14,7 @@
 #include <cstring>
 #include <vector>
 
+#include "io/uring_block_device.h"
 #include "rtree/bulk_loader.h"
 #include "rtree/persist.h"
 #include "rtree/validate.h"
@@ -306,6 +307,86 @@ TEST_F(FileBlockDeviceTest, BrokenFreeStampDegradesToLeakNotFailure) {
   EXPECT_NE(dev->Allocate(), p);        // and is never handed out again
 }
 
+// Allocate and Free only change the in-memory free list and page marks;
+// Sync writes what they deferred, one block per item, and the file then
+// reads back exactly what the device did.
+TEST_F(FileBlockDeviceTest, AllocateAndFreeWriteNothingUntilSync) {
+  auto dev = Create(512);
+  std::vector<std::byte> data(512, std::byte{0x5A}), buf(512);
+  std::vector<PageId> p;
+  for (int i = 0; i < 5; ++i) {
+    p.push_back(dev->Allocate());
+    ASSERT_TRUE(dev->Write(p.back(), data.data()).ok());
+  }
+  dev->Free(p[0]);
+  dev->Free(p[1]);
+  ASSERT_TRUE(dev->Sync().ok());  // stamps [p0, p1]
+
+  const uint64_t before = dev->write_attempts();
+  dev->Free(p[2]);
+  const PageId unwritten = dev->Allocate();  // p2: list [p0, p1]
+  const PageId rewritten = dev->Allocate();  // p1: list [p0]
+  dev->Free(p[3]);
+  dev->Free(p[4]);  // list [p0, p3, p4]; p0's stamp is still valid
+  EXPECT_EQ(unwritten, p[2]);
+  EXPECT_EQ(rewritten, p[1]);
+  EXPECT_EQ(dev->write_attempts(), before);
+
+  // Recycled pages read zeros before their first write, counted as reads.
+  const uint64_t reads = dev->stats().reads;
+  for (PageId page : {unwritten, rewritten}) {
+    ASSERT_TRUE(dev->Read(page, buf.data()).ok());
+    for (auto b : buf) ASSERT_EQ(b, std::byte{0});
+  }
+  EXPECT_EQ(dev->stats().reads, reads + 2);
+  ASSERT_TRUE(dev->Write(rewritten, data.data()).ok());
+
+  // One zeroing write (the unwritten recycled page), one stamp per free
+  // entry above p0 (p3, p4), one superblock.
+  const uint64_t before_sync = dev->write_attempts();
+  ASSERT_TRUE(dev->Sync().ok());
+  EXPECT_EQ(dev->write_attempts() - before_sync, 1u + 2u + 1u);
+
+  dev.reset();
+  dev = Reopen();
+  ASSERT_TRUE(dev->Read(unwritten, buf.data()).ok());
+  for (auto b : buf) ASSERT_EQ(b, std::byte{0});
+  ASSERT_TRUE(dev->Read(rewritten, buf.data()).ok());
+  EXPECT_EQ(std::memcmp(buf.data(), data.data(), 512), 0);
+  EXPECT_EQ(dev->num_allocated(), 2u);
+  EXPECT_EQ(dev->Allocate(), p[4]);  // the LIFO order survived
+  EXPECT_EQ(dev->Allocate(), p[3]);
+  EXPECT_EQ(dev->Allocate(), p[0]);
+}
+
+// A recycled page reads as zeros although the file still holds its old
+// bytes, so a torn write keeps zeros past its prefix (as on the memory
+// backend) and a dropped one leaves the page reading zeros.
+TEST_F(FileBlockDeviceTest, RecycledPageKeepsZerosPastATornOrDroppedWrite) {
+  auto dev = Create(512);
+  std::vector<std::byte> old_bytes(512, std::byte{0xAA});
+  std::vector<std::byte> fresh(512, std::byte{0xBB}), buf(512);
+  const PageId torn = dev->Allocate();
+  const PageId dropped = dev->Allocate();
+  ASSERT_TRUE(dev->Write(torn, old_bytes.data()).ok());
+  ASSERT_TRUE(dev->Write(dropped, old_bytes.data()).ok());
+  dev->Free(dropped);
+  dev->Free(torn);
+  ASSERT_EQ(dev->Allocate(), torn);
+  ASSERT_EQ(dev->Allocate(), dropped);
+
+  dev->InjectTornWrite(torn, 100);
+  ASSERT_TRUE(dev->Write(torn, fresh.data()).ok());
+  ASSERT_TRUE(dev->Read(torn, buf.data()).ok());
+  EXPECT_EQ(std::memcmp(buf.data(), fresh.data(), 100), 0);
+  for (size_t i = 100; i < 512; ++i) ASSERT_EQ(buf[i], std::byte{0}) << i;
+
+  dev->InjectCrashAfterWrites(0);
+  ASSERT_TRUE(dev->Write(dropped, fresh.data()).ok());
+  ASSERT_TRUE(dev->Read(dropped, buf.data()).ok());
+  for (auto b : buf) ASSERT_EQ(b, std::byte{0});
+}
+
 TEST_F(FileBlockDeviceTest, MustExistRefusesToCreate) {
   FileDeviceOptions opts;
   opts.must_exist = true;
@@ -331,8 +412,25 @@ TEST_F(FileBlockDeviceTest, MustExistRefusesToCreate) {
 // Simulates crashes AFTER a Sync by snapshotting the device file while the
 // live device keeps mutating: the copy holds the as-of-Sync superblock
 // with post-Sync page contents — exactly what a kill -9 leaves behind.
+// Every case runs on both file-backed backends, which share the format
+// and the deferred metadata.
 class FileBlockDeviceCrashTest : public FileBlockDeviceTest {
  protected:
+  std::unique_ptr<FileBlockDevice> Create(const std::string& backend) {
+    FileDeviceOptions opts;
+    opts.block_size = 512;
+    opts.truncate = true;
+    std::unique_ptr<FileBlockDevice> dev;
+    AbortIfError(OpenFileBackedDevice(backend, path_, opts, &dev));
+    return dev;
+  }
+  std::unique_ptr<FileBlockDevice> OpenImage(const std::string& backend,
+                                             const std::string& image) {
+    std::unique_ptr<FileBlockDevice> dev;
+    AbortIfError(
+        OpenFileBackedDevice(backend, image, FileDeviceOptions{}, &dev));
+    return dev;
+  }
   std::string CrashImage() {
     std::string copy = path_ + ".crash";
     std::FILE* in = std::fopen(path_.c_str(), "rb");
@@ -347,52 +445,128 @@ class FileBlockDeviceCrashTest : public FileBlockDeviceTest {
     std::fclose(out);
     return copy;
   }
+  // What every caller does with a page it allocates.
+  static void WriteData(FileBlockDevice* dev, PageId page) {
+    std::vector<std::byte> data(dev->block_size(), std::byte{0xC3});
+    AbortIfError(dev->Write(page, data.data()));
+  }
 };
 
 TEST_F(FileBlockDeviceCrashTest, ReuseThenRefreeAfterSyncStillOpens) {
-  // Sync records free chain [P0 -> P1]; afterwards both are reused and P0
-  // is re-freed with a SHORTER chain.  The crash image's recorded chain
-  // ends early (P0's stamp now says next=invalid): recovery keeps P0,
-  // leaks P1, and never hands out a page that might hold data.
-  auto dev = Create(512);
-  PageId p0 = dev->Allocate();
-  PageId p1 = dev->Allocate();
-  dev->Allocate();  // p2 stays live
-  dev->Free(p1);
-  dev->Free(p0);
-  ASSERT_TRUE(dev->Sync().ok());
-  ASSERT_EQ(dev->Allocate(), p0);
-  ASSERT_EQ(dev->Allocate(), p1);
-  dev->Free(p0);
-  std::string image = CrashImage();
+  // Sync records free chain [P0 -> P1]; afterwards both are reused and
+  // written, and P0 is freed again.  The re-free's stamp waits for the
+  // next Sync, so the crash image's recorded chain starts at a page that
+  // holds client data: recovery leaks P0 and P1 and never hands out a
+  // page that might hold data.
+  for (const std::string backend : {"file", "uring"}) {
+    SCOPED_TRACE(backend);
+    auto dev = Create(backend);
+    PageId p0 = dev->Allocate();
+    PageId p1 = dev->Allocate();
+    dev->Allocate();  // p2 stays live
+    dev->Free(p1);
+    dev->Free(p0);
+    ASSERT_TRUE(dev->Sync().ok());
+    ASSERT_EQ(dev->Allocate(), p0);
+    ASSERT_EQ(dev->Allocate(), p1);
+    WriteData(dev.get(), p0);
+    WriteData(dev.get(), p1);
+    dev->Free(p0);
+    std::string image = CrashImage();
 
-  std::unique_ptr<FileBlockDevice> re;
-  ASSERT_TRUE(FileBlockDevice::Open(image, FileDeviceOptions{}, &re).ok());
-  EXPECT_EQ(re->num_allocated(), 2u);  // p1 leaked as live
-  EXPECT_EQ(re->Allocate(), p0);       // the walkable prefix survives
-  std::remove(image.c_str());
+    auto re = OpenImage(backend, image);
+    EXPECT_EQ(re->num_allocated(), 3u);  // p0 and p1 leaked as live
+    const PageId next = re->Allocate();
+    EXPECT_NE(next, p0);
+    EXPECT_NE(next, p1);
+    std::remove(image.c_str());
+  }
+}
+
+TEST_F(FileBlockDeviceCrashTest, AllocatedButUnwrittenPageStaysOnTheChain) {
+  // Sync records free chain [P0 -> P1]; afterwards P0 is allocated again
+  // but nothing is written to it before the crash.  Allocate wrote
+  // nothing either, so P0's stamp still holds and recovery returns both
+  // pages to the free list.
+  for (const std::string backend : {"file", "uring"}) {
+    SCOPED_TRACE(backend);
+    auto dev = Create(backend);
+    PageId p0 = dev->Allocate();
+    PageId p1 = dev->Allocate();
+    dev->Allocate();  // p2 stays live
+    dev->Free(p1);
+    dev->Free(p0);
+    ASSERT_TRUE(dev->Sync().ok());
+    ASSERT_EQ(dev->Allocate(), p0);
+    std::string image = CrashImage();
+
+    auto re = OpenImage(backend, image);
+    EXPECT_EQ(re->num_allocated(), 1u);
+    EXPECT_EQ(re->Allocate(), p0);
+    EXPECT_EQ(re->Allocate(), p1);
+    std::remove(image.c_str());
+  }
 }
 
 TEST_F(FileBlockDeviceCrashTest, ExtraFreesAfterSyncStillOpen) {
-  // Sync records free chain [P1]; afterwards P1 is reused and two MORE
-  // pages are freed, so the crash image's chain is longer than recorded.
-  // Recovery takes exactly the recorded count and leaves the tail live.
-  auto dev = Create(512);
-  dev->Allocate();  // p0
-  PageId p1 = dev->Allocate();
-  PageId p2 = dev->Allocate();
-  dev->Free(p1);
-  ASSERT_TRUE(dev->Sync().ok());
-  ASSERT_EQ(dev->Allocate(), p1);
-  dev->Free(p2);
-  dev->Free(p1);  // chain now p1 -> p2, longer than the recorded [p1]
-  std::string image = CrashImage();
+  // Sync records free chain [P1]; afterwards P1 is reused and written, and
+  // two MORE pages are freed.  A second Sync stamps the chain P1 -> P2 and
+  // is cut before its superblock, so the crash image's chain is longer
+  // than recorded.  Recovery takes exactly the recorded count and leaves
+  // the tail live.
+  for (const std::string backend : {"file", "uring"}) {
+    SCOPED_TRACE(backend);
+    auto dev = Create(backend);
+    dev->Allocate();  // p0
+    PageId p1 = dev->Allocate();
+    PageId p2 = dev->Allocate();
+    dev->Free(p1);
+    ASSERT_TRUE(dev->Sync().ok());
+    ASSERT_EQ(dev->Allocate(), p1);
+    WriteData(dev.get(), p1);
+    dev->Free(p2);
+    dev->Free(p1);  // chain now p1 -> p2, longer than the recorded [p1]
+    dev->InjectCrashAfterWrites(2);  // both stamps land, the superblock not
+    ASSERT_TRUE(dev->Sync().ok());
+    ASSERT_TRUE(dev->crash_triggered());
+    std::string image = CrashImage();
 
-  std::unique_ptr<FileBlockDevice> re;
-  ASSERT_TRUE(FileBlockDevice::Open(image, FileDeviceOptions{}, &re).ok());
-  EXPECT_EQ(re->num_allocated(), 2u);  // p2's post-Sync free is ignored
-  EXPECT_EQ(re->Allocate(), p1);
-  std::remove(image.c_str());
+    auto re = OpenImage(backend, image);
+    EXPECT_EQ(re->num_allocated(), 2u);  // p2's post-Sync free is ignored
+    EXPECT_EQ(re->Allocate(), p1);
+    std::remove(image.c_str());
+  }
+}
+
+TEST_F(FileBlockDeviceCrashTest, SyncCutBeforeItsSuperblockStillOpens) {
+  // Sync records free chain [P0 -> P1]; afterwards both are reused and
+  // written, and P0 is freed again.  A second Sync stamps P0 as a
+  // one-entry chain and is cut before its superblock: the recorded chain
+  // (two entries) now ends early.  Recovery keeps P0, leaks P1.
+  for (const std::string backend : {"file", "uring"}) {
+    SCOPED_TRACE(backend);
+    auto dev = Create(backend);
+    PageId p0 = dev->Allocate();
+    PageId p1 = dev->Allocate();
+    dev->Allocate();  // p2 stays live
+    dev->Free(p1);
+    dev->Free(p0);
+    ASSERT_TRUE(dev->Sync().ok());
+    ASSERT_EQ(dev->Allocate(), p0);
+    ASSERT_EQ(dev->Allocate(), p1);
+    WriteData(dev.get(), p0);
+    WriteData(dev.get(), p1);
+    dev->Free(p0);
+    dev->InjectCrashAfterWrites(1);  // P0's stamp lands, the superblock not
+    ASSERT_TRUE(dev->Sync().ok());
+    ASSERT_TRUE(dev->crash_triggered());
+    std::string image = CrashImage();
+
+    auto re = OpenImage(backend, image);
+    EXPECT_EQ(re->num_allocated(), 2u);  // p1 leaked as live
+    EXPECT_EQ(re->Allocate(), p0);       // the walkable prefix survives
+    std::remove(image.c_str());
+  }
 }
 
 TEST_F(FileBlockDeviceTest, DirectIoRequestDegradesGracefully) {

@@ -194,6 +194,63 @@ TEST_F(PersistTest, DetectsTruncationAndCorruption) {
   EXPECT_EQ(LoadTree(path_, &loaded3).code(), StatusCode::kCorruption);
 }
 
+// A recorded height other than the root page's level would send every
+// traversal the wrong number of levels down (a height of -2 once loaded
+// OK and then made ComputeStats ask for a vector of SIZE_MAX counts).  Both
+// loaders compare the two and refuse the tree.
+TEST_F(PersistTest, RejectsARecordedHeightOtherThanTheRootLevel) {
+  MemoryBlockDevice dev(512);
+  RTree<2> tree(&dev);
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 1u << 20})
+                   ->Build(&dev, RandomRects<2>(2000, 59), &tree));
+  ASSERT_GE(tree.height(), 1);
+  for (const int32_t height : {-2, tree.height() - 1, tree.height() + 1}) {
+    SCOPED_TRACE(height);
+    ASSERT_TRUE(SaveTree(tree, path_).ok());
+    {
+      std::FILE* f = std::fopen(path_.c_str(), "rb+");
+      ASSERT_NE(f, nullptr);
+      std::fseek(f, offsetof(persist_internal::SnapshotHeader, height),
+                 SEEK_SET);
+      std::fwrite(&height, sizeof(height), 1, f);
+      std::fclose(f);
+    }
+    MemoryBlockDevice dev2(512);
+    RTree<2> loaded(&dev2);
+    EXPECT_EQ(LoadTree(path_, &loaded).code(), StatusCode::kCorruption);
+    EXPECT_TRUE(loaded.empty());
+    EXPECT_EQ(dev2.num_allocated(), 0u);  // the loaded pages went back
+  }
+
+  // In place: the same field of the meta record in the superblock.
+  const std::string dev_path = path_ + ".dev";
+  {
+    FileDeviceOptions opts;
+    opts.block_size = 512;
+    opts.truncate = true;
+    std::unique_ptr<FileBlockDevice> fdev;
+    ASSERT_TRUE(FileBlockDevice::Open(dev_path, opts, &fdev).ok());
+    RTree<2> built(fdev.get());
+    AbortIfError(
+        MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 1u << 20})
+            ->Build(fdev.get(), RandomRects<2>(2000, 61), &built));
+    ASSERT_TRUE(PersistTree(built, fdev.get()).ok());
+    persist_internal::TreeMetaRecord meta{};
+    ASSERT_EQ(fdev->GetUserMeta(&meta, sizeof(meta)), sizeof(meta));
+    meta.height = -2;
+    ASSERT_TRUE(fdev->SetUserMeta(&meta, sizeof(meta)).ok());
+    ASSERT_TRUE(fdev->Sync().ok());
+  }
+  std::unique_ptr<FileBlockDevice> fdev;
+  ASSERT_TRUE(
+      FileBlockDevice::Open(dev_path, FileDeviceOptions{}, &fdev).ok());
+  RTree<2> attached(fdev.get());
+  EXPECT_EQ(AttachTree(fdev.get(), &attached).code(),
+            StatusCode::kCorruption);
+  EXPECT_TRUE(attached.empty());
+  std::remove(dev_path.c_str());
+}
+
 // The in-place reopen path of the file backend: build straight onto a
 // FileBlockDevice, persist the root in the superblock, drop every handle,
 // reopen from the path alone and query — no snapshot copying involved.

@@ -256,7 +256,28 @@ TEST(TreeStatsDeathTest, RefusesANodeAboveTheRootLevel) {
   DamageNodeHeader(&dev, leaf, kLevelField, 5000);
   EXPECT_DEATH(tree.ComputeStats(),
                "page " + std::to_string(leaf) +
-                   " claims level 5000 under a root at level 1");
+                   " claims level 5000, but its place in the tree allows "
+                   "at most level 0");
+}
+
+// A leaf whose level reads 1 under a level-1 root would be walked as an
+// internal node, its data ids pinned as pages — here id 0 names the leaf
+// itself, so an unchecked Contains would loop forever.  Every traversal
+// bounds a child's level by its parent's and refuses the leaf, naming it.
+TEST(RTreeTraversalDeathTest, RefusesALeafClaimingItsParentsLevel) {
+  MemoryBlockDevice dev(4096);
+  const auto data = RandomRects<2>(500, 89);
+  auto tree = PackInOrder(&dev, data);
+  ASSERT_EQ(tree.height(), 1);
+  const PageId leaf = FirstLeaf(tree);
+  DamageNodeHeader(&dev, leaf, kLevelField, 1);
+  const std::string message =
+      "page " + std::to_string(leaf) +
+      " claims level 1, but its place in the tree allows at most level 0";
+  EXPECT_DEATH(tree.QueryToVector(MakeRect(-1, -1, 2, 2)), message);
+  EXPECT_DEATH(tree.Contains(data[0]), message);  // packed into that leaf
+  EXPECT_DEATH(tree.ComputeStats(), message);
+  EXPECT_DEATH(tree.FreeAll(), message);
 }
 
 }  // namespace

@@ -155,6 +155,48 @@ TEST_F(UringBlockDeviceTest, PrefetchKindChargesThePrefetchCounter) {
   EXPECT_EQ(bufs[2][0], std::byte{0x22});
 }
 
+// A page Allocate() recycled reads as zeros until a write lands on it,
+// although the file still holds its old bytes: a batch read serves it as
+// zeros, one demand read per page, and a batch write clears the mark.
+TEST_F(UringBlockDeviceTest, RecycledPagesReadZerosUntilABatchWriteLands) {
+  for (const bool no_uring : {false, true}) {
+    SCOPED_TRACE(no_uring ? "pread fallback" : "ring when available");
+    auto dev = Create(512, no_uring);
+    for (PageId p : FillPages(dev.get(), 4)) dev->Free(p);
+    std::vector<PageId> recycled;
+    for (int i = 0; i < 4; ++i) recycled.push_back(dev->Allocate());
+    dev->ResetStats();
+
+    std::vector<std::vector<std::byte>> bufs(
+        4, std::vector<std::byte>(512, std::byte{0xEE}));
+    std::vector<BlockReadRequest> reqs(4);
+    for (int i = 0; i < 4; ++i) {
+      reqs[i].page = recycled[i];
+      reqs[i].buf = bufs[i].data();
+    }
+    ASSERT_TRUE(dev->ReadBatch(reqs.data(), reqs.size()).ok());
+    for (const auto& buf : bufs) {
+      for (auto b : buf) ASSERT_EQ(b, std::byte{0});
+    }
+    EXPECT_EQ(dev->stats().reads, 4u);
+
+    std::vector<std::byte> data(512, std::byte{0x7A});
+    BlockWriteRequest writes[2];
+    for (int i = 0; i < 2; ++i) {
+      writes[i].page = recycled[i];
+      writes[i].buf = data.data();
+    }
+    ASSERT_TRUE(dev->WriteBatch(writes, 2).ok());
+    ASSERT_TRUE(dev->ReadBatch(reqs.data(), reqs.size()).ok());
+    for (int i = 0; i < 4; ++i) {
+      const std::byte want = i < 2 ? std::byte{0x7A} : std::byte{0};
+      for (auto b : bufs[i]) ASSERT_EQ(b, want) << "page " << recycled[i];
+    }
+    EXPECT_EQ(dev->stats().reads, 8u);
+    EXPECT_EQ(dev->stats().writes, 2u);
+  }
+}
+
 TEST_F(UringBlockDeviceTest, ForcedFallbackIsByteAndCounterIdentical) {
   // Run the same sequence through a forced-fallback device and (when the
   // kernel allows) a ring-backed one: bytes and stats must be identical —
