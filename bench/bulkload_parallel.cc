@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
       // recursion — the acceptance path ("1M-record in-memory dataset").
       {"pr-inmem", LoaderKind::kPrTree, true},
       // PR-tree at the paper's ~9:1 data:memory ratio: the external grid
-      // algorithm with task-parallel base-case regions.
+      // algorithm, whose base cases fork their kd recursion.
       {"pr-grid", LoaderKind::kPrTree, false},
       {"hilbert4d", LoaderKind::kHilbert4D, true},
       {"str", LoaderKind::kStr, true},

@@ -85,7 +85,7 @@ void BulkLoadHilbertImpl(WorkEnv env, Stream<Record<D>>* input,
   }
   size_t n = sorted.size();
   sorted.Clear();
-  PackUpward(tree, writer.Finish(), n, env.pool);
+  PackUpward(tree, writer.Finish(), n);
 }
 
 /// \brief Bulk-loads the packed Hilbert R-tree of Kamel and Faloutsos:

@@ -79,7 +79,7 @@ void BulkLoadStr(WorkEnv env, Stream<Record<D>>* input, RTree<D>* tree) {
   const size_t n = input->size();
   NodeWriter<D> writer(env.device, /*level=*/0);
   StrSlab<D>(env, input, 0, tree->capacity(), &writer);
-  PackUpward(tree, writer.Finish(), n, env.pool);
+  PackUpward(tree, writer.Finish(), n);
 }
 
 }  // namespace internal

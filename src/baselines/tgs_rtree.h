@@ -15,7 +15,7 @@
 // The implementation keeps, for every (sub)set, 2D sorted streams (one per
 // ordering).  A binary split scans each stream once to evaluate prefix and
 // suffix bounding boxes at unit granularity, then scans again to route
-// records by comparing against the winning cut's threshold record — all
+// records by comparing them with the winning cut's record — all
 // through the device, so the measured I/O reproduces TGS's characteristic
 // O((N/B) log2 (N/B)) build cost and its data-dependence (Figures 9-11).
 
@@ -75,11 +75,12 @@ class TgsLoader {
   };
 
   /// Records a candidate binary cut: ordering `order`, `left_n` records on
-  /// the low side, separated by the threshold record `t`.
+  /// the low side, which are exactly those CoordLess(order) than the cut
+  /// record `t`, the first of the high side.
   struct Cut {
     int order = -1;
     size_t left_n = 0;
-    CoordThreshold t{};
+    Rec t{};
     Real cost = std::numeric_limits<Real>::infinity();
   };
 
@@ -146,17 +147,15 @@ class TgsLoader {
     Cut best;
     for (int c = 0; c < kOrders; ++c) {
       // Segment bounding boxes at unit granularity (in memory: <= B + 1 of
-      // them), plus the threshold record that starts each segment.
+      // them), plus the record that starts each segment.
       std::vector<Rect<D>> seg_mbr(num_units, Rect<D>::Empty());
-      std::vector<CoordThreshold> seg_first(num_units);
+      std::vector<Rec> seg_first(num_units);
       typename Stream<Rec>::Reader reader(&set.lists[c]);
       size_t i = 0;
       while (!reader.Done()) {
         Rec r = reader.Next();
         size_t seg = i / unit;
-        if (i % unit == 0) {
-          seg_first[seg] = CoordThreshold{r.rect.CornerCoord(c), r.id};
-        }
+        if (i % unit == 0) seg_first[seg] = r;
         seg_mbr[seg].ExtendToCover(r.rect);
         ++i;
       }
@@ -194,7 +193,7 @@ class TgsLoader {
       typename Stream<Rec>::Reader reader(&set.lists[c]);
       while (!reader.Done()) {
         Rec r = reader.Next();
-        if (BeforeThreshold(r, cut.order, cut.t)) {
+        if (CoordLess<D>{cut.order}(r, cut.t)) {
           lo.Push(r);
         } else {
           hi.Push(r);

@@ -13,16 +13,20 @@
 //    coordinate; for c >= D it means a large maximum coordinate.
 //
 // The paper assumes no two defining coordinates are equal; both orderings
-// break ties by record id, which restores that assumption for arbitrary
-// inputs without perturbing the data.  TGS uses the same orderings for its
-// binary partitions (§1.1 [12]).
+// break ties by record id, then by the remaining corner coordinates, which
+// restores that assumption for arbitrary inputs without perturbing the
+// data.  TGS uses the same orderings for its binary partitions (§1.1 [12]),
+// and a cut between two sorted positions is the record at the upper one:
+// a record falls below the cut iff it is CoordLess than that record.
 //
-// The id tie-break makes both orderings strict TOTAL orders (ids are
-// unique), which the parallel bulk-load pipeline depends on: a totally
-// ordered sequence has exactly one sorted permutation, so ParallelSort and
-// the parallel nth_element-based selections produce byte-identical results
-// to their serial counterparts on equal coordinates.  Any new comparator
-// fed to ExternalSort/ParallelSort must keep a unique secondary key.
+// The tie-breaks make both orderings strict TOTAL orders over distinct
+// records (no two equal in both id and rectangle), which the parallel
+// bulk-load pipeline depends on: a totally ordered sequence has exactly
+// one sorted permutation, so ParallelSort and the parallel
+// nth_element-based selections produce byte-identical results to their
+// serial counterparts on equal coordinates.  Records with distinct ids
+// never reach the corner tie-break.  Any new comparator fed to
+// ExternalSort/ParallelSort must keep a unique secondary key.
 
 #ifndef PRTREE_CORE_CORNER_ORDER_H_
 #define PRTREE_CORE_CORNER_ORDER_H_
@@ -31,8 +35,22 @@
 
 namespace prtree {
 
-/// Ascending order by corner coordinate `c`, ties by id.  A strict total
-/// order for records with distinct ids.
+/// Compares the corner coordinates other than `c`, in index order: the
+/// last tie-break of both orderings, for records that share coordinate `c`
+/// and id.
+template <int D>
+inline bool OtherCornersLess(const Record<D>& a, const Record<D>& b, int c) {
+  for (int k = 0; k < 2 * D; ++k) {
+    if (k == c) continue;
+    Real va = a.rect.CornerCoord(k);
+    Real vb = b.rect.CornerCoord(k);
+    if (va != vb) return va < vb;
+  }
+  return false;
+}
+
+/// Ascending order by corner coordinate `c`, ties by id, then by the other
+/// corner coordinates.  A strict total order over distinct records.
 template <int D>
 struct CoordLess {
   int c;
@@ -40,11 +58,13 @@ struct CoordLess {
     Real va = a.rect.CornerCoord(c);
     Real vb = b.rect.CornerCoord(c);
     if (va != vb) return va < vb;
-    return a.id < b.id;
+    if (a.id != b.id) return a.id < b.id;
+    return OtherCornersLess(a, b, c);
   }
 };
 
-/// Most-extreme-first order in direction `c` (see file comment), ties by id.
+/// Most-extreme-first order in direction `c` (see file comment), ties by
+/// id, then by the other corner coordinates.
 template <int D>
 struct ExtremeLess {
   int c;
@@ -52,26 +72,10 @@ struct ExtremeLess {
     Real va = a.rect.CornerCoord(c);
     Real vb = b.rect.CornerCoord(c);
     if (va != vb) return c < D ? va < vb : va > vb;
-    return a.id < b.id;
+    if (a.id != b.id) return a.id < b.id;
+    return OtherCornersLess(a, b, c);
   }
 };
-
-/// A cut position in the CoordLess order of dimension `c`: records strictly
-/// below (value, id) fall on the low side.  Used by the grid bulk loader's
-/// slab boundaries and kd splits.
-struct CoordThreshold {
-  Real value;
-  DataId id;
-};
-
-/// True iff record `r` precedes the threshold in CoordLess(c) order.
-template <int D>
-inline bool BeforeThreshold(const Record<D>& r, int c,
-                            const CoordThreshold& t) {
-  Real v = r.rect.CornerCoord(c);
-  if (v != t.value) return v < t.value;
-  return r.id < t.id;
-}
 
 }  // namespace prtree
 

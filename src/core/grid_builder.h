@@ -28,6 +28,11 @@
 // (priority records are not removed before medians are computed), but
 // Lemma 2's query bound only needs each child to get at most half of its
 // parent's points, which holds here by construction.
+//
+// Every cut (a slab boundary or a kd split) is a record of the sorted
+// list: the records CoordLess than it fall below.  The whole recursion,
+// base cases included, runs on the calling thread; only the sorts and a
+// base case's in-memory kd recursion use the pool.
 
 #ifndef PRTREE_CORE_GRID_BUILDER_H_
 #define PRTREE_CORE_GRID_BUILDER_H_
@@ -36,8 +41,6 @@
 #include <array>
 #include <cmath>
 #include <deque>
-#include <memory>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -47,7 +50,6 @@
 #include "io/stream.h"
 #include "io/work_env.h"
 #include "util/check.h"
-#include "util/parallel.h"
 
 namespace prtree {
 
@@ -147,30 +149,36 @@ class GridCounts {
 /// Slab index of record `r` in dimension `c`: the number of thresholds at
 /// or before r in CoordLess(c) order.
 template <int D>
-int SlabIndex(const std::vector<CoordThreshold>& thresholds,
-              const Record<D>& r, int c) {
+int SlabIndex(const std::vector<Record<D>>& thresholds, const Record<D>& r,
+              int c) {
+  // Search on the coordinate alone, then step back over the thresholds
+  // that tie with r on it but follow r: the common, tie-free case stays a
+  // plain search over doubles.
+  const Real v = r.rect.CornerCoord(c);
   auto it = std::upper_bound(
-      thresholds.begin(), thresholds.end(), r,
-      [c](const Record<D>& rec, const CoordThreshold& t) {
-        return BeforeThreshold(rec, c, t);
-      });
+      thresholds.begin(), thresholds.end(), v,
+      [c](Real x, const Record<D>& t) { return x < t.rect.CornerCoord(c); });
+  while (it != thresholds.begin() && it[-1].rect.CornerCoord(c) == v &&
+         CoordLess<D>{c}(r, it[-1])) {
+    --it;
+  }
   return static_cast<int>(it - thresholds.begin());
 }
 
 }  // namespace grid_internal
 
 /// \brief Runs the grid algorithm over `input`, emitting every
-/// pseudo-PR-tree leaf as `emit(const std::vector<Record<D>>&)`.
+/// pseudo-PR-tree leaf as `emit(const Record<D>* records, size_t count)`.
 ///
 /// The input stream is read (not consumed); all working streams live on
 /// env.device, so the device counters measure the paper's build cost.
 ///
-/// Parallelism: env.pool accelerates the 2D preprocessing sorts (through
-/// ExternalSort) and runs the independent in-memory base-case sub-problems
-/// as pool tasks.  Finished base cases are retired in discovery order on
-/// the calling thread — which performs every emit() and stream Clear() —
-/// so the leaf sequence and the device's allocation history are identical
-/// to a serial build.  Worker tasks only read from the device.
+/// Parallelism: env.pool sorts the 2D preprocessing runs (through
+/// ExternalSort) and forks the kd recursion of each in-memory base case
+/// (PseudoPRTreeBuilder::EmitLeaves) over its record array.  Every device
+/// call and every emit() happens on the calling thread, in the serial
+/// order, so the leaf sequence and the device's allocation history do not
+/// depend on the thread count.
 template <int D, typename Emit>
 void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
                     const GridBuildOptions& opts, Emit emit) {
@@ -207,58 +215,20 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
   const size_t mem_records = std::max<size_t>(
       memory / sizeof(Rec) / 2, 4 * b);  // working space for the base case
 
-  ThreadPool* pool =
-      (env.pool != nullptr && env.pool->num_threads() > 1) ? env.pool
-                                                           : nullptr;
+  // In-memory base case: read the region, free its streams, then emit its
+  // leaves.  Freeing first lets the emitted leaf pages reuse the region's
+  // stream pages.
   PseudoPRTreeBuilder<D> builder(b, prio);
-
-  // In-memory base cases: a pool task reads the region's records and
-  // computes its leaf chunks; the calling thread retires finished cases in
-  // discovery order, performing the emits and freeing the region's streams
-  // — so emission order and device allocation order match the serial
-  // build.  Backpressure below keeps the inflight record buffers within
-  // ~2x the advisory memory budget (each case holds at most mem_records =
-  // M/2 of records), on top of a num_threads cap; retire timing never
-  // touches the device out of order, so the bound costs no determinism.
-  struct BaseCase {
-    Sub sub;
-    std::vector<Rec> recs;
-    std::vector<PseudoLeafChunk> chunks;
-    ThreadPool::TaskGroup done;
-  };
-  std::deque<std::unique_ptr<BaseCase>> inflight;
-  size_t inflight_records = 0;
-  const size_t max_inflight = pool != nullptr ? pool->num_threads() : 1;
-  const size_t max_inflight_records = 2 * mem_records;
-
-  auto run_base = [&builder, pool, b](BaseCase* bc) {
-    bc->sub.lists[0].ReadAll(&bc->recs);
-    bc->chunks.reserve(bc->recs.size() / b + 2);
+  std::vector<Rec> recs;
+  auto run_base = [&](Sub& sub) {
+    sub.lists[0].ReadAll(&recs);
+    for (auto& l : sub.lists) l.Clear();
     builder.EmitLeaves(
-        &bc->recs,
-        [bc](const PseudoLeafChunk& c) { bc->chunks.push_back(c); },
-        bc->sub.depth, pool);
-  };
-  std::vector<Rec> chunk_buf;
-  auto retire_one = [&]() {
-    std::unique_ptr<BaseCase> bc = std::move(inflight.front());
-    inflight.pop_front();
-    if (pool != nullptr) pool->WaitFor(&bc->done);
-    inflight_records -= bc->sub.n;
-    // Clear before emitting, exactly like the pre-pipeline serial code:
-    // the emitted leaf pages then reuse the region's just-freed stream
-    // pages, keeping the device's allocation history (page layout,
-    // peak_allocated) identical to historical serial builds.  Safe: the
-    // region's task has finished reading (WaitFor above).
-    for (auto& l : bc->sub.lists) l.Clear();
-    for (const PseudoLeafChunk& c : bc->chunks) {
-      chunk_buf.assign(bc->recs.begin() + c.offset,
-                       bc->recs.begin() + c.offset + c.count);
-      emit(chunk_buf);
-    }
-  };
-  auto retire_all = [&]() {
-    while (!inflight.empty()) retire_one();
+        &recs,
+        [&](const PseudoLeafChunk& c) {
+          emit(recs.data() + c.offset, c.count);
+        },
+        sub.depth, env.pool);
   };
 
   while (!pending.empty()) {
@@ -268,30 +238,9 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
 
     // ---- recursion base: build in memory ---------------------------
     if (sub.n <= mem_records) {
-      auto bc = std::make_unique<BaseCase>();
-      bc->sub = std::move(sub);
-      BaseCase* raw = bc.get();
-      if (pool != nullptr) {
-        while (!inflight.empty() &&
-               (inflight.size() >= max_inflight ||
-                inflight_records + raw->sub.n > max_inflight_records)) {
-          retire_one();
-        }
-        inflight_records += raw->sub.n;
-        inflight.push_back(std::move(bc));
-        pool->Submit(&raw->done, [&run_base, raw] { run_base(raw); });
-      } else {
-        inflight_records += raw->sub.n;
-        inflight.push_back(std::move(bc));
-        run_base(raw);
-        retire_one();
-      }
+      run_base(sub);
       continue;
     }
-
-    // A grid phase emits its own priority leaves below; retire every
-    // earlier base case first so the global leaf order stays serial.
-    retire_all();
 
     // ---- grid phase -------------------------------------------------
     const size_t n = sub.n;
@@ -313,7 +262,7 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
     z = std::clamp<size_t>(z, 2, 32);
 
     // Initial slab thresholds at ranks j*n/z, and slab start ranks.
-    std::array<std::vector<CoordThreshold>, K> thresholds;
+    std::array<std::vector<Rec>, K> thresholds;
     std::array<std::vector<size_t>, K> starts;  // slab j = [starts[j], starts[j+1])
     for (int c = 0; c < K; ++c) {
       starts[c].push_back(0);
@@ -322,8 +271,7 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
         size_t rank = j * n / z;
         if (rank == 0 || rank >= n || rank == starts[c].back()) continue;
         sub.lists[c].ReadRange(rank, 1, &one);
-        thresholds[c].push_back(
-            CoordThreshold{one[0].rect.CornerCoord(c), one[0].id});
+        thresholds[c].push_back(one[0]);
         starts[c].push_back(rank);
       }
       starts[c].push_back(n);
@@ -350,7 +298,7 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
     // ---- build z kd-nodes breadth-first -----------------------------
     struct KdNode {
       int dim;
-      CoordThreshold t;
+      Rec t;  // records CoordLess(dim) than t go left
       int left_node = -1, right_node = -1;      // child kd-node index
       int left_region = -1, right_region = -1;  // or final region index
     };
@@ -451,13 +399,12 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
         PRTREE_CHECK(inner < in_region.size());
         std::nth_element(in_region.begin(), in_region.begin() + inner,
                          in_region.end(), CoordLess<D>{d});
-        const Rec& med = in_region[inner];
-        kd.t = CoordThreshold{med.rect.CornerCoord(d), med.id};
+        kd.t = in_region[inner];
 
         // Global split position of the slab, then re-bucket its records.
         size_t slab_left = 0;
         for (const Rec& rec : slab_recs) {
-          if (BeforeThreshold(rec, d, kd.t)) ++slab_left;
+          if (CoordLess<D>{d}(rec, kd.t)) ++slab_left;
         }
         counts.SubdivideSlab(d, jstar);
         thresholds[d].insert(thresholds[d].begin() + jstar, kd.t);
@@ -496,15 +443,8 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
 
     if (nodes.empty()) {
       // Degenerate (tiny n with an overridden budget): fall back to the
-      // in-memory builder to guarantee progress.  Inline (not a task) so
-      // the leaves land exactly here in the emission order.
-      auto bc = std::make_unique<BaseCase>();
-      bc->sub = std::move(sub);
-      BaseCase* raw = bc.get();
-      inflight_records += raw->sub.n;
-      inflight.push_back(std::move(bc));
-      run_base(raw);
-      retire_one();
+      // in-memory builder to guarantee progress.
+      run_base(sub);
       continue;
     }
 
@@ -547,7 +487,7 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
           }
           if (placed) break;
           const KdNode& kd = nodes[node];
-          if (BeforeThreshold(cur, kd.dim, kd.t)) {
+          if (CoordLess<D>{kd.dim}(cur, kd.t)) {
             node = kd.left_node;  // -1 ends at a final region
           } else {
             node = kd.right_node;
@@ -575,7 +515,7 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
         if (h.empty()) continue;
         for (const Rec& rec : h) captured.insert(&rec);
         captured_count += h.size();
-        emit(h);
+        emit(h.data(), h.size());
       }
     }
 
@@ -596,7 +536,7 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
         int region = -1;
         while (true) {
           const KdNode& kd = nodes[node];
-          if (BeforeThreshold(rec, kd.dim, kd.t)) {
+          if (CoordLess<D>{kd.dim}(rec, kd.t)) {
             if (kd.left_node >= 0) {
               node = kd.left_node;
             } else {
@@ -628,7 +568,6 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
       if (child.n > 0) pending.push_back(std::move(child));
     }
   }
-  retire_all();
 }
 
 }  // namespace prtree

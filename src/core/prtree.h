@@ -17,6 +17,8 @@
 // paper's recursion structure, so measured build I/Os reproduce Figures
 // 9-10.  Stage 0 reads the loader's input stream; later stages hold their
 // input in memory and spill it to a stream only for the grid algorithm.
+// Either way each leaf chunk becomes one node through the stage's
+// NodeWriter (rtree/builder.h).
 // BulkLoader (rtree/bulk_loader.h) checks the tree and options before it
 // calls internal::BulkLoadPrTree; the forest's rebuild
 // (core/dynamic_prtree.h) is the one other caller.
@@ -30,7 +32,6 @@
 #include "core/pseudo_prtree.h"
 #include "io/stream.h"
 #include "io/work_env.h"
-#include "io/write_stager.h"
 #include "rtree/builder.h"
 #include "rtree/rtree.h"
 #include "util/status.h"
@@ -51,20 +52,12 @@ std::vector<LevelEntry<D>> BuildPrStage(WorkEnv env, Stream<Record<D>>* stream,
                                         int level, size_t node_capacity,
                                         double priority_fraction,
                                         bool force_grid) {
-  BlockDevice* dev = env.device;
-  std::vector<LevelEntry<D>> finished;
-  std::vector<std::byte> buf(dev->block_size());
-  // Chunk emission arrives on this thread in allocation order; the stager
-  // coalesces the node writes into device batches and is drained before
-  // either return below (nothing reads these pages during the stage).
-  WriteStager stager(dev);
-  auto write_chunk = [&](const Record<D>* chunk, size_t n) {
-    NodeView<D> node(buf.data(), dev->block_size());
-    node.Format(static_cast<uint16_t>(level));
-    for (size_t i = 0; i < n; ++i) node.Append(chunk[i].rect, chunk[i].id);
-    PageId page = dev->Allocate();
-    stager.Stage(page, buf.data());
-    finished.push_back(LevelEntry<D>{node.ComputeMbr(), page});
+  // Every leaf chunk becomes one node; chunks arrive on this thread in
+  // allocation order.
+  NodeWriter<D> writer(env.device, level);
+  auto write_chunk = [&writer](const Record<D>* chunk, size_t n) {
+    for (size_t i = 0; i < n; ++i) writer.Add(chunk[i].rect, chunk[i].id);
+    writer.EndNode();
   };
 
   size_t prio_size = std::max<size_t>(
@@ -84,12 +77,11 @@ std::vector<LevelEntry<D>> BuildPrStage(WorkEnv env, Stream<Record<D>>* stream,
           write_chunk(recs.data() + chunk.offset, chunk.count);
         },
         /*start_depth=*/0, env.pool);
-    stager.Drain();
-    return finished;
+    return writer.Finish();
   }
 
   // External path: the grid algorithm reads its input from a stream.
-  Stream<Record<D>> spilled(dev);
+  Stream<Record<D>> spilled(env.device);
   if (stream == nullptr) {
     spilled.Append(recs);
     spilled.Flush();
@@ -100,11 +92,8 @@ std::vector<LevelEntry<D>> BuildPrStage(WorkEnv env, Stream<Record<D>>* stream,
   GridBuildOptions gopts;
   gopts.capacity = node_capacity;
   gopts.priority_size = prio_size;
-  GridEmitLeaves<D>(env, stream, gopts,
-                    [&](const std::vector<Record<D>>& chunk) {
-                      write_chunk(chunk.data(), chunk.size());
-                    });
-  stager.Drain();
+  GridEmitLeaves<D>(env, stream, gopts, write_chunk);
+  std::vector<LevelEntry<D>> finished = writer.Finish();
   stream->Clear();
   return finished;
 }
@@ -114,9 +103,9 @@ std::vector<LevelEntry<D>> BuildPrStage(WorkEnv env, Stream<Record<D>>* stream,
 ///
 /// All block transfers are accounted on env.device; the memory budget
 /// selects between the grid algorithm and the in-memory base case per
-/// stage.  env.pool (if set) parallelises the sorts, the pseudo-PR-tree
-/// recursion and the grid base cases; the produced tree is byte-identical
-/// for any thread count (see rtree/bulk_loader.h for the contract).
+/// stage.  env.pool (if set) parallelises the sorts and the pseudo-PR-tree
+/// recursion; the produced tree is byte-identical for any thread count
+/// (see rtree/bulk_loader.h for the contract).
 /// `priority_fraction` (in (0, 1]) sizes the priority leaves relative to a
 /// node; 1.0 is the paper's structure.
 template <int D>
@@ -135,6 +124,8 @@ void BulkLoadPrTree(WorkEnv env, Stream<Record<D>>* input, RTree<D>* tree,
   while (level_entries.size() > 1) {
     ++level;
     if (level_entries.size() <= cap) {
+      // The root: one block, written directly rather than as a batch of
+      // one through a NodeWriter's stager.
       std::vector<std::byte> buf(env.device->block_size());
       NodeView<D> node(buf.data(), env.device->block_size());
       node.Format(static_cast<uint16_t>(level));

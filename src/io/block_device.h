@@ -135,9 +135,9 @@ class BlockDevice {
   }
 
   /// Copies `buf` (block_size() bytes) into the block.  Counts one write.
-  /// Concurrent writes to *distinct* pages are safe (the parallel node
-  /// serializers rely on this).  Non-virtual like Read(): fault injection
-  /// and accounting live here, identically for every backend.
+  /// Concurrent writes to *distinct* pages are safe.  Non-virtual like
+  /// Read(): fault injection and accounting live here, identically for
+  /// every backend.
   Status Write(PageId page, const void* buf) {
     return WriteImpl(page, buf, WriteKind::kData);
   }

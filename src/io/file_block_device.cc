@@ -228,6 +228,7 @@ Status FileBlockDevice::LoadExisting() {
   file_pages_ = st.st_size >= static_cast<off_t>(block_size())
                     ? static_cast<size_t>(st.st_size) / block_size() - 1
                     : 0;
+  stale_pages_ = file_pages_;
   // Re-read the superblock through PReadBlock: Open() only peeked at the
   // header with a plain pread, which is no longer legal once O_DIRECT is in
   // effect (unaligned size), and the user metadata still needs loading.
@@ -329,7 +330,10 @@ PageId FileBlockDevice::Allocate() {
     PRTREE_CHECK(num_pages_ < kInvalidPageId);
     page = static_cast<PageId>(num_pages_);
     ++num_pages_;
-    live_.push_back(kLivePage);
+    // A page inside the extent the file had at Open may hold bytes written
+    // before a crash, past the recorded page count: like a recycled page,
+    // it reads as zeros until written, and Sync zeroes it otherwise.
+    live_.push_back(page < stale_pages_ ? kZeroPage : kLivePage);
     // Extend the file so a never-written fresh page reads back as zeros.
     // Grown geometrically (sparse), so a build costs O(log N) ftruncate
     // calls instead of one per page.

@@ -14,7 +14,9 @@
 // then fsync()s the file, and best-effort on clean close when it changed:
 // Free() only pushes the page onto the in-memory LIFO, and Allocate() of
 // a recycled page only marks it "reads as zeros" (reads return zeros
-// until its first client write lands).  Sync() puts that state on disk in
+// until its first client write lands).  So does Allocate() of a fresh
+// page inside the extent the file had at Open: a crash can leave such a
+// page, past the recorded page count, holding bytes written before it.  Sync() puts that state on disk in
 // an order a crash can cut anywhere: it first zeroes the live pages still
 // marked, then stamps the part of the free list that changed since the
 // last Sync (entries below the lowest point the list shrank to still hold
@@ -194,9 +196,9 @@ class FileBlockDevice : public BlockDevice {
   /// acquisition for the whole batch: requests whose page is unallocated
   /// get an IoError status; the survivors' statuses are left untouched.
   /// `reads_zero[i]` is set to 1 iff request i's page is live and still
-  /// reads as zeros (recycled, and no write has landed on it since), else
-  /// 0.  The scalar DoRead()/DoWrite() screen their one request through
-  /// here.
+  /// reads as zeros (recycled or stale, and no write has landed on it
+  /// since), else 0.  The scalar DoRead()/DoWrite() screen their one
+  /// request through here.
   template <typename Request>
   void ScreenBatchLiveness(Request* reqs, size_t n,
                            uint8_t* reads_zero) const {
@@ -275,6 +277,7 @@ class FileBlockDevice : public BlockDevice {
   size_t stamped_ = 0;  // free_list_[0, stamped_) hold valid stamps on disk
   size_t num_pages_ = 0;              // pages ever created (monotonic)
   size_t file_pages_ = 0;             // pages the file's extent covers
+  size_t stale_pages_ = 0;  // extent at Open: fresh pages below may be stale
   size_t allocated_ = 0;
   size_t peak_allocated_ = 0;
   std::vector<std::byte> user_meta_;  // <= kUserMetaCapacity bytes

@@ -30,23 +30,18 @@ struct WorkEnv {
   BlockDevice* device = nullptr;
   size_t memory_bytes = kDefaultMemoryBudget;
 
-  /// Optional worker pool for the CPU-heavy build stages (run sorting,
-  /// pseudo-PR-tree recursion, node serialization).  Null means serial.
-  /// Never changes *what* is built: all sizing thresholds derive from
-  /// memory_bytes alone, and every loader keeps its device allocations in
-  /// deterministic order, so a pooled build is byte-identical to a serial
-  /// one (see rtree/bulk_loader.h).
+  /// Optional worker pool for the CPU-heavy build stages (run sorting and
+  /// the pseudo-PR-tree recursion, both on in-memory arrays).  Null means
+  /// serial.  Never changes *what* is built: all sizing thresholds derive
+  /// from memory_bytes alone, and every device call stays on the calling
+  /// thread in serial order, so a pooled build is byte-identical to a
+  /// serial one (see rtree/bulk_loader.h).
   ThreadPool* pool = nullptr;
 
   /// Number of records of type T that fit in memory (the paper's M).
   template <typename T>
   size_t MemoryRecords() const {
     return memory_bytes / sizeof(T);
-  }
-
-  /// Number of blocks that fit in memory (the paper's M/B).
-  size_t MemoryBlocks() const {
-    return memory_bytes / device->block_size();
   }
 };
 

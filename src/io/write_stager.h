@@ -28,8 +28,8 @@
 // on when a drain happened.
 // Stream<T> and NodeWriter hide those rules behind their own Flush/Finish.
 //
-// Not thread-safe; parallel serializers use one stager per worker (their
-// pages are disjoint and preallocated, so drains commute byte-wise).
+// Not thread-safe; every serializer stages on the thread that allocated
+// its pages.
 
 #ifndef PRTREE_IO_WRITE_STAGER_H_
 #define PRTREE_IO_WRITE_STAGER_H_

@@ -1,24 +1,19 @@
 // Shared node-writing helpers for bulk loaders.
 //
 // All one-dimensional-ordering loaders (packed Hilbert, 4-D Hilbert, STR)
-// and the final stages of PR/TGS construction share the same mechanics:
-// write runs of records as full leaves, then repeatedly pack each level's
-// (MBR, page) entries into parent nodes until a single root remains
-// ("bottom-up level-by-level", §1.1 [10, 15, 18]).
+// and the stages of PR construction share the same mechanics: write runs
+// of records as leaves, then repeatedly pack each level's (MBR, page)
+// entries into parent nodes until a single root remains ("bottom-up
+// level-by-level", §1.1 [10, 15, 18]).
 //
-// Thread-safe page-allocation path: PackLevel/PackUpward accept a
-// ThreadPool.  Page ids are still allocated on the calling thread in entry
-// order (so the packed tree is byte-identical to a serial pack), but the
-// nodes themselves — MBR computation and the block writes — are serialized
-// concurrently by pool tasks, each writing its own preallocated pages with
-// no shared lock (BlockDevice::Write is lock-free for distinct pages).
-//
-// Node emission goes through a WriteStager (one per writer/task), so on a
-// batching backend a train of node writes is a few WriteBatch submissions
-// instead of one pwrite each.  Pages drain in allocation order (serial
-// path) or per-task over disjoint preallocated pages (parallel path), and
-// each page is written exactly once — so the staged build stays
-// byte-identical to the scalar one in every mode.
+// Every node goes through a NodeWriter on the loader's calling thread: it
+// allocates each node's page when the node is finished, so pages are
+// allocated in node order, and emits the node through a WriteStager, so
+// on a batching backend a train of node writes is a few WriteBatch
+// submissions instead of one pwrite each.  Each page is written exactly
+// once, in allocation order, so the staged build is byte-identical to a
+// scalar one, and its write_batches count is a function of the node
+// sequence alone.
 
 #ifndef PRTREE_RTREE_BUILDER_H_
 #define PRTREE_RTREE_BUILDER_H_
@@ -27,7 +22,6 @@
 
 #include "io/write_stager.h"
 #include "rtree/rtree.h"
-#include "util/parallel.h"
 
 namespace prtree {
 
@@ -41,42 +35,33 @@ struct LevelEntry {
 /// \brief Incrementally packs records (or child entries) into node blocks of
 /// a fixed level, emitting a LevelEntry per finished node.
 ///
-/// Feeding entries in the loader's chosen order and cutting every
-/// `target_fill` entries yields the near-100 % space utilisation the paper
-/// reports (§3.3).
+/// A node is finished when it is full or when the caller ends it early
+/// with EndNode().  Feeding entries in the loader's chosen order and
+/// cutting only full nodes yields the near-100 % space utilisation the
+/// paper reports (§3.3).
 template <int D>
 class NodeWriter {
  public:
-  /// \param device      destination device.
-  /// \param level       tree level of the nodes written (0 = leaf).
-  /// \param target_fill entries per node; defaults to full capacity.
-  NodeWriter(BlockDevice* device, int level, size_t target_fill = 0)
+  /// \param device destination device.
+  /// \param level  tree level of the nodes written (0 = leaf).
+  NodeWriter(BlockDevice* device, int level)
       : device_(device),
         level_(level),
         buf_(device->block_size()),
         node_(buf_.data(), device->block_size()),
         stager_(device) {
-    target_fill_ = target_fill == 0 ? node_.capacity() : target_fill;
-    PRTREE_CHECK(target_fill_ >= 1 && target_fill_ <= node_.capacity());
     node_.Format(static_cast<uint16_t>(level_));
   }
 
-  /// Adds one entry, flushing a node when target_fill is reached.
+  /// Adds one entry, finishing the node once it is full.
   void Add(const Rect<D>& rect, uint32_t id) {
     node_.Append(rect, id);
-    if (node_.count() >= target_fill_) FlushNode();
+    if (node_.full()) EndNode();
   }
 
-  /// Flushes any partial node, drains every staged node block to the
-  /// device, and returns the finished level.
-  std::vector<LevelEntry<D>> Finish() {
-    if (node_.count() > 0) FlushNode();
-    stager_.Drain();
-    return std::move(finished_);
-  }
-
- private:
-  void FlushNode() {
+  /// Finishes the current node, if it holds any entry.
+  void EndNode() {
+    if (node_.count() == 0) return;
     PageId page = device_->Allocate();
     Rect<D> mbr = node_.ComputeMbr();
     stager_.Stage(page, buf_.data());
@@ -84,84 +69,42 @@ class NodeWriter {
     node_.Format(static_cast<uint16_t>(level_));
   }
 
+  /// Finishes any partial node, drains every staged node block to the
+  /// device, and returns the finished level.
+  std::vector<LevelEntry<D>> Finish() {
+    EndNode();
+    stager_.Drain();
+    return std::move(finished_);
+  }
+
+ private:
   BlockDevice* device_;
   int level_;
-  size_t target_fill_;
   std::vector<std::byte> buf_;
   NodeView<D> node_;
   WriteStager stager_;
   std::vector<LevelEntry<D>> finished_;
 };
 
-/// \brief Packs consecutive runs of `children` into parent nodes at `level`.
-///
-/// With a pool, the nodes' page ids are preallocated in order on the
-/// calling thread and the node blocks are formatted and written by pool
-/// tasks — byte-identical output, concurrent serialization.
-template <int D>
-std::vector<LevelEntry<D>> PackLevel(BlockDevice* device,
-                                     const std::vector<LevelEntry<D>>& children,
-                                     int level, ThreadPool* pool = nullptr) {
-  const size_t n = children.size();
-  const size_t cap = NodeCapacity<D>(device->block_size());
-  const size_t num_nodes = (n + cap - 1) / cap;
-  if (pool == nullptr || pool->num_threads() <= 1 || num_nodes < 4) {
-    NodeWriter<D> writer(device, level);
-    for (const auto& child : children) writer.Add(child.mbr, child.page);
-    return writer.Finish();
-  }
-
-  std::vector<LevelEntry<D>> finished(num_nodes);
-  for (size_t i = 0; i < num_nodes; ++i) {
-    finished[i].page = device->Allocate();
-  }
-  ThreadPool::TaskGroup group;
-  const size_t tasks = std::min(num_nodes, 2 * pool->num_threads());
-  for (size_t t = 0; t < tasks; ++t) {
-    size_t node_lo = num_nodes * t / tasks;
-    size_t node_hi = num_nodes * (t + 1) / tasks;
-    pool->Submit(&group, [device, &children, &finished, level, cap, n,
-                          node_lo, node_hi] {
-      std::vector<std::byte> buf(device->block_size());
-      // One stager per task: the task's pages are disjoint and
-      // preallocated, so per-task batches commute byte-wise; the stager
-      // drains on destruction, inside WaitFor's barrier.
-      WriteStager stager(device);
-      for (size_t i = node_lo; i < node_hi; ++i) {
-        NodeView<D> node(buf.data(), device->block_size());
-        node.Format(static_cast<uint16_t>(level));
-        size_t lo = i * cap;
-        size_t hi = std::min(n, lo + cap);
-        for (size_t j = lo; j < hi; ++j) {
-          node.Append(children[j].mbr, children[j].page);
-        }
-        finished[i].mbr = node.ComputeMbr();
-        stager.Stage(finished[i].page, buf.data());
-      }
-    });
-  }
-  pool->WaitFor(&group);
-  return finished;
-}
-
 /// \brief Builds the upper levels of `tree` by repeatedly packing
-/// `level0` (finished leaves, in the loader's order) until one node
-/// remains, then installs the root.
+/// `level0` (finished leaves, in the loader's order) into full parent
+/// nodes until one node remains, then installs the root.
 ///
 /// \param tree       destination tree (must be empty).
 /// \param level0     the finished leaf level.
 /// \param data_count number of data records stored in the leaves.
-/// \param pool       optional pool for concurrent node serialization.
 template <int D>
 void PackUpward(RTree<D>* tree, std::vector<LevelEntry<D>> level0,
-                size_t data_count, ThreadPool* pool = nullptr) {
+                size_t data_count) {
   PRTREE_CHECK(tree->empty());
   PRTREE_CHECK(!level0.empty());
   std::vector<LevelEntry<D>> level = std::move(level0);
   int height = 0;
   while (level.size() > 1) {
     ++height;
-    level = PackLevel(tree->device(), level, height, pool);
+    NodeWriter<D> writer(tree->device(), height);
+    for (const auto& child : level) writer.Add(child.mbr, child.page);
+    level = writer.Finish();
   }
   tree->SetRoot(level.front().page, height, data_count);
 }

@@ -11,13 +11,13 @@
 // is the one place that includes the core and baseline loaders together.
 //
 // Parallel builds are deterministic by construction.  BuildOptions.threads
-// accelerates the CPU-heavy stages — in-memory run sorting (util/parallel.h
-// ParallelSort), the pseudo-PR-tree kd recursion, the grid builder's
-// base-case regions, upper-level node packing — while the coordinating
-// thread performs every device Allocate/Free in the same order as a serial
-// build and retires concurrently produced leaves in input order.  Same
-// input + same options => byte-identical tree for ANY thread count, so
-// every paper-figure bench stays reproducible; the determinism suite
+// accelerates two CPU-heavy stages, both on in-memory arrays: run sorting
+// (util/parallel.h ParallelSort) and the pseudo-PR-tree kd recursion
+// (PseudoPRTreeBuilder::EmitLeaves, whose chunks reach the caller in
+// serial order).  Every device call happens on the calling thread, in the
+// order of a serial build.  Same input + same options => byte-identical
+// tree and identical I/O counters for ANY thread count, so every
+// paper-figure bench stays reproducible; the determinism suite
 // (tests/bulk_loader_test.cc) walks both trees page by page to enforce it.
 
 #ifndef PRTREE_RTREE_BULK_LOADER_H_
@@ -110,9 +110,9 @@ inline bool ParseLoaderKind(std::string_view name, LoaderKind* out) {
 /// and live on the build's device, `priority_fraction` must lie in (0, 1],
 /// and the centre-curve Hilbert loader is 2-D only.  An empty input leaves
 /// the tree empty.  Each Build() runs independently, spawning a private
-/// pool when opts.threads > 1.  TGS needs distinct ids: its cuts break
-/// coordinate ties by id (baselines/tgs_rtree.h) and abort when two
-/// records tie on both.
+/// pool when opts.threads > 1.  Records may share an id; the corner
+/// orderings break ties on the other corner coordinates
+/// (core/corner_order.h).
 template <int D>
 class BulkLoader {
  public:

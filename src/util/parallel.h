@@ -2,9 +2,9 @@
 // parallel bulk-load pipeline.
 //
 // Queries fan out across threads over a shared BufferPool; bulk loaders
-// offload their CPU-heavy stages (run sorting, pseudo-PR-tree recursion,
-// node serialization) onto a ThreadPool while the coordinating thread keeps
-// every device allocation in deterministic program order.  These helpers
+// offload their CPU-heavy stages (run sorting and the pseudo-PR-tree
+// recursion, on in-memory arrays) onto a ThreadPool while the coordinating
+// thread makes every device call in deterministic program order.  These helpers
 // cover both patterns — a fork-join ParallelFor for benchmarks and batch
 // serving, a fixed-size ThreadPool whose TaskGroup/WaitFor support nested
 // fork-join (waiters help drain the queue, so tasks may fork subtasks), and

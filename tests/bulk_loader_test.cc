@@ -155,11 +155,12 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(BulkLoaderDeterminismTest, PartialTrailingNodeAloneInPackTask) {
-  // Regression: with block 1024 (fan-out 28) and 2773 records, the packed
-  // level-1 has exactly 4 nodes — one per task at threads=4 — and the last
-  // node is partial.  Before NodeView::Format zeroed the entry area, that
-  // node's unused slots held the serial NodeWriter's stale bytes but the
-  // parallel task's fresh zeros, breaking byte-identity.
+  // Regression from when level packing ran in pool tasks: with block 1024
+  // (fan-out 28) and 2773 records, the packed level-1 has exactly 4 nodes,
+  // one per task at threads=4, and the last node is partial.  Before
+  // NodeView::Format zeroed the entry area, that node's unused slots held
+  // the serial NodeWriter's stale bytes but the parallel task's fresh
+  // zeros, breaking byte-identity.
   auto data = workload::MakeSize(2773, 0.01, 13);
   BuildOptions serial;
   serial.memory_bytes = 4u << 20;
@@ -173,8 +174,8 @@ TEST(BulkLoaderDeterminismTest, PartialTrailingNodeAloneInPackTask) {
 }
 
 TEST(BulkLoaderTest, EightThreadGridBuildSmoke) {
-  // TSan target: exercises concurrent base-case tasks, nested pseudo-PR
-  // forks, parallel run sorts and parallel level packing in one build.
+  // TSan target: exercises the nested pseudo-PR forks of the grid base
+  // cases and the parallel run sorts in one build.
   auto data = workload::MakeSkewed(20000, 5, 21);
   BuildOptions opts;
   opts.memory_bytes = 256u << 10;
@@ -190,6 +191,38 @@ TEST(BulkLoaderTest, EightThreadGridBuildSmoke) {
   ASSERT_EQ(dumped.size(), expect.size());
   for (size_t i = 0; i < dumped.size(); ++i) {
     EXPECT_EQ(dumped[i].id, expect[i].id);
+  }
+}
+
+// Records may share an id: the forest stores a moved record's old and new
+// positions side by side.  With ids i/2, TIGER-like records pair
+// consecutive segments of one road, which share an endpoint and so often
+// tie on a corner coordinate as well as on the id.  Every loader must
+// store the whole multiset, in the same pages at any thread count, both
+// in memory and on the grid path.
+TEST(BulkLoaderTest, EveryLoaderAcceptsRecordsThatShareIds) {
+  auto data = workload::MakeTigerLike(20000, workload::TigerRegion::kEastern,
+                                      5);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i].id = static_cast<DataId>(i / 2);
+  }
+  auto expect = data;
+  CanonicalSort(&expect);
+  for (LoaderKind kind : AllLoaderKinds()) {
+    for (size_t memory : {size_t{256} << 10, size_t{64} << 20}) {
+      SCOPED_TRACE(std::string(LoaderKindName(kind)) + " at " +
+                   std::to_string(memory >> 10) + " KB");
+      BuildOptions serial{.memory_bytes = memory};
+      BuildOptions parallel = serial;
+      parallel.threads = 4;
+      Built a = Build(kind, data, serial);
+      ASSERT_TRUE(ValidateTree(*a.tree).ok());
+      auto dumped = DumpRecords(*a.tree);
+      CanonicalSort(&dumped);
+      EXPECT_TRUE(dumped == expect);
+      Built b = Build(kind, data, parallel);
+      ExpectTreesByteIdentical(a, b);
+    }
   }
 }
 

@@ -43,16 +43,38 @@ TEST(CornerOrderTest, TiesBrokenByIdGiveStrictTotalOrder) {
   }
 }
 
-TEST(CornerOrderTest, BeforeThresholdConsistentWithCoordLess) {
+TEST(CornerOrderTest, SharedIdsBrokenByTheOtherCorners) {
+  // Same id and xmin; only ymax differs.
+  Record2 a{MakeRect(1, 1, 2, 2), 3};
+  Record2 b{MakeRect(1, 1, 2, 5), 3};
+  for (int c = 0; c < 4; ++c) {
+    EXPECT_NE((CoordLess<2>{c}(a, b)), (CoordLess<2>{c}(b, a))) << c;
+    EXPECT_NE((ExtremeLess<2>{c}(a, b)), (ExtremeLess<2>{c}(b, a))) << c;
+    EXPECT_FALSE((CoordLess<2>{c}(b, b)));
+    EXPECT_FALSE((ExtremeLess<2>{c}(b, b)));
+  }
+  EXPECT_TRUE((CoordLess<2>{0}(a, b)));    // tie on xmin and id: ymax 2 < 5
+  EXPECT_TRUE((ExtremeLess<2>{3}(b, a)));  // ymax itself: 5 is more extreme
+}
+
+TEST(CornerOrderTest, CutRecordSeparatesItsRank) {
+  // Pairs share an id and every corner coordinate but xmax, so in every
+  // other dimension they tie on (coordinate, id).  The record at rank r of
+  // the sorted order, used as a cut, has exactly r records before it.
   auto data = RandomRects<2>(300, 55);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i].id = static_cast<DataId>(i / 2);
+    if (i % 2 == 1) {
+      data[i].rect = data[i - 1].rect;
+      data[i].rect.hi[0] += 0.01;
+    }
+  }
   for (int c = 0; c < 4; ++c) {
     std::sort(data.begin(), data.end(), CoordLess<2>{c});
-    // The threshold at rank r separates exactly r records.
-    for (size_t r : {size_t{0}, size_t{1}, size_t{150}, size_t{299}}) {
-      CoordThreshold t{data[r].rect.CornerCoord(c), data[r].id};
+    for (size_t r = 0; r < data.size(); ++r) {
       size_t before = 0;
       for (const auto& rec : data) {
-        if (BeforeThreshold(rec, c, t)) ++before;
+        if (CoordLess<2>{c}(rec, data[r])) ++before;
       }
       EXPECT_EQ(before, r) << "dim " << c << " rank " << r;
     }

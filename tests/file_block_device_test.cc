@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -565,6 +566,40 @@ TEST_F(FileBlockDeviceCrashTest, SyncCutBeforeItsSuperblockStillOpens) {
     auto re = OpenImage(backend, image);
     EXPECT_EQ(re->num_allocated(), 2u);  // p1 leaked as live
     EXPECT_EQ(re->Allocate(), p0);       // the walkable prefix survives
+    std::remove(image.c_str());
+  }
+}
+
+TEST_F(FileBlockDeviceCrashTest, FreshPagePastTheRecordedCountReadsZeros) {
+  // Sync records an empty device; afterwards page P0 is allocated and
+  // written.  The crash image's extent holds P0's bytes past the recorded
+  // page count, so a reopened device hands P0 out again as a fresh page:
+  // it must read as zeros, and Sync must zero it on the file.
+  for (const std::string backend : {"file", "uring"}) {
+    SCOPED_TRACE(backend);
+    auto dev = Create(backend);
+    ASSERT_TRUE(dev->Sync().ok());
+    const PageId p0 = dev->Allocate();
+    WriteData(dev.get(), p0);
+    std::string image = CrashImage();
+    auto count_nonzero = [](const std::vector<std::byte>& buf) {
+      return std::count_if(buf.begin(), buf.end(),
+                           [](std::byte b) { return b != std::byte{0}; });
+    };
+
+    std::vector<std::byte> buf(512);
+    {
+      auto re = OpenImage(backend, image);
+      EXPECT_EQ(re->num_allocated(), 0u);
+      ASSERT_EQ(re->Allocate(), p0);
+      ASSERT_TRUE(re->Read(p0, buf.data()).ok());
+      EXPECT_EQ(count_nonzero(buf), 0);
+      ASSERT_TRUE(re->Sync().ok());
+    }
+    auto synced = OpenImage(backend, image);
+    EXPECT_EQ(synced->num_allocated(), 1u);
+    ASSERT_TRUE(synced->Read(p0, buf.data()).ok());
+    EXPECT_EQ(count_nonzero(buf), 0);
     std::remove(image.c_str());
   }
 }

@@ -32,11 +32,13 @@ EmitSummary<D> RunGrid(const std::vector<Record<D>>& data, WorkEnv env,
   input.Flush();
   EmitSummary<D> summary;
   GridEmitLeaves<D>(env, &input, opts,
-                    [&](const std::vector<Record<D>>& chunk) {
+                    [&](const Record<D>* chunk, size_t count) {
                       ++summary.chunks;
-                      summary.total_records += chunk.size();
-                      if (chunk.size() > opts.capacity) ++summary.oversized;
-                      for (const auto& r : chunk) summary.seen[r.id]++;
+                      summary.total_records += count;
+                      if (count > opts.capacity) ++summary.oversized;
+                      for (size_t i = 0; i < count; ++i) {
+                        summary.seen[chunk[i].id]++;
+                      }
                     });
   return summary;
 }
@@ -97,11 +99,10 @@ TEST(GridBuilderTest, PrioritySizeOptionBoundsPriorityChunks) {
   input.Append(data);
   input.Flush();
   size_t total = 0;
-  GridEmitLeaves<2>(env, &input, opts,
-                    [&](const std::vector<Record2>& chunk) {
-                      EXPECT_LE(chunk.size(), 13u);
-                      total += chunk.size();
-                    });
+  GridEmitLeaves<2>(env, &input, opts, [&](const Record2*, size_t count) {
+    EXPECT_LE(count, 13u);
+    total += count;
+  });
   EXPECT_EQ(total, data.size());
 }
 
@@ -160,7 +161,7 @@ TEST(GridBuilderTest, IoWithinSortBoundTimesConstant) {
   dev.ResetStats();
   GridBuildOptions opts;
   opts.capacity = 13;
-  GridEmitLeaves<2>(env, &input, opts, [](const std::vector<Record2>&) {});
+  GridEmitLeaves<2>(env, &input, opts, [](const Record2*, size_t) {});
   // 4 sorts + per-phase count/filter/distribute scans over each level of
   // recursion; a generous constant catches runaway rescans.
   EXPECT_LE(dev.stats().Total(), 60u * blocks);

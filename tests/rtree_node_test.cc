@@ -126,13 +126,28 @@ TEST(NodeWriterTest, PacksFullNodes) {
   EXPECT_EQ(total, 300u);
 }
 
-TEST(NodeWriterTest, RespectsTargetFill) {
+TEST(NodeWriterTest, EndNodeFinishesAPartialNode) {
   MemoryBlockDevice dev(4096);
-  NodeWriter<2> writer(&dev, /*level=*/1, /*target_fill=*/10);
+  NodeWriter<2> writer(&dev, /*level=*/1);
   auto data = testing_util::RandomRects<2>(25, 19);
-  for (const auto& rec : data) writer.Add(rec.rect, rec.id);
+  for (size_t i = 0; i < data.size(); ++i) {
+    writer.Add(data[i].rect, data[i].id);
+    if (i % 10 == 9) writer.EndNode();
+  }
+  writer.EndNode();
+  writer.EndNode();  // an empty node is never written
   auto level = writer.Finish();
   ASSERT_EQ(level.size(), 3u);  // 10 + 10 + 5
+  std::vector<std::byte> buf(4096);
+  const int expect[] = {10, 10, 5};
+  for (size_t i = 0; i < level.size(); ++i) {
+    ASSERT_TRUE(dev.Read(level[i].page, buf.data()).ok());
+    NodeView<2> node(buf.data(), buf.size());
+    EXPECT_EQ(node.count(), expect[i]);
+    EXPECT_EQ(node.level(), 1);
+    EXPECT_EQ(node.ComputeMbr(), level[i].mbr);
+  }
+  EXPECT_EQ(dev.num_allocated(), 3u);
 }
 
 TEST(PackUpwardTest, BuildsBalancedTreeAndRoot) {

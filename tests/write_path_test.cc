@@ -6,7 +6,8 @@
 // device file a scalar-write build produces — same bytes, same allocation
 // order, same demand counters — for any engine (uring ring, pread/pwrite
 // fallback, plain file backend) and any thread count.  Batching may only
-// change wall-clock and the audit-only write_batches counter.
+// change wall-clock and the audit-only write_batches counter; the thread
+// count changes neither the bytes nor any counter.
 
 #include <gtest/gtest.h>
 
@@ -166,10 +167,11 @@ TEST(WritePathTest, ExternalSortParityFileVsUring) {
   std::remove(upath.c_str());
 }
 
-// The PR 8 acceptance invariant: a PR-tree build through the batched write
-// path produces a device file byte-identical to the scalar build — across
-// backends (file vs uring) and thread counts (1 vs 8).  Demand counters
-// match too; only write_batches (audit-only) may differ with threads.
+// A PR-tree build through the batched write path produces a device file
+// byte-identical to the scalar build — across backends (file vs uring) and
+// thread counts (1 vs 8).  Demand counters match too, and write_batches
+// matches across thread counts: every write is staged on the calling
+// thread.
 TEST(WritePathTest, BuildByteIdentityScalarVsBatchedVsParallel) {
   auto data = testing_util::RandomRects<2>(6000, 11);
 
@@ -224,8 +226,47 @@ TEST(WritePathTest, BuildByteIdentityScalarVsBatchedVsParallel) {
   EXPECT_EQ(scalar_io.writes, parallel_io.writes);
   EXPECT_EQ(scalar_io.write_batches, 0u);
   EXPECT_GT(batched_io.write_batches, 0u);
+  EXPECT_EQ(batched_io.write_batches, parallel_io.write_batches);
 
   for (auto* p : {&spath, &bpath, &ppath}) std::remove(p->c_str());
+}
+
+// Every loader calls the device from the calling thread only, in serial
+// order, so the thread count changes neither the device file nor any
+// counter, write_batches included.
+TEST(WritePathTest, EveryLoaderIsThreadCountInvariantOnUring) {
+  auto data = testing_util::RandomRects<2>(20000, 17);
+  for (LoaderKind kind : AllLoaderKinds()) {
+    SCOPED_TRACE(LoaderKindName(kind));
+    std::vector<char> bytes[2];
+    IoStats io[2];
+    const int threads[2] = {1, 8};
+    for (int t = 0; t < 2; ++t) {
+      const std::string path = TestPath(std::string(LoaderKindName(kind)) +
+                                        std::to_string(threads[t]));
+      std::remove(path.c_str());
+      {
+        auto dev = OpenUring(path);
+        auto loader = MakeBulkLoader(
+            kind, {.memory_bytes = 1u << 20, .threads = threads[t]});
+        RTree<2> tree(dev.get());
+        dev->ResetStats();
+        AbortIfError(loader->Build(dev.get(), data, &tree));
+        io[t] = dev->stats();
+        AbortIfError(dev->Sync());
+      }
+      bytes[t] = FileBytes(path);
+      std::remove(path.c_str());
+    }
+    ASSERT_FALSE(bytes[0].empty());
+    EXPECT_TRUE(bytes[0] == bytes[1]) << "device files differ";
+    EXPECT_EQ(io[0].reads, io[1].reads);
+    EXPECT_EQ(io[0].writes, io[1].writes);
+    EXPECT_EQ(io[0].prefetch_reads, io[1].prefetch_reads);
+    EXPECT_EQ(io[0].write_batches, io[1].write_batches);
+    EXPECT_EQ(io[0].meta_reads, io[1].meta_reads);
+    EXPECT_EQ(io[0].meta_writes, io[1].meta_writes);
+  }
 }
 
 TEST(WritePathTest, NoUringEnvBuildIsByteAndCounterIdentical) {
