@@ -385,11 +385,9 @@ int CmdUpdate(const std::map<std::string, std::string>& flags) {
       return 1;
     }
     if (rep.recovered) {
-      std::printf(
-          "recovered: %llu committed ops honoured, %zu torn frames "
-          "truncated, %zu pages swept\n",
-          static_cast<unsigned long long>(rep.committed_ops),
-          rep.truncated_frames, rep.swept_pages);
+      std::printf("recovered: %llu committed ops honoured, %zu pages swept\n",
+                  static_cast<unsigned long long>(rep.committed_ops),
+                  rep.swept_pages);
     }
     size_t applied = 0;
     for (const auto& rec : data) {

@@ -6,7 +6,7 @@
 // abstract realisation of that model — fixed-size blocks addressed by
 // PageId, with exact read/write counters — and every layer above (buffer
 // pool, node views, loaders, queries) talks to it, never to a concrete
-// backend.  Two backends implement it:
+// backend.  Three backends implement it:
 //
 //  * MemoryBlockDevice (this header): blocks held in RAM.  Deterministic
 //    and free of OS page-cache noise, which the paper itself identifies as
@@ -28,12 +28,14 @@
 // vs. free of the same page, two writers to one page) remain usage errors,
 // exactly as with a real disk.
 //
-// Determinism contract for the parallel bulk-load pipeline (all backends):
-// the page id returned by Allocate() depends only on the *sequence* of
-// prior Allocate()/Free() calls — a LIFO free list over a monotonically
-// grown page space.  Loaders keep that sequence on one coordinating thread
-// (workers only Read, and Write to pages handed to them), which makes an
-// 8-thread build byte-identical to a serial one on either backend.
+// Determinism contract for parallel bulk loads (all backends): the page id
+// returned by Allocate() depends only on the *sequence* of prior
+// Allocate()/Free() calls — a LIFO free list over a monotonically grown
+// page space.  Loaders make every device call on the calling thread, in
+// serial program order (pool workers only sort runs and run the
+// pseudo-PR-tree's kd recursion on in-memory arrays, and never see the
+// device), which makes an 8-thread build byte-identical to a serial one,
+// every I/O counter included, on every backend (docs/ARCHITECTURE.md).
 
 #ifndef PRTREE_IO_BLOCK_DEVICE_H_
 #define PRTREE_IO_BLOCK_DEVICE_H_

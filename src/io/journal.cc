@@ -1,6 +1,5 @@
 #include "io/journal.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "util/check.h"
@@ -16,36 +15,11 @@ using journal_internal::kJournalVersion;
 using journal_internal::kPageMagic;
 using journal_internal::kRegionMagic;
 using journal_internal::PageHeader;
-using journal_internal::RecordTail;
 using journal_internal::RegionHeader;
 
 constexpr size_t kFrameAlign = 8;
-
-size_t AlignFrame(size_t n) {
-  return (n + kFrameAlign - 1) / kFrameAlign * kFrameAlign;
-}
-
-size_t RecordPayloadLen(uint32_t dim) {
-  return 2 * static_cast<size_t>(dim) * sizeof(double) + sizeof(RecordTail);
-}
-
-/// At most this many shadowed-out page ids are logged per op's intent
-/// frame (also clamped to what fits one frame page).  Intents are advisory
-/// — recovery's reachability sweep reclaims leaked pages whether or not
-/// they were logged — so overflow drops ids, never fails the op.
-constexpr size_t kMaxIntents = 64;
-
-/// Largest page-id count an intent frame can carry on this block size.
-size_t MaxIntentIds(size_t block_size) {
-  const size_t usable =
-      block_size - sizeof(PageHeader) - sizeof(FrameHeader);
-  return usable / sizeof(PageId);
-}
-
-/// Frame-page capacity for frames (everything after the page header).
-size_t PageFrameCapacity(size_t block_size) {
-  return block_size - sizeof(PageHeader);
-}
+constexpr size_t kCommitFrameLen = sizeof(FrameHeader) + sizeof(CommitPayload);
+static_assert(kCommitFrameLen % kFrameAlign == 0);
 
 const uint32_t* Crc32Table() {
   static const auto table = [] {
@@ -72,20 +46,6 @@ uint32_t JournalCrc32(const void* data, size_t len) {
     c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
-}
-
-bool DecodeJournalRecord(const JournalOpRecord& op, uint32_t dim, double* lo,
-                         double* hi, uint32_t* id) {
-  if (op.aux != dim) return false;
-  const size_t need = RecordPayloadLen(dim);
-  if (op.payload.size() < need) return false;
-  const std::byte* p = op.payload.data();
-  std::memcpy(lo, p, dim * sizeof(double));
-  std::memcpy(hi, p + dim * sizeof(double), dim * sizeof(double));
-  RecordTail tail;
-  std::memcpy(&tail, p + 2 * dim * sizeof(double), sizeof(tail));
-  *id = tail.id;
-  return true;
 }
 
 Status ReadJournalAnchor(const FileBlockDevice& device, JournalAnchor* anchor,
@@ -172,12 +132,6 @@ Status ScanJournal(const BlockDevice& device, const JournalAnchor& anchor,
                      frame_pages.end());
 
   const size_t block = device.block_size();
-  // Record/intent frames parsed since the last commit; a commit frame
-  // promotes them, the end of the scan discards them as the torn tail.
-  std::vector<JournalOpRecord> pending;
-  std::vector<PageId> pending_intents;
-  size_t pending_frames = 0;
-
   bool ended = false;
   for (uint32_t idx = 0; idx < header.page_count && !ended; ++idx) {
     if (!device.ReadMeta(frame_pages[idx], buf.data()).ok()) break;
@@ -201,55 +155,23 @@ Status ScanJournal(const BlockDevice& device, const JournalAnchor& anchor,
         ended = true;  // stale bytes from an earlier epoch's tenant
         break;
       }
-      const std::byte* payload = buf.data() + off + sizeof(FrameHeader);
-      const size_t payload_len = fh.len - sizeof(FrameHeader);
       switch (static_cast<JournalFrameType>(fh.type)) {
         case JournalFrameType::kInsert:
-        case JournalFrameType::kDelete: {
-          if (payload_len < RecordPayloadLen(fh.aux)) {
-            ended = true;
-            break;
-          }
-          JournalOpRecord op;
-          op.type = static_cast<JournalFrameType>(fh.type);
-          op.aux = fh.aux;
-          op.seq = fh.seq;
-          op.payload.assign(payload, payload + payload_len);
-          pending.push_back(std::move(op));
-          ++pending_frames;
-          break;
-        }
-        case JournalFrameType::kIntent: {
-          if (payload_len < fh.aux * sizeof(PageId)) {
-            ended = true;
-            break;
-          }
-          const size_t base = pending_intents.size();
-          pending_intents.resize(base + fh.aux);
-          std::memcpy(pending_intents.data() + base, payload,
-                      fh.aux * sizeof(PageId));
-          ++pending_frames;
-          break;
-        }
+        case JournalFrameType::kDelete:
+        case JournalFrameType::kIntent:
+          break;  // an older writer's record or intent frame: skipped
         case JournalFrameType::kCommit: {
-          if (payload_len < sizeof(CommitPayload)) {
+          if (fh.len < kCommitFrameLen) {
             ended = true;
             break;
           }
           CommitPayload cp;
-          std::memcpy(&cp, payload, sizeof(cp));
-          out->has_commit = true;
+          std::memcpy(&cp, buf.data() + off + sizeof(FrameHeader),
+                      sizeof(cp));
+          out->committed_ops += 1;
           out->commit_root = cp.root;
           out->commit_height = cp.height;
           out->commit_size = cp.size;
-          out->commit_seq = fh.seq;
-          out->committed_ops += 1;
-          for (auto& op : pending) out->committed.push_back(std::move(op));
-          pending.clear();
-          out->intents.insert(out->intents.end(), pending_intents.begin(),
-                              pending_intents.end());
-          pending_intents.clear();
-          pending_frames = 0;
           break;
         }
         default:
@@ -261,7 +183,6 @@ Status ScanJournal(const BlockDevice& device, const JournalAnchor& anchor,
       off += fh.len;
     }
   }
-  out->truncated_frames = pending_frames;
   return Status::OK();
 }
 
@@ -283,9 +204,7 @@ Status JournalPending(const BlockDevice& device, const JournalAnchor& anchor,
 
 JournalWriter::JournalWriter(FileBlockDevice* device,
                              const JournalOptions& opts)
-    : device_(device),
-      opts_(opts),
-      stager_(device, /*capacity=*/0, WriteKind::kMeta) {
+    : device_(device), opts_(opts) {
   PRTREE_CHECK(device_ != nullptr);
   PRTREE_CHECK(opts_.region_pages >= 2);
   const size_t max_pages =
@@ -298,103 +217,54 @@ PageId JournalWriter::tail_page() const {
   return region_[tail_idx_];
 }
 
-void JournalWriter::StageRecord(JournalFrameType type, uint32_t dim,
-                                const double* lo, const double* hi,
-                                uint32_t id) {
-  PRTREE_CHECK(type == JournalFrameType::kInsert ||
-               type == JournalFrameType::kDelete);
-  PendingFrame f;
-  f.type = type;
-  f.aux = dim;
-  f.payload.resize(RecordPayloadLen(dim));
-  std::byte* p = f.payload.data();
-  std::memcpy(p, lo, dim * sizeof(double));
-  std::memcpy(p + dim * sizeof(double), hi, dim * sizeof(double));
-  RecordTail tail{id, 0};
-  std::memcpy(p + 2 * dim * sizeof(double), &tail, sizeof(tail));
-  staged_.push_back(std::move(f));
-}
-
-Status JournalWriter::AppendFrame(JournalFrameType type, uint32_t aux,
-                                  const void* payload, size_t payload_len) {
-  const size_t block = device_->block_size();
-  const size_t len = AlignFrame(sizeof(FrameHeader) + payload_len);
-  PRTREE_CHECK(len <= PageFrameCapacity(block));  // frames never span pages
-  if (tail_used_ + len > block) {
-    // Spill: flush the full tail page and move to the next frame page.
-    // Its frames are not committed until a commit frame lands after them,
-    // so a crash between these writes torn-truncates cleanly.
-    if (tail_dirty_) stager_.Stage(region_[tail_idx_], tail_buf_.data());
-    tail_dirty_ = false;
-    ++tail_idx_;
-    if (tail_idx_ >= region_.size()) {
+Status JournalWriter::CommitOp(PageId root, int32_t height, uint64_t size,
+                               std::vector<PageId>* retired) {
+  PRTREE_CHECK(attached() && tail_idx_ < region_.size());
+  if (tail_used_ + kCommitFrameLen > device_->block_size()) {
+    // The full tail page holds only commits that are already durable, so
+    // the next frame page starts without writing it again.
+    if (++tail_idx_ >= region_.size()) {
       return Status::IoError(
-          "journal region exhausted mid-commit — checkpoint was overdue");
+          "journal region exhausted — checkpoint was overdue");
     }
     ResetTailBuf();
   }
   FrameHeader fh;
   fh.crc = 0;
-  fh.len = static_cast<uint32_t>(len);
-  fh.seq = next_seq_++;
-  fh.type = static_cast<uint32_t>(type);
-  fh.aux = aux;
+  fh.len = static_cast<uint32_t>(kCommitFrameLen);
+  fh.seq = next_seq_;
+  fh.type = static_cast<uint32_t>(JournalFrameType::kCommit);
+  fh.aux = 0;
+  const CommitPayload cp{root, height, size};
   std::byte* at = tail_buf_.data() + tail_used_;
   std::memcpy(at, &fh, sizeof(fh));
-  std::memcpy(at + sizeof(fh), payload, payload_len);
-  std::memset(at + sizeof(fh) + payload_len, 0,
-              len - sizeof(fh) - payload_len);
-  fh.crc = JournalCrc32(at + sizeof(uint32_t), len - sizeof(uint32_t));
+  std::memcpy(at + sizeof(fh), &cp, sizeof(cp));
+  fh.crc = JournalCrc32(at + sizeof(uint32_t),
+                        kCommitFrameLen - sizeof(uint32_t));
   std::memcpy(at, &fh.crc, sizeof(fh.crc));
-  tail_used_ += len;
-  tail_dirty_ = true;
-  return Status::OK();
-}
 
-Status JournalWriter::CommitOp(PageId root, int32_t height, uint64_t size,
-                               std::vector<PageId>* retired) {
-  PRTREE_CHECK(attached() && tail_idx_ < region_.size());
-  for (const PendingFrame& f : staged_) {
-    PRTREE_RETURN_NOT_OK(
-        AppendFrame(f.type, f.aux, f.payload.data(), f.payload.size()));
-  }
-  staged_.clear();
-  if (retired != nullptr && !retired->empty()) {
-    const size_t cap =
-        std::min(kMaxIntents, MaxIntentIds(device_->block_size()));
-    const size_t n = std::min(retired->size(), cap);
-    PRTREE_RETURN_NOT_OK(AppendFrame(JournalFrameType::kIntent,
-                                     static_cast<uint32_t>(n),
-                                     retired->data(), n * sizeof(PageId)));
-  }
-  CommitPayload cp{root, height, size};
+  // The write of the page carrying the commit frame is the commit point.
   PRTREE_RETURN_NOT_OK(
-      AppendFrame(JournalFrameType::kCommit, 0, &cp, sizeof(cp)));
-
-  // Flush: earlier spilled pages are already staged in order; the tail
-  // page — carrying the commit frame — drains last, so its block write is
-  // the commit point.
-  stager_.Stage(region_[tail_idx_], tail_buf_.data());
-  tail_dirty_ = false;
-  stager_.Drain();
-  if (opts_.sync_on_commit) PRTREE_RETURN_NOT_OK(device_->Sync());
-
+      device_->WriteMeta(region_[tail_idx_], tail_buf_.data()));
+  tail_used_ += kCommitFrameLen;
+  next_seq_ += 1;
   committed_ops_ += 1;
   if (retired != nullptr && !retired->empty()) {
     deferred_.insert(deferred_.end(), retired->begin(), retired->end());
     retired->clear();
   }
+  if (opts_.sync_on_commit) return device_->Sync();
   return Status::OK();
 }
 
 bool JournalWriter::NeedsCheckpoint() const {
   if (region_.empty() || tail_idx_ >= region_.size()) return true;
-  // Worst case one op spills once, so keep two untouched pages in hand.
+  // A commit moves to the next page at most once, so keep two untouched
+  // pages in hand.
   return region_.size() - 1 - tail_idx_ < 2;
 }
 
 Status JournalWriter::Checkpoint(const MetaBuilder& build_meta) {
-  PRTREE_CHECK(staged_.empty());  // never rotate with an op in flight
   const size_t block = device_->block_size();
   const uint32_t new_epoch = epoch_ + 1;
 
@@ -459,17 +329,15 @@ Status JournalWriter::Checkpoint(const MetaBuilder& build_meta) {
 }
 
 void JournalWriter::AdoptRecovered(const JournalScan& scan) {
-  PRTREE_CHECK(staged_.empty());
   epoch_ = scan.epoch;
   next_seq_ = scan.next_seq;
   committed_ops_ = scan.committed_ops;
   region_ = scan.region;
   deferred_.clear();
   // Not appendable until the adopting caller checkpoints away from the
-  // scanned region (its tail may hold truncated frames).
+  // scanned region (its tail may hold a torn frame).
   tail_idx_ = region_.size();
   tail_used_ = 0;
-  tail_dirty_ = false;
 }
 
 void JournalWriter::ResetTailBuf() {
@@ -482,7 +350,6 @@ void JournalWriter::ResetTailBuf() {
   ph.reserved = 0;
   std::memcpy(tail_buf_.data(), &ph, sizeof(ph));
   tail_used_ = sizeof(PageHeader);
-  tail_dirty_ = false;
 }
 
 }  // namespace prtree

@@ -1,17 +1,15 @@
-// The crash-consistent update journal: a write-ahead log of logical update
-// records layered over the batched write path.
+// The crash-consistent update journal: a log of commit frames layered over
+// the copy-on-write updater.
 //
 // Why the updaters need one.  The dynamic updaters mutate node pages in
 // place (or shadow them under copy-on-write) and only the occasional
 // PersistTree/Sync makes the device file reopenable; a crash between Syncs
 // loses the tree root and can leave half an update's pages on disk.  The
-// journal closes that window: every Insert/Delete logs a logical record
-// frame (plus an advisory intent frame naming the pages it shadowed out)
-// followed by a commit frame carrying the new root, and the block write
-// that lands the commit frame is the atomic commit point.  Recovery reads
-// the journal at open, restores the root of the newest durable commit and
-// discards (logically truncates) any torn tail of frames whose commit
-// never landed.
+// journal closes that window: every Insert/Delete appends one commit frame
+// carrying the new root, and the block write that lands the commit frame
+// is the atomic commit point.  Recovery reads the journal at open,
+// restores the root of the newest durable commit and discards (logically
+// truncates) a torn tail whose commit never landed.
 //
 // The COW contract.  The journal does NOT replay page images — it relies
 // on the updater running in copy-on-write mode (rtree/update_io.h with a
@@ -31,15 +29,14 @@
 // read every journal page.  A 32-byte anchor in the superblock user-meta
 // region (offset kJournalAnchorOffset, after the tree meta record) names
 // the head page, the journal epoch and the starting sequence number.
-// Frame pages are append-only: a page is rewritten as frames accrete, but
+// Frame pages are append-only: a page is rewritten as commits accrete, but
 // committed bytes never change, so a torn rewrite can only damage the
-// newest (uncommitted) frames — which CRC32 checks and the contiguous
+// newest (uncommitted) frame — which CRC32 checks and the contiguous
 // sequence numbers detect, ending the scan exactly at the torn tail.
 //
 // Accounting.  Journal I/O is backend-internal metadata, never part of the
-// paper's §3.3 demand metric: every journal write goes through the
-// WriteKind::kMeta channel (WriteMeta / a kMeta WriteStager draining into
-// WriteBatch) and every recovery read through ReadMeta, charged to
+// paper's §3.3 demand metric: every journal write goes through WriteMeta
+// and every recovery read through ReadMeta, charged to
 // stats().meta_writes / meta_reads.  Demand counters — and therefore every
 // reported experiment number — are byte-identical with journaling on or
 // off (docs/DURABILITY.md, asserted by tests/crash_recovery_test.cc).
@@ -53,7 +50,6 @@
 #include <vector>
 
 #include "io/file_block_device.h"
-#include "io/write_stager.h"
 #include "util/status.h"
 
 namespace prtree {
@@ -62,9 +58,11 @@ namespace prtree {
 /// every journal frame, the region header and the anchor.
 uint32_t JournalCrc32(const void* data, size_t len);
 
-/// \brief What a journal frame logs.  kInsert/kDelete carry one logical
-/// record (dimension in the frame's aux field), kIntent the advisory list
-/// of pages the op shadowed out, kCommit the op's resulting tree root.
+/// \brief What a journal frame logs.  The writer appends only kCommit, the
+/// op's resulting tree root.  Older writers also logged each op's record
+/// (kInsert/kDelete) and the pages it shadowed out (kIntent) before its
+/// commit; the scan checks those frames like any other and skips them, so
+/// a dirty journal they left still recovers every commit.
 enum class JournalFrameType : uint32_t {
   kInsert = 1,
   kDelete = 2,
@@ -74,11 +72,12 @@ enum class JournalFrameType : uint32_t {
 
 /// \brief Journal shape knobs.
 struct JournalOptions {
-  /// Frame pages per region (the head page is extra).  A region holds
-  /// roughly region_pages * block_size / ~120 committed ops between
-  /// checkpoints; JournalWriter::NeedsCheckpoint() reports when it runs
-  /// low.  Must fit the head page: region_pages <= (block_size - 32) / 4.
-  uint32_t region_pages = 64;
+  /// Frame pages per region (the head page is extra).  A commit takes 40
+  /// bytes, so a 4 KB frame page holds 102 of them, and the default region
+  /// takes about 17 * 102 = 1,734 ops between checkpoints
+  /// (JournalWriter::NeedsCheckpoint() keeps two pages in hand).  Must fit
+  /// the head page: region_pages <= (block_size - 32) / 4.
+  uint32_t region_pages = 19;
 
   /// Call device->Sync() after every commit write.  Off by default: the
   /// crash model this journal is tested under (process kill / dropped
@@ -132,7 +131,7 @@ struct FrameHeader {
   uint32_t len;
   uint64_t seq;
   uint32_t type;  // JournalFrameType
-  uint32_t aux;   // record dimension / intent page count / 0
+  uint32_t aux;   // 0 (older record and intent frames used it)
 };
 static_assert(sizeof(FrameHeader) == 24);
 
@@ -143,13 +142,6 @@ struct CommitPayload {
   uint64_t size;
 };
 static_assert(sizeof(CommitPayload) == 16);
-
-/// kInsert/kDelete payload prefix: dim lo doubles, dim hi doubles, then
-/// this tail.  dim travels in the frame's aux field.
-struct RecordTail {
-  uint32_t id;
-  uint32_t pad;
-};
 
 }  // namespace journal_internal
 
@@ -174,39 +166,18 @@ struct JournalAnchor {
 };
 static_assert(sizeof(JournalAnchor) == 32);
 
-/// \brief One committed logical record recovered from a scan.  `payload`
-/// is the raw (padded) frame payload; DecodeJournalRecord() extracts the
-/// rectangle and id.
-struct JournalOpRecord {
-  JournalFrameType type;  // kInsert or kDelete
-  uint32_t aux;           // record dimension
-  uint64_t seq;
-  std::vector<std::byte> payload;
-};
-
-/// Extracts a `dim`-dimensional record from a kInsert/kDelete frame.
-/// False when the payload is malformed (wrong dimension or short).
-bool DecodeJournalRecord(const JournalOpRecord& op, uint32_t dim, double* lo,
-                         double* hi, uint32_t* id);
-
-/// \brief Everything a journal scan learns: the durable commit to recover
-/// to, the committed record stream, and how much torn tail was discarded.
+/// \brief Everything a journal scan learns: the region and the newest
+/// durable commit to recover to.
 struct JournalScan {
   uint32_t epoch = 0;
   uint64_t start_seq = 0;
   uint64_t next_seq = 0;       // one past the last valid frame
   std::vector<PageId> region;  // head page first, then the frame pages
 
-  std::vector<JournalOpRecord> committed;  // committed records, in order
-  std::vector<PageId> intents;             // pages named by committed intents
-  size_t committed_ops = 0;                // commit frames seen
-  size_t truncated_frames = 0;  // valid frames after the last commit
-
-  bool has_commit = false;  // any commit frame at all this epoch?
+  size_t committed_ops = 0;  // commit frames seen this epoch
   uint32_t commit_root = 0xFFFFFFFFu;  // kInvalidPageId
   int32_t commit_height = 0;
   uint64_t commit_size = 0;
-  uint64_t commit_seq = 0;
 };
 
 /// Reads the journal anchor out of `device`'s user-meta region.
@@ -219,8 +190,7 @@ Status ReadJournalAnchor(const FileBlockDevice& device, JournalAnchor* anchor,
 /// Scans the region `anchor` points at.  The scan stops at the first
 /// invalid frame (bad magic, epoch, checksum, length or non-contiguous
 /// sequence number) — everything after a torn write fails one of those
-/// checks — and reports the newest durable commit plus the committed
-/// record stream in *out.  Never writes.
+/// checks — and reports the newest durable commit in *out.  Never writes.
 Status ScanJournal(const BlockDevice& device, const JournalAnchor& anchor,
                    JournalScan* out);
 
@@ -230,10 +200,9 @@ Status ScanJournal(const BlockDevice& device, const JournalAnchor& anchor,
 Status JournalPending(const BlockDevice& device, const JournalAnchor& anchor,
                       bool* pending);
 
-/// \brief Writer half: stages an op's frames, appends them with a commit
-/// frame at CommitOp() (the durable point), rotates regions at
-/// Checkpoint().  Not thread-safe — callers serialise ops, exactly as the
-/// single-writer updaters already do.
+/// \brief Writer half: appends one commit frame per op at CommitOp() (the
+/// durable point) and rotates regions at Checkpoint().  Not thread-safe —
+/// callers serialise ops, exactly as the single-writer updaters already do.
 class JournalWriter {
  public:
   /// Composes the tree-meta bytes stored before the anchor at checkpoint
@@ -265,21 +234,12 @@ class JournalWriter {
   PageId tail_page() const;
   size_t tail_bytes() const { return tail_used_; }
 
-  /// Stages one logical record frame for the op in flight.  Buffered in
-  /// memory only; nothing reaches the device before CommitOp().
-  void StageRecord(JournalFrameType type, uint32_t dim, const double* lo,
-                   const double* hi, uint32_t id);
-
-  /// Drops the staged frames — the op mutated nothing (delete miss) or
-  /// failed before its first page write.
-  void AbortOp() { staged_.clear(); }
-
-  /// Appends the staged frames, an intent frame naming `retired` (when
-  /// non-empty), and a commit frame carrying the op's resulting tree
-  /// state, then flushes every touched frame page through the kMeta write
-  /// stager.  The flush of the page holding the commit frame is the commit
-  /// point.  `retired`'s pages move into the deferred-free list (returned
-  /// to the device at the next Checkpoint); the vector is left empty.
+  /// Appends a commit frame carrying the op's resulting tree state to the
+  /// tail frame page and writes that page with one WriteMeta(): the commit
+  /// point.  A tail page with no room left already holds only durable
+  /// frames, so the commit moves to the next frame page without a write.
+  /// `retired`'s pages move into the deferred-free list (returned to the
+  /// device at the next Checkpoint); the vector is left empty.
   Status CommitOp(PageId root, int32_t height, uint64_t size,
                   std::vector<PageId>* retired);
 
@@ -302,16 +262,10 @@ class JournalWriter {
   void AdoptRecovered(const JournalScan& scan);
 
  private:
-  /// Appends one frame to the tail buffer, spilling to the next frame
-  /// page when it does not fit; touched pages are staged through stager_.
-  Status AppendFrame(JournalFrameType type, uint32_t aux,
-                     const void* payload, size_t payload_len);
-
   void ResetTailBuf();
 
   FileBlockDevice* device_;
   JournalOptions opts_;
-  WriteStager stager_;  // kMeta: journal traffic never moves demand counters
 
   uint32_t epoch_ = 0;
   uint64_t next_seq_ = 1;  // monotone across epochs, never reset
@@ -322,14 +276,6 @@ class JournalWriter {
   size_t tail_idx_ = 0;         // index into region_ of the tail frame page
   std::vector<std::byte> tail_buf_;  // tail page image (header + frames)
   size_t tail_used_ = 0;             // bytes of tail_buf_ in use
-  bool tail_dirty_ = false;          // tail has frames not yet staged
-
-  struct PendingFrame {
-    JournalFrameType type;
-    uint32_t aux;
-    std::vector<std::byte> payload;
-  };
-  std::vector<PendingFrame> staged_;  // the op in flight's record frames
 
   std::vector<PageId> deferred_;  // committed-away pages, freed at checkpoint
 };

@@ -47,16 +47,11 @@ namespace prtree {
 class WriteStager {
  public:
   /// Stages into `device` with batches of `capacity` pages; capacity 0
-  /// (the default) asks the device via PreferredWriteBatch().  `kind`
-  /// selects the accounting class every staged write is charged to:
-  /// kData (the default, demand writes) or kMeta (metadata-class — the
-  /// update journal flushes its frames through a kMeta stager so demand
-  /// counters never move with journaling, docs/DURABILITY.md).
-  explicit WriteStager(BlockDevice* device, size_t capacity = 0,
-                       WriteKind kind = WriteKind::kData)
+  /// (the default) asks the device via PreferredWriteBatch().  Every
+  /// staged write is a demand write (stats().writes).
+  explicit WriteStager(BlockDevice* device, size_t capacity = 0)
       : device_(device),
-        capacity_(capacity != 0 ? capacity : device->PreferredWriteBatch()),
-        kind_(kind) {}
+        capacity_(capacity != 0 ? capacity : device->PreferredWriteBatch()) {}
 
   ~WriteStager() { Drain(); }
 
@@ -66,7 +61,6 @@ class WriteStager {
   WriteStager(WriteStager&& o) noexcept
       : device_(o.device_),
         capacity_(o.capacity_),
-        kind_(o.kind_),
         slab_(std::move(o.slab_)),
         pages_(std::move(o.pages_)) {
     o.pages_.clear();
@@ -77,7 +71,6 @@ class WriteStager {
       Drain();
       device_ = o.device_;
       capacity_ = o.capacity_;
-      kind_ = o.kind_;
       slab_ = std::move(o.slab_);
       pages_ = std::move(o.pages_);
       o.pages_.clear();
@@ -95,8 +88,7 @@ class WriteStager {
   /// scalar writes did.
   void Stage(PageId page, const void* buf) {
     if (capacity_ <= 1) {
-      AbortIfError(kind_ == WriteKind::kData ? device_->Write(page, buf)
-                                             : device_->WriteMeta(page, buf));
+      AbortIfError(device_->Write(page, buf));
       return;
     }
     const size_t block = device_->block_size();
@@ -116,7 +108,7 @@ class WriteStager {
       reqs[i].page = pages_[i];
       reqs[i].buf = slab_.data() + i * block;
     }
-    Status st = device_->WriteBatch(reqs.data(), reqs.size(), kind_);
+    Status st = device_->WriteBatch(reqs.data(), reqs.size());
     pages_.clear();
     AbortIfError(st);
   }
@@ -133,7 +125,6 @@ class WriteStager {
  private:
   BlockDevice* device_;
   size_t capacity_;
-  WriteKind kind_ = WriteKind::kData;  // accounting class for every write
   std::vector<std::byte> slab_;  // capacity_ blocks, allocated lazily
   std::vector<PageId> pages_;    // staged pages, in staging order
 };

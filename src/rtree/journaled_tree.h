@@ -6,11 +6,11 @@
 // durability story the pieces individually only enable:
 //
 //   Create()  fresh device + empty tree + bootstrap checkpoint.
-//   Insert()/Delete()  one journaled op each: record frame staged, tree
-//             pages shadowed, commit frame flushed last.  The block write
-//             of the commit frame is the durable point; kill the process
-//             anywhere and the tree recovers to exactly the ops whose
-//             commit landed — a prefix of the applied sequence.
+//   Insert()/Delete()  one journaled op each: tree pages shadowed, then
+//             one commit frame written.  The block write of the commit
+//             frame is the durable point; kill the process anywhere and
+//             the tree recovers to exactly the ops whose commit landed — a
+//             prefix of the applied sequence.
 //   Open()    recovery: validate the anchor, scan the journal, point the
 //             tree at the newest durable commit, validate it, discard
 //             (truncate) any torn tail, sweep pages nothing reaches back
@@ -79,21 +79,12 @@ class JournaledTree {
     bool checkpoint_on_close = true;
   };
 
-  /// One committed logical op recovered from the journal.
-  struct RecoveredOp {
-    JournalFrameType type;  // kInsert or kDelete
-    RecordT record;
-    uint64_t seq;
-  };
-
   /// What Open() found and did.
   struct RecoveryReport {
-    bool recovered = false;        // the journal held frames to apply
-    uint64_t committed_ops = 0;    // commits honoured this epoch
-    size_t truncated_frames = 0;   // torn-tail frames discarded
-    size_t swept_pages = 0;        // unreachable pages returned to free list
-    size_t adopted_pages = 0;      // post-checkpoint pages made visible
-    std::vector<RecoveredOp> ops;  // the committed record stream, in order
+    bool recovered = false;      // the journal held frames to apply
+    uint64_t committed_ops = 0;  // commits honoured this epoch
+    size_t swept_pages = 0;      // unreachable pages returned to free list
+    size_t adopted_pages = 0;    // post-checkpoint pages made visible
   };
 
   /// Creates (truncating) a fresh journaled index at `path`.
@@ -156,11 +147,11 @@ class JournaledTree {
     JournalScan scan;
     PRTREE_RETURN_NOT_OK(ScanJournal(*dev, anchor, &scan));
 
-    PageId root = scan.has_commit ? scan.commit_root : meta.root;
+    const bool has_commit = scan.committed_ops > 0;
+    PageId root = has_commit ? scan.commit_root : meta.root;
     const int height =
-        scan.has_commit ? static_cast<int>(scan.commit_height) : meta.height;
-    const uint64_t size =
-        scan.has_commit ? scan.commit_size : meta.record_count;
+        has_commit ? static_cast<int>(scan.commit_height) : meta.height;
+    const uint64_t size = has_commit ? scan.commit_size : meta.record_count;
     if (root != kInvalidPageId) {
       std::vector<std::byte> buf(dev->block_size());
       Status st = dev->ReadMeta(root, buf.data());
@@ -186,19 +177,8 @@ class JournaledTree {
     t->journal_->AdoptRecovered(scan);
     PRTREE_RETURN_NOT_OK(t->journal_->Checkpoint(t->MetaBuilderFn()));
 
-    rep->recovered = scan.committed_ops > 0 || scan.truncated_frames > 0;
+    rep->recovered = scan.next_seq > scan.start_seq;
     rep->committed_ops = scan.committed_ops;
-    rep->truncated_frames = scan.truncated_frames;
-    rep->ops.reserve(scan.committed.size());
-    for (const JournalOpRecord& op : scan.committed) {
-      RecoveredOp r;
-      r.type = op.type;
-      r.seq = op.seq;
-      if (DecodeJournalRecord(op, D, r.record.rect.lo.data(),
-                              r.record.rect.hi.data(), &r.record.id)) {
-        rep->ops.push_back(std::move(r));
-      }
-    }
     *out = std::move(t);
     return Status::OK();
   }

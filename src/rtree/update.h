@@ -53,7 +53,7 @@ class RTreeUpdater {
 
   /// \brief Inserts one record in O(log_B N) I/Os.
   void Insert(const RecordT& rec) {
-    io_.BeginInsert(rec);
+    io_.BeginOp();
     InsertEntry(rec.rect, rec.id, /*target_level=*/0);
     tree_->set_size(tree_->size() + 1);
     io_.EndOp();
@@ -63,7 +63,7 @@ class RTreeUpdater {
   /// Returns false if no such record is stored.
   bool Delete(const RecordT& rec) {
     if (tree_->empty()) return false;
-    io_.BeginDelete(rec);
+    io_.BeginOp();
     std::vector<Orphan> orphans;
     DeleteResult res = DeleteRec(tree_->root(), tree_->height(), rec,
                                  &orphans);

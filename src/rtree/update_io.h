@@ -19,13 +19,12 @@
 //    every committed version until EndOp(), so they may be rewritten in
 //    place — that keeps an op's page count proportional to the path it
 //    touches rather than the number of writes it issues.  The updater
-//    opens each op with BeginInsert()/BeginDelete(), which stages the
-//    logical record; EndOp() either commits the op through the journal —
-//    the commit frame's block write is the durable point, and the replaced
-//    pages defer into the journal's free list — or aborts the staged
-//    record when the op never wrote (delete miss).  Crash anywhere inside
-//    an op and recovery restores the previous committed root, whose pages
-//    are all still byte-intact.
+//    opens each op with BeginOp(); EndOp() commits the op through the
+//    journal — the commit frame's block write is the durable point, and
+//    the replaced pages defer into the journal's free list — unless the op
+//    never wrote (delete miss), which leaves the journal untouched.  Crash
+//    anywhere inside an op and recovery restores the previous committed
+//    root, whose pages are all still byte-intact.
 //
 // Pool discipline: every page an op writes, allocates, shadows out or
 // releases has its frame invalidated at once, so the pool never serves
@@ -50,19 +49,16 @@ class UpdaterIO {
   /// \param tree     tree whose nodes are read/written (not owned).
   /// \param pool     optional read cache over the tree's pages.
   /// \param journal  optional: presence switches on copy-on-write for
-  ///                 crash consistency and logs every op through the
+  ///                 crash consistency and commits every op through the
   ///                 journal.
   UpdaterIO(RTree<D>* tree, BufferPool* pool, JournalWriter* journal)
       : tree_(tree), pool_(pool), journal_(journal) {}
 
-  /// Marks the start of one logical Insert/Delete and, when journaled,
-  /// stages the op's logical record.  The record reaches the device only
-  /// inside EndOp()'s commit.
-  void BeginInsert(const Record<D>& rec) {
-    BeginOp(JournalFrameType::kInsert, rec);
-  }
-  void BeginDelete(const Record<D>& rec) {
-    BeginOp(JournalFrameType::kDelete, rec);
+  /// Marks the start of one logical Insert/Delete.
+  void BeginOp() {
+    PRTREE_CHECK(retired_.empty());  // missing EndOp on the previous op
+    fresh_.clear();
+    wrote_ = false;
   }
 
   /// Reads `page` into the private working buffer `buf`, through the pool
@@ -122,32 +118,20 @@ class UpdaterIO {
   }
 
   /// Ends the op.  Journaled, it commits the op with the tree's new root
-  /// and hands the replaced pages to the journal's deferred-free list — or
-  /// aborts the staged record when nothing was written.  In place it is a
-  /// no-op.
+  /// and hands the replaced pages to the journal's deferred-free list; an
+  /// op that wrote nothing (delete miss) has nothing to commit.  In place
+  /// it is a no-op.
   void EndOp() {
     if (journal_ == nullptr) return;
     if (wrote_) {
       AbortIfError(journal_->CommitOp(tree_->root(), tree_->height(),
                                       tree_->size(), &retired_));
-    } else {
-      journal_->AbortOp();  // delete miss: nothing durable to do
     }
     retired_.clear();
     fresh_.clear();
   }
 
  private:
-  void BeginOp(JournalFrameType type, const Record<D>& rec) {
-    PRTREE_CHECK(retired_.empty());  // missing EndOp on the previous op
-    fresh_.clear();
-    wrote_ = false;
-    if (journal_ != nullptr) {
-      journal_->StageRecord(type, D, rec.rect.lo.data(), rec.rect.hi.data(),
-                            rec.id);
-    }
-  }
-
   /// A replaced page under copy-on-write: queued until EndOp() defers it
   /// to the journal.  Its pool frame dies now — the page only waits for
   /// its post-commit free.

@@ -10,6 +10,10 @@
 //     the final surviving write.
 //   * Torn journal tail: a commit frame that lands partially is
 //     truncated on recovery, everything before it survives.
+//   * Commit-only format: each op appends exactly one frame and writes one
+//     journal page; a delete miss writes nothing.  A dirty journal in the
+//     older layout (record, intent and commit frames per op) still
+//     recovers every commit.
 //   * Torn data page: a shadow page torn under an uncommitted op never
 //     becomes visible (copy-on-write keeps the committed root intact).
 //   * Randomized property: 200+ seeded trials of random op streams X
@@ -182,9 +186,10 @@ size_t CountReachable(FileBlockDevice* dev, PageId root) {
   return n;
 }
 
-// Reopens `path` and asserts the whole recovery contract: committed
-// prefix, matching record payloads, ValidateTree (done inside Open),
-// leak-free allocation.  `context` is echoed on failure (seeds, k).
+// Reopens `path` and asserts the whole recovery contract: the tree holds
+// exactly the record set of the committed prefix, ValidateTree passes
+// (done inside Open), allocation is leak-free.  `context` is echoed on
+// failure (seeds, k).
 void CheckRecovered(const std::string& path, const std::string& backend,
                     const std::vector<Op>& ops, const std::string& context) {
   std::unique_ptr<JournaledTree<2>> t;
@@ -192,16 +197,11 @@ void CheckRecovered(const std::string& path, const std::string& backend,
   Status st = JournaledTree<2>::Open(path, MakeOpts(backend), &t, &rep);
   ASSERT_TRUE(st.ok()) << context << ": Open: " << st.message();
 
-  // The committed ops must be EXACTLY a prefix of the applied stream.
-  ASSERT_LE(rep.ops.size(), ops.size()) << context;
-  for (size_t i = 0; i < rep.ops.size(); ++i) {
-    EXPECT_EQ(rep.ops[i].type == JournalFrameType::kInsert, ops[i].insert)
-        << context << ": op " << i;
-    EXPECT_TRUE(rep.ops[i].record == ops[i].rec) << context << ": op " << i;
-  }
-
-  // And the tree must hold exactly that prefix's record set.
-  auto expected = ExpectedAfter(ops, rep.ops.size());
+  // The committed ops are a prefix of the applied stream (no op stream
+  // here reaches a checkpoint, so every commit is this epoch's), and the
+  // tree must hold exactly that prefix's record set.
+  ASSERT_LE(rep.committed_ops, ops.size()) << context;
+  auto expected = ExpectedAfter(ops, rep.committed_ops);
   Rect2 all;
   all.lo = {-10.0, -10.0};
   all.hi = {200.0, 200.0};
@@ -320,11 +320,10 @@ TEST_F(CrashRecoveryTest, TornJournalTailIsTruncated) {
       ApplyOps(t.get(), first);
       ASSERT_EQ(t->journal().committed_ops(), 6u);
 
-      // Tear the 7th op's commit flush so its record frame lands whole but
-      // the commit frame does not: a torn journal tail.
+      // Tear the 7th op's commit write 20 bytes into its commit frame: a
+      // torn journal tail.
       const size_t tail = t->journal().tail_bytes();
-      t->device()->InjectTornWrite(t->journal().tail_page(),
-                                   tail + /*record frame*/ 64 + 20);
+      t->device()->InjectTornWrite(t->journal().tail_page(), tail + 20);
       ApplyOps(t.get(), {ops[6]});
     }  // no close checkpoint: the dirty journal survives as-is
 
@@ -333,9 +332,129 @@ TEST_F(CrashRecoveryTest, TornJournalTailIsTruncated) {
     ASSERT_TRUE(
         JournaledTree<2>::Open(path_, MakeOpts(backend), &t, &rep).ok());
     EXPECT_EQ(rep.committed_ops, 6u);
-    EXPECT_GE(rep.truncated_frames, 1u);  // the orphaned record frame
     auto expected = ExpectedAfter(ops, 6);
     EXPECT_EQ(t->tree().size(), expected.size());
+  }
+}
+
+// Each journaled insert or delete appends one frame, its commit, and
+// writes one journal page, also when the commit moves on to the next
+// frame page (25 commits fill a 1 KB page).  A delete miss mutates
+// nothing, so it appends and writes nothing.
+TEST_F(CrashRecoveryTest, EachOpAppendsOneCommitFrame) {
+  for (const std::string backend : {"file", "uring"}) {
+    SCOPED_TRACE(backend);
+    const std::vector<Op> ops = MakeOps(/*seed=*/41, /*n=*/60);
+    std::unique_ptr<JournaledTree<2>> t;
+    ASSERT_TRUE(JournaledTree<2>::Create(path_, MakeOpts(backend), &t).ok());
+    const JournalWriter& journal = t->journal();
+    for (size_t i = 0; i < ops.size(); ++i) {
+      const uint64_t seq = journal.next_seq();
+      const uint64_t committed = journal.committed_ops();
+      const uint64_t meta_writes = t->device()->stats().meta_writes;
+      ApplyOps(t.get(), {ops[i]});
+      EXPECT_EQ(journal.next_seq(), seq + 1) << "op " << i;
+      EXPECT_EQ(journal.committed_ops(), committed + 1) << "op " << i;
+      EXPECT_EQ(t->device()->stats().meta_writes, meta_writes + 1)
+          << "op " << i;
+    }
+
+    const uint64_t seq = journal.next_seq();
+    const uint64_t committed = journal.committed_ops();
+    const uint64_t meta_writes = t->device()->stats().meta_writes;
+    bool deleted = true;
+    ASSERT_TRUE(t->Delete(Record2{ops[0].rec.rect, 999999}, &deleted).ok());
+    EXPECT_FALSE(deleted);
+    EXPECT_EQ(journal.next_seq(), seq);
+    EXPECT_EQ(journal.committed_ops(), committed);
+    EXPECT_EQ(t->device()->stats().meta_writes, meta_writes);
+  }
+}
+
+// Appends one frame in the journal's frame layout at `*off` of `page`.
+void PutFrame(std::vector<std::byte>* page, size_t* off, uint64_t seq,
+              JournalFrameType type, uint32_t aux, const void* payload,
+              size_t payload_len) {
+  using journal_internal::FrameHeader;
+  const size_t len = (sizeof(FrameHeader) + payload_len + 7) / 8 * 8;
+  ASSERT_LE(*off + len, page->size());
+  FrameHeader fh{0, static_cast<uint32_t>(len), seq,
+                 static_cast<uint32_t>(type), aux};
+  std::byte* at = page->data() + *off;
+  std::memcpy(at, &fh, sizeof(fh));
+  std::memcpy(at + sizeof(fh), payload, payload_len);
+  fh.crc = JournalCrc32(at + sizeof(uint32_t), len - sizeof(uint32_t));
+  std::memcpy(at, &fh.crc, sizeof(fh.crc));
+  *off += len;
+}
+
+// Older writers logged three frames per op: the op's record, an intent
+// frame naming the pages it shadowed out, then its commit.  A dirty
+// journal they left, ending in a record frame whose commit never landed,
+// recovers every commit: the scan checks and skips the other frames.
+TEST_F(CrashRecoveryTest, OpenRecoversAJournalInTheOlderThreeFrameLayout) {
+  for (const std::string backend : {"file", "uring"}) {
+    SCOPED_TRACE(backend);
+    auto opts = MakeOpts(backend);
+    opts.checkpoint_on_close = false;
+    const std::vector<Op> ops = MakeOps(/*seed=*/3, /*n=*/6);
+    {
+      std::unique_ptr<JournaledTree<2>> t;
+      ASSERT_TRUE(JournaledTree<2>::Create(path_, opts, &t).ok());
+      const PageId frame_page = t->journal().tail_page();
+      std::vector<std::byte> page(t->device()->block_size(), std::byte{0});
+      const journal_internal::PageHeader ph{journal_internal::kPageMagic,
+                                            t->journal().epoch(), 0, 0};
+      std::memcpy(page.data(), &ph, sizeof(ph));
+      size_t off = sizeof(ph);
+      uint64_t seq = t->journal().next_seq();
+
+      auto put_record = [&](const Op& op) {
+        struct {
+          double lo[2], hi[2];
+          uint32_t id, pad;
+        } rec{{op.rec.rect.lo[0], op.rec.rect.lo[1]},
+              {op.rec.rect.hi[0], op.rec.rect.hi[1]},
+              op.rec.id,
+              0};
+        PutFrame(&page, &off, seq++,
+                 op.insert ? JournalFrameType::kInsert
+                           : JournalFrameType::kDelete,
+                 /*aux=*/2, &rec, sizeof(rec));
+      };
+      for (const Op& op : ops) {
+        const PageId old_root = t->tree().root();
+        ApplyOps(t.get(), {op});
+        put_record(op);
+        if (old_root != kInvalidPageId) {
+          PutFrame(&page, &off, seq++, JournalFrameType::kIntent, /*aux=*/1,
+                   &old_root, sizeof(old_root));
+        }
+        const journal_internal::CommitPayload cp{
+            t->tree().root(), static_cast<int32_t>(t->tree().height()),
+            t->tree().size()};
+        PutFrame(&page, &off, seq++, JournalFrameType::kCommit, /*aux=*/0,
+                 &cp, sizeof(cp));
+      }
+      put_record(Op{true, Record2{RectFor(777), 777}});  // never committed
+      ASSERT_TRUE(t->device()->WriteMeta(frame_page, page.data()).ok());
+    }  // no close checkpoint: the dirty journal survives as-is
+
+    std::unique_ptr<JournaledTree<2>> t;
+    JournaledTree<2>::RecoveryReport rep;
+    ASSERT_TRUE(
+        JournaledTree<2>::Open(path_, MakeOpts(backend), &t, &rep).ok());
+    EXPECT_TRUE(rep.recovered);
+    EXPECT_EQ(rep.committed_ops, ops.size());
+    const auto expected = ExpectedAfter(ops, ops.size());
+    std::map<uint32_t, Rect2> got;
+    t->tree().Query(t->tree().Mbr(),
+                    [&](const Record2& rec) { got[rec.id] = rec.rect; });
+    EXPECT_TRUE(got == expected);
+    EXPECT_EQ(t->tree().size(), expected.size());
+    const size_t reachable = CountReachable(t->device(), t->tree().root());
+    EXPECT_EQ(t->device()->num_allocated(),
+              reachable + t->journal().journal_pages());
   }
 }
 

@@ -79,7 +79,6 @@ JournaledTree<2>::Options TreeOptions(const Config& cfg) {
   JournaledTree<2>::Options o;
   o.backend = cfg.backend;
   o.device.block_size = 4096;
-  o.journal.region_pages = 64;
   return o;
 }
 
