@@ -1,7 +1,7 @@
 // prtree_tool: a small command-line workbench over the public API —
-// generate datasets, bulk-load any index variant, snapshot it, reload it
-// and run queries.  The kind of utility an adopting project uses to poke
-// at its data before writing code.
+// generate datasets, bulk-load any index variant, save it, reload it and
+// run queries.  The kind of utility an adopting project uses to poke at
+// its data before writing code.
 //
 //   prtree_tool gen --family=size --n=100000 --out=data.csv
 //   prtree_tool build --data=data.csv --variant=pr --index=map.prt
@@ -9,13 +9,16 @@
 //   prtree_tool knn   --index=map.prt --point=0.5,0.5 --k=10
 //   prtree_tool stats --index=map.prt
 //
-// All index commands take --device=memory|file (default memory):
-//  * memory — the build runs on an in-memory device and the index file is
-//    a position-independent snapshot (SaveTree/LoadTree);
-//  * file — the index file IS a FileBlockDevice: build writes the tree
-//    straight to disk and records the root in the superblock (PersistTree),
-//    query/knn/stats reopen it in place (AttachTree) without copying a
-//    single page.  This is the out-of-core path: the index may exceed RAM.
+// The index file is always a FileBlockDevice file with the root recorded
+// in its superblock, so any --device opens an index built with any other.
+// All index commands take --device=memory|file|uring (default memory):
+//  * memory — build runs on an in-memory device and copies the tree into
+//    the index file (SaveTree); query/knn/stats copy it back into memory
+//    (LoadTree);
+//  * file / uring — build writes the tree straight into the index file and
+//    records the root (PersistTree); query/knn/stats reopen it in place
+//    (AttachTree) without copying a single page.  This is the out-of-core
+//    path: the index may exceed RAM.
 //
 // Dataset CSV format: one rectangle per line, "xmin,ymin,xmax,ymax,id".
 
@@ -58,10 +61,10 @@ namespace {
       "  stats  --index=FILE [--device=memory|file|uring]\n"
       "  update --index=FILE [--data=FILE] [--op=insert|delete] "
       "[--journal=on|off]\n         [--device=file|uring]\n"
-      "--device=memory treats the index file as a snapshot; --device=file "
-      "treats it\nas a block device and operates on it in place; "
-      "--device=uring is the file\nbackend with io_uring-batched reads "
-      "(pread fallback when unavailable).\n"
+      "The index file is a block device file under every --device: "
+      "--device=memory\ncopies it into memory, --device=file operates on "
+      "it in place, and\n--device=uring is the file backend with "
+      "io_uring-batched reads (pread\nfallback when unavailable).\n"
       "update applies the CSV's records to a file-backed index in place.  "
       "With\n--journal=on (the default) every op commits through the "
       "crash-consistent\nupdate journal and opening the index first runs "
@@ -236,6 +239,7 @@ int CmdBuild(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "build failed: %s\n", st.ToString().c_str());
     return 1;
   }
+  const IoStats build_io = device->stats();  // before the save reads pages
   st = file_device != nullptr ? PersistTree(tree, file_device)
                               : SaveTree(tree, index_path);
   if (!st.ok()) {
@@ -248,13 +252,13 @@ int CmdBuild(const std::map<std::string, std::string>& flags) {
       "utilisation, %llu build I/Os -> %s\n",
       variant.c_str(), tree.size(), tree.height(),
       static_cast<unsigned long long>(ts.num_nodes), 100 * ts.utilization,
-      static_cast<unsigned long long>(device->stats().Total()),
+      static_cast<unsigned long long>(build_io.Total()),
       index_path.c_str());
   return 0;
 }
 
 /// An opened index: the device keeps the pages alive, the tree points at
-/// the root.  Memory kind restores a snapshot; file kind reopens in place.
+/// the root.  Memory kind loads a copy; file and uring reopen in place.
 struct IndexHandle {
   std::unique_ptr<BlockDevice> device;
   std::unique_ptr<RTree<2>> tree;

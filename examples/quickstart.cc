@@ -9,8 +9,10 @@
 // file-backed or io_uring-backed — everything above it is identical,
 // including the reported I/O counts), the unified BulkLoader construction
 // entry point, and RTree::Query.  With --device=file or --device=uring the
-// index lives in a real file, which the example then reopens — the
-// persistence path an embedding application uses across process restarts.
+// index lives in a real file, which the example then reopens in place —
+// the persistence path an embedding application uses across process
+// restarts.  With the memory device it saves the index to a device file
+// of the same format and loads it back (SaveTree/LoadTree).
 // (--device=uring falls back to plain file I/O transparently on kernels
 // without io_uring; the output is identical either way.)
 
@@ -167,12 +169,12 @@ int main(int argc, char** argv) {
     }
     if (remove_file) std::remove(path.c_str());
   } else {
-    // In-memory device: snapshot the index to a host file and reload it
-    // anywhere.  PID-qualified so concurrent runs (e.g. two ctest
-    // invocations on one machine) cannot clobber each other's snapshot.
+    // In-memory device: save the index to a device file, which any
+    // device can load (or reopen in place).  PID-qualified so concurrent
+    // runs (e.g. two ctest invocations on one machine) cannot clobber
+    // each other's file.
     std::string snap = "/tmp/prtree_quickstart." +
-                       std::to_string(static_cast<long>(getpid())) +
-                       ".snapshot";
+                       std::to_string(static_cast<long>(getpid())) + ".prt";
     AbortIfError(SaveTree(index, snap));
     MemoryBlockDevice device2;
     RTree<2> reloaded(&device2);

@@ -20,8 +20,9 @@ inline constexpr uint32_t kSuperblockVersion = 1;
 inline constexpr uint32_t kFreePageMagic = 0x46524545u;  // "FREE"
 
 // On-disk superblock header, followed by user_meta_len opaque bytes.
-// Fixed-width fields, written and read on the same host (the device file is
-// not a portable interchange format; snapshots in rtree/persist.h are).
+// Fixed-width fields in host byte order, as in the node pages.  The device
+// file is the library's one index format: rtree/persist.h also moves trees
+// between devices through it.
 struct SuperblockHeader {
   uint32_t magic;
   uint32_t version;
@@ -96,6 +97,12 @@ Status FileBlockDevice::OpenBackingFile(const std::string& path,
     return Status::InvalidArgument(
         "truncate and must_exist are mutually exclusive");
   }
+  if (opts.block_size != 0 && opts.block_size < kMinBlockSize) {
+    // Refused before the open, which may create or truncate the file.  An
+    // existing file's superblock size is checked below.
+    return Status::InvalidArgument("file device block size must be >= " +
+                                   std::to_string(kMinBlockSize));
+  }
   int flags = O_RDWR | O_CLOEXEC;
   if (!opts.must_exist) flags |= O_CREAT;
   if (opts.truncate) flags |= O_TRUNC;
@@ -150,11 +157,6 @@ Status FileBlockDevice::OpenBackingFile(const std::string& path,
           std::to_string(opts.block_size));
     }
     block_size = hdr.block_size;
-  }
-  if (block_size < kMinBlockSize) {
-    ::close(fd);
-    return Status::InvalidArgument("file device block size must be >= " +
-                                   std::to_string(kMinBlockSize));
   }
 
   out->fd = fd;

@@ -29,14 +29,16 @@
 // Recovery state machine (docs/DURABILITY.md spells out each arrow):
 //
 //   read meta ──no anchor──▶ plain AttachTree ─▶ validate tree
-//      │ anchor                 ─▶ bootstrap checkpoint
+//      │ anchor                 ─▶ reachability sweep ─▶ bootstrap checkpoint
 //      ▼
 //   adopt orphan pages ─▶ scan journal ─▶ root := last commit (else meta)
 //      ─▶ validate tree ─▶ reachability sweep ─▶ adopt + checkpoint
 //
-// All recovery reads go through ReadMeta and the sweep/journal writes
-// through the kMeta channel, so recovery never moves the demand I/O
-// counters the experiments report.
+// The journal and sweep reads go through ReadMeta and the journal writes
+// through the kMeta channel, so recovery makes no demand writes.  But the
+// ValidateTree walk reads through Read(): Open charges one demand read per
+// page of the recovered tree (and AttachTree's root read on a journal-less
+// file).  Reset the counters after Open to measure only what follows.
 
 #ifndef PRTREE_RTREE_JOURNALED_TREE_H_
 #define PRTREE_RTREE_JOURNALED_TREE_H_
@@ -131,9 +133,13 @@ class JournaledTree {
     if (!anchor_present) {
       // Journal-less index: the plain attach path (with its staleness
       // checks) applies, then the bootstrap checkpoint journals it — only
-      // once the tree validates, so a refused file is left untouched.
+      // once the tree validates, so a refused file is left untouched.  The
+      // sweep frees what the tree does not reach, such as the region of a
+      // journal that PersistTree detached; frees write nothing before the
+      // checkpoint's Sync.
       PRTREE_RETURN_NOT_OK(AttachTree(dev, &*t->tree_));
       PRTREE_RETURN_NOT_OK(ValidateTree(*t->tree_));
+      rep->swept_pages = t->SweepUnreachable({});
       PRTREE_RETURN_NOT_OK(t->journal_->Checkpoint(t->MetaBuilderFn()));
       *out = std::move(t);
       return Status::OK();

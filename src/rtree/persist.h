@@ -1,51 +1,43 @@
 // Tree persistence.  An adopted index library must outlive the process;
-// the paper's trees live on disk by construction (§3.1).  Two mechanisms:
+// the paper's trees live on disk by construction (§3.1).  There is one
+// on-disk format, the FileBlockDevice file (io/file_block_device.h), whose
+// superblock records the tree's root metadata.  Two ways to use it:
 //
-// 1. Snapshots (SaveTree/LoadTree): copy a tree out to a standalone host
-//    file and restore it onto ANY device — either backend, any allocation
-//    state.  The format is position-independent: pages are written in BFS
-//    order and child PageIds are remapped to BFS indices on save and back
-//    to freshly allocated pages on load (only the block size must match).
-//    Layout: header { magic, version, block_size, D, height, page_count,
-//    record_count } followed by page_count raw blocks.
+// 1. In place (PersistTree/AttachTree): when the tree already lives on a
+//    FileBlockDevice, the device file IS the index.  PersistTree stores the
+//    tree's root metadata in the device's superblock and Sync()s;
+//    AttachTree reads it back after reopening the file, with no page
+//    copying or remapping — the crash-reopen path.  This is how the CLI
+//    and the examples open file-backed indexes.
 //
-// 2. In-place reopen (PersistTree/AttachTree): when the tree already lives
-//    on a FileBlockDevice, the device file IS the index.  PersistTree
-//    stores the tree's root metadata in the device's superblock and
-//    Sync()s; AttachTree reads it back after reopening the file, with no
-//    page copying or remapping — the crash-reopen path.  This is how the
-//    CLI and the examples open file-backed indexes.
+// 2. By copy (SaveTree/LoadTree): SaveTree copies a tree from any device
+//    onto a fresh device file and persists it there; LoadTree attaches and
+//    validates such a file, then copies the tree onto any device, in any
+//    allocation state.  A copy walks the source in BFS order, allocating
+//    each target page as it is discovered and remapping child ids to it.
+//    So a saved file also opens in place with AttachTree, and a
+//    PersistTree'd or cleanly closed journaled index loads with LoadTree.
+//    Limits: the block size must be at least FileBlockDevice::kMinBlockSize
+//    and match the target's; LoadTree opens the file read-write and takes
+//    only what AttachTree and ValidateTree accept, a balanced tree; files
+//    in the host-file snapshot format of earlier versions are not read.
 
 #ifndef PRTREE_RTREE_PERSIST_H_
 #define PRTREE_RTREE_PERSIST_H_
 
-#include <cstdio>
-#include <cstring>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "io/file_block_device.h"
 #include "io/journal.h"
 #include "rtree/rtree.h"
+#include "rtree/validate.h"
 #include "util/status.h"
 
 namespace prtree {
 
 namespace persist_internal {
-
-inline constexpr uint32_t kSnapshotMagic = 0x50525453u;  // "PRTS"
-inline constexpr uint32_t kSnapshotVersion = 1;
-
-struct SnapshotHeader {
-  uint32_t magic;
-  uint32_t version;
-  uint32_t block_size;
-  uint32_t dimension;
-  int32_t height;
-  uint32_t page_count;
-  uint64_t record_count;
-};
 
 inline constexpr uint32_t kTreeMetaMagic = 0x5052544Du;  // "PRTM"
 inline constexpr uint32_t kTreeMetaVersion = 1;
@@ -123,165 +115,40 @@ Status DecodeTreeMeta(const FileBlockDevice& device, TreeMetaRecord* meta,
   return Status::OK();
 }
 
-}  // namespace persist_internal
-
-/// \brief Writes `tree` to `path`.  The tree is unchanged.
+/// \brief Copies `src` onto `dst`'s device and points `dst` (empty, same
+/// block size) at the copy.  Walks `src` in BFS order, allocating each
+/// target page as it is discovered and remapping child ids to it, so the
+/// i-th page of the BFS order lands on the i-th page allocated; each
+/// source page is read once.  A failed read or write frees the pages
+/// allocated so far.
 template <int D>
-Status SaveTree(const RTree<D>& tree, const std::string& path) {
-  using persist_internal::SnapshotHeader;
-  if (tree.empty()) {
-    return Status::InvalidArgument("cannot snapshot an empty tree");
-  }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open " + path + " for writing");
-  }
-
-  // BFS order assigns every page its index in the snapshot.
-  std::vector<PageId> bfs{tree.root()};
-  std::unordered_map<PageId, uint32_t> index{{tree.root(), 0}};
-  std::vector<std::byte> buf(tree.block_size());
-  for (size_t i = 0; i < bfs.size(); ++i) {
-    Status st = tree.device()->Read(bfs[i], buf.data());
+Status CopyTree(const RTree<D>& src, RTree<D>* dst) {
+  if (src.empty()) return Status::OK();
+  BlockDevice* target = dst->device();
+  std::vector<PageId> from{src.root()};
+  std::vector<PageId> to{target->Allocate()};
+  std::vector<std::byte> buf(src.block_size());
+  for (size_t i = 0; i < from.size(); ++i) {
+    Status st = src.device()->Read(from[i], buf.data());
+    if (st.ok()) {
+      NodeView<D> node(buf.data(), src.block_size());
+      for (int e = 0; !node.is_leaf() && e < node.count(); ++e) {
+        from.push_back(node.GetId(e));
+        to.push_back(target->Allocate());
+        node.SetEntry(e, node.GetRect(e), to.back());
+      }
+      st = target->Write(to[i], buf.data());
+    }
     if (!st.ok()) {
-      std::fclose(f);
+      for (PageId p : to) target->Free(p);
       return st;
     }
-    NodeView<D> node(buf.data(), tree.block_size());
-    if (node.is_leaf()) continue;
-    for (int e = 0; e < node.count(); ++e) {
-      PageId child = node.GetId(e);
-      index.emplace(child, static_cast<uint32_t>(bfs.size()));
-      bfs.push_back(child);
-    }
   }
-
-  SnapshotHeader header{persist_internal::kSnapshotMagic,
-                        persist_internal::kSnapshotVersion,
-                        static_cast<uint32_t>(tree.block_size()),
-                        static_cast<uint32_t>(D),
-                        tree.height(),
-                        static_cast<uint32_t>(bfs.size()),
-                        tree.size()};
-  if (std::fwrite(&header, sizeof(header), 1, f) != 1) {
-    std::fclose(f);
-    return Status::IoError("short write of snapshot header");
-  }
-  for (PageId page : bfs) {
-    AbortIfError(tree.device()->Read(page, buf.data()));
-    NodeView<D> node(buf.data(), tree.block_size());
-    if (!node.is_leaf()) {
-      for (int e = 0; e < node.count(); ++e) {
-        node.SetEntry(e, node.GetRect(e), index.at(node.GetId(e)));
-      }
-    }
-    if (std::fwrite(buf.data(), tree.block_size(), 1, f) != 1) {
-      std::fclose(f);
-      return Status::IoError("short write of snapshot page");
-    }
-  }
-  if (std::fclose(f) != 0) return Status::IoError("close failed");
+  dst->SetRoot(to[0], src.height(), src.size());
   return Status::OK();
 }
 
-/// \brief Loads a snapshot from `path` into `tree` (must be empty; its
-/// device's block size must match the snapshot's).
-template <int D>
-Status LoadTree(const std::string& path, RTree<D>* tree) {
-  using persist_internal::SnapshotHeader;
-  if (!tree->empty()) {
-    return Status::InvalidArgument("output tree is not empty");
-  }
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-
-  SnapshotHeader header;
-  if (std::fread(&header, sizeof(header), 1, f) != 1) {
-    std::fclose(f);
-    return Status::Corruption("short read of snapshot header");
-  }
-  if (header.magic != persist_internal::kSnapshotMagic) {
-    std::fclose(f);
-    return Status::Corruption("bad snapshot magic");
-  }
-  if (header.version != persist_internal::kSnapshotVersion) {
-    std::fclose(f);
-    return Status::Corruption("unsupported snapshot version");
-  }
-  if (header.dimension != static_cast<uint32_t>(D)) {
-    std::fclose(f);
-    return Status::InvalidArgument("snapshot dimension mismatch");
-  }
-  if (header.block_size != tree->block_size()) {
-    std::fclose(f);
-    return Status::InvalidArgument("snapshot block size mismatch");
-  }
-  if (header.page_count == 0) {
-    std::fclose(f);
-    return Status::Corruption("snapshot with zero pages");
-  }
-  // The body must hold every page the header claims, checked before the
-  // destination pages are allocated: a hostile count must not allocate.
-  std::fseek(f, 0, SEEK_END);
-  const long file_bytes = std::ftell(f);
-  std::fseek(f, sizeof(header), SEEK_SET);
-  const uint64_t body_pages =
-      file_bytes < static_cast<long>(sizeof(header))
-          ? 0
-          : (static_cast<uint64_t>(file_bytes) - sizeof(header)) /
-                tree->block_size();
-  if (header.page_count > body_pages) {
-    std::fclose(f);
-    return Status::Corruption(
-        "snapshot truncated: header claims " +
-        std::to_string(header.page_count) + " pages, file holds " +
-        std::to_string(body_pages));
-  }
-
-  // Allocate destination pages up front so BFS indices can be remapped.
-  std::vector<PageId> pages(header.page_count);
-  for (auto& p : pages) p = tree->device()->Allocate();
-
-  std::vector<std::byte> buf(tree->block_size());
-  for (uint32_t i = 0; i < header.page_count; ++i) {
-    if (std::fread(buf.data(), tree->block_size(), 1, f) != 1) {
-      std::fclose(f);
-      for (auto p : pages) tree->device()->Free(p);
-      return Status::Corruption("snapshot truncated at page " +
-                                std::to_string(i));
-    }
-    NodeView<D> node(buf.data(), tree->block_size());
-    if (!node.IsFormatted()) {
-      std::fclose(f);
-      for (auto p : pages) tree->device()->Free(p);
-      return Status::Corruption("snapshot page " + std::to_string(i) +
-                                " is not a node");
-    }
-    // Page 0 is the root: every traversal starts from the recorded height.
-    if (i == 0 && node.level() != header.height) {
-      std::fclose(f);
-      for (auto p : pages) tree->device()->Free(p);
-      return Status::Corruption(
-          "snapshot root is at level " + std::to_string(node.level()) +
-          " but the header records height " + std::to_string(header.height));
-    }
-    if (!node.is_leaf()) {
-      for (int e = 0; e < node.count(); ++e) {
-        uint32_t idx = node.GetId(e);
-        if (idx >= header.page_count) {
-          std::fclose(f);
-          for (auto p : pages) tree->device()->Free(p);
-          return Status::Corruption("snapshot child index out of range");
-        }
-        node.SetEntry(e, node.GetRect(e), pages[idx]);
-      }
-    }
-    AbortIfError(tree->device()->Write(pages[i], buf.data()));
-  }
-  std::fclose(f);
-  tree->SetRoot(pages[0], header.height, header.record_count);
-  return Status::OK();
-}
+}  // namespace persist_internal
 
 /// \brief Records `tree`'s root metadata in its FileBlockDevice's
 /// superblock and Sync()s, making the device file a self-describing,
@@ -306,8 +173,9 @@ Status PersistTree(const RTree<D>& tree, FileBlockDevice* device) {
 }
 
 /// \brief Reattaches `tree` (must be empty and constructed over `device`)
-/// to the root recorded by a prior PersistTree on the same file.  No pages
-/// move: the device file already holds the tree.
+/// to the root recorded by a prior PersistTree (or journal checkpoint) on
+/// the same file; a record of an empty tree leaves `tree` empty.  No
+/// pages move: the device file already holds the tree.
 template <int D>
 Status AttachTree(FileBlockDevice* device, RTree<D>* tree) {
   using persist_internal::TreeMetaRecord;
@@ -345,7 +213,12 @@ Status AttachTree(FileBlockDevice* device, RTree<D>* tree) {
         "tree metadata is stale (the device was mutated after the last "
         "PersistTree) — re-run PersistTree before closing");
   }
-  // And the recorded root must be a live, formatted node.
+  // A journaled index closed empty records no root (EncodeTreeMeta).
+  if (meta.root == kInvalidPageId && meta.height == 0 &&
+      meta.record_count == 0) {
+    return Status::OK();
+  }
+  // Otherwise the recorded root must be a live, formatted node.
   std::vector<std::byte> buf(tree->block_size());
   Status st = device->Read(meta.root, buf.data());
   if (!st.ok()) {
@@ -363,6 +236,46 @@ Status AttachTree(FileBlockDevice* device, RTree<D>* tree) {
   }
   tree->SetRoot(meta.root, meta.height, meta.record_count);
   return Status::OK();
+}
+
+/// \brief Writes `tree` (unchanged) to a fresh device file at `path`,
+/// with the tree's block size, truncating any existing file, and persists
+/// it there: the file opens in place with AttachTree and loads with
+/// LoadTree.
+template <int D>
+Status SaveTree(const RTree<D>& tree, const std::string& path) {
+  if (tree.empty()) {
+    return Status::InvalidArgument("cannot save an empty tree");
+  }
+  FileDeviceOptions opts;
+  opts.block_size = tree.block_size();
+  opts.truncate = true;
+  std::unique_ptr<FileBlockDevice> device;
+  PRTREE_RETURN_NOT_OK(FileBlockDevice::Open(path, opts, &device));
+  RTree<D> saved(device.get());
+  PRTREE_RETURN_NOT_OK(persist_internal::CopyTree(tree, &saved));
+  return PersistTree(saved, device.get());
+}
+
+/// \brief Loads the tree persisted in the device file at `path` into
+/// `tree` (must be empty; its device's block size must match the file's).
+/// The file is attached and validated before anything is allocated on
+/// `tree`'s device, so a damaged file returns a Status and leaves that
+/// device untouched.  An empty recorded tree loads as an empty tree.
+template <int D>
+Status LoadTree(const std::string& path, RTree<D>* tree) {
+  if (!tree->empty()) {
+    return Status::InvalidArgument("output tree is not empty");
+  }
+  FileDeviceOptions opts;
+  opts.block_size = tree->block_size();
+  opts.must_exist = true;
+  std::unique_ptr<FileBlockDevice> device;
+  PRTREE_RETURN_NOT_OK(FileBlockDevice::Open(path, opts, &device));
+  RTree<D> saved(device.get());
+  PRTREE_RETURN_NOT_OK(AttachTree(device.get(), &saved));
+  PRTREE_RETURN_NOT_OK(ValidateTree(saved));
+  return persist_internal::CopyTree(saved, tree);
 }
 
 }  // namespace prtree

@@ -5,10 +5,11 @@
 // offload their CPU-heavy stages (run sorting and the pseudo-PR-tree
 // recursion, on in-memory arrays) onto a ThreadPool while the coordinating
 // thread makes every device call in deterministic program order.  These helpers
-// cover both patterns — a fork-join ParallelFor for benchmarks and batch
-// serving, a fixed-size ThreadPool whose TaskGroup/WaitFor support nested
-// fork-join (waiters help drain the queue, so tasks may fork subtasks), and
-// a deterministic ParallelSort.  Nothing here knows about R-trees.
+// cover both patterns — a fork-join ParallelForChunks for benchmarks and
+// batch serving, a fixed-size ThreadPool whose TaskGroup/WaitFor support
+// nested fork-join (waiters help drain the queue, so tasks may fork
+// subtasks), and a deterministic ParallelSort.  Nothing here knows about
+// R-trees.
 
 #ifndef PRTREE_UTIL_PARALLEL_H_
 #define PRTREE_UTIL_PARALLEL_H_
@@ -60,16 +61,6 @@ void ParallelForChunks(size_t begin, size_t end, int num_threads, Fn fn) {
     lo = hi;
   }
   for (auto& w : workers) w.join();
-}
-
-/// \brief Fork-join over [begin, end): calls fn(index) for every index,
-/// statically partitioned over `num_threads` threads.
-template <typename Fn>
-void ParallelFor(size_t begin, size_t end, int num_threads, Fn fn) {
-  ParallelForChunks(begin, end, num_threads,
-                    [&fn](int /*thread*/, size_t lo, size_t hi) {
-                      for (size_t i = lo; i < hi; ++i) fn(i);
-                    });
 }
 
 /// \brief Fixed-size pool of worker threads with a FIFO task queue.

@@ -361,23 +361,20 @@ TEST(ConcurrentQueryTest, UncachedPoolServesConcurrentMixedQueries) {
   auto expect_knn = KnnSearch<2>(tree, {0.5, 0.5}, 10);
 
   std::atomic<int> mismatches{0};
-  ParallelFor(0, 8, 4, [&](size_t i) {
-    if (i % 2 == 0) {
-      auto got =
-          SortedIds(tree.QueryToVector(MakeRect(0.2, 0.2, 0.6, 0.6), &pool));
-      if (got != expect_window) mismatches.fetch_add(1);
-    } else {
-      auto got = KnnSearch<2>(tree, {0.5, 0.5}, 10, nullptr, &pool);
-      if (got.size() != expect_knn.size()) {
-        mismatches.fetch_add(1);
-      } else {
-        for (size_t k = 0; k < got.size(); ++k) {
-          if (got[k].record.id != expect_knn[k].record.id) {
-            mismatches.fetch_add(1);
-            break;
-          }
-        }
+  ParallelForChunks(0, 8, 4, [&](int, size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      if (i % 2 == 0) {
+        auto got = SortedIds(
+            tree.QueryToVector(MakeRect(0.2, 0.2, 0.6, 0.6), &pool));
+        if (got != expect_window) mismatches.fetch_add(1);
+        continue;
       }
+      auto got = KnnSearch<2>(tree, {0.5, 0.5}, 10, nullptr, &pool);
+      bool same = got.size() == expect_knn.size();
+      for (size_t k = 0; same && k < got.size(); ++k) {
+        same = got[k].record.id == expect_knn[k].record.id;
+      }
+      if (!same) mismatches.fetch_add(1);
     }
   });
   EXPECT_EQ(mismatches.load(), 0);

@@ -24,9 +24,12 @@
 //     the same op and query sequences produce byte-identical demand
 //     stats and QueryStats with the journal on or off.
 //   * persist.h integration: AttachTree refuses a device with unapplied
-//     journal frames and accepts it again after recovery's checkpoint; a
+//     journal frames and accepts it again after recovery's checkpoint; an
+//     index closed empty attaches and loads as an empty tree; a
 //     journal-less index that fails validation, and a journaled index of
-//     another dimension, are refused by Open without a byte changing.
+//     another dimension, are refused by Open without a byte changing; and
+//     a journal-less reopen frees the region of a journal that a plain
+//     PersistTree detached.
 
 #include "rtree/journaled_tree.h"
 
@@ -517,6 +520,13 @@ TEST_F(CrashRecoveryTest, AttachTreeRefusesDirtyJournalAcceptsCleanOne) {
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.code(), StatusCode::kCorruption);
   }
+  // LoadTree attaches through AttachTree, so it refuses the same file.
+  {
+    MemoryBlockDevice mem(1024);
+    RTree<2> loaded(&mem);
+    EXPECT_EQ(LoadTree(path_, &loaded).code(), StatusCode::kCorruption);
+    EXPECT_EQ(mem.peak_allocated(), 0u);
+  }
 
   // Recovery + clean close checkpoint the journal; AttachTree is happy
   // again (the anchor epoch matches and nothing is pending).
@@ -532,6 +542,111 @@ TEST_F(CrashRecoveryTest, AttachTreeRefusesDirtyJournalAcceptsCleanOne) {
   ASSERT_TRUE(AttachTree(dev.get(), &tree).ok());
   EXPECT_EQ(tree.size(), ExpectedAfter(ops, ops.size()).size());
   EXPECT_TRUE(ValidateTree(tree).ok());
+  MemoryBlockDevice mem(1024);
+  RTree<2> loaded(&mem);
+  ASSERT_TRUE(LoadTree(path_, &loaded).ok());
+  EXPECT_EQ(loaded.size(), tree.size());
+}
+
+// A clean close of an empty journaled index, fresh or emptied by its
+// ops, records root kInvalidPageId at height 0 with no records.
+// AttachTree and LoadTree take that as the empty tree it is; the same root
+// under a record that claims records stays Corruption.
+TEST_F(CrashRecoveryTest, CleanlyClosedEmptyIndexAttachesAsAnEmptyTree) {
+  const Record2 rec{RectFor(1), 1};
+  for (const std::string backend : {"file", "uring"}) {
+    for (const bool churn : {false, true}) {
+      SCOPED_TRACE(backend + (churn ? " after an insert and its delete"
+                                    : " fresh"));
+      {
+        std::unique_ptr<JournaledTree<2>> t;
+        ASSERT_TRUE(
+            JournaledTree<2>::Create(path_, MakeOpts(backend), &t).ok());
+        if (churn) ApplyOps(t.get(), {Op{true, rec}, Op{false, rec}});
+      }  // clean close
+      FileDeviceOptions dopts;
+      dopts.must_exist = true;
+      {
+        std::unique_ptr<FileBlockDevice> dev;
+        ASSERT_TRUE(OpenFileBackedDevice(backend, path_, dopts, &dev).ok());
+        RTree<2> tree(dev.get());
+        const Status st = AttachTree(dev.get(), &tree);
+        ASSERT_TRUE(st.ok()) << st.ToString();
+        EXPECT_TRUE(tree.empty());
+        EXPECT_EQ(tree.size(), 0u);
+      }
+      MemoryBlockDevice mem(1024);
+      RTree<2> loaded(&mem);
+      ASSERT_TRUE(LoadTree(path_, &loaded).ok());
+      EXPECT_TRUE(loaded.empty());
+      EXPECT_EQ(mem.peak_allocated(), 0u);
+
+      // The same record claiming 5 records, then a height of 1.
+      for (const bool bad_height : {false, true}) {
+        {
+          std::unique_ptr<FileBlockDevice> dev;
+          ASSERT_TRUE(
+              OpenFileBackedDevice(backend, path_, dopts, &dev).ok());
+          std::byte meta[FileBlockDevice::kUserMetaCapacity];
+          const size_t len = dev->GetUserMeta(meta, sizeof(meta));
+          persist_internal::TreeMetaRecord rec_meta{};
+          std::memcpy(&rec_meta, meta, sizeof(rec_meta));
+          ASSERT_EQ(rec_meta.root, kInvalidPageId);
+          rec_meta.record_count = bad_height ? 0 : 5;
+          rec_meta.height = bad_height ? 1 : 0;
+          std::memcpy(meta, &rec_meta, sizeof(rec_meta));
+          ASSERT_TRUE(dev->SetUserMeta(meta, len).ok());
+          ASSERT_TRUE(dev->Sync().ok());
+        }
+        std::unique_ptr<FileBlockDevice> dev;
+        ASSERT_TRUE(OpenFileBackedDevice(backend, path_, dopts, &dev).ok());
+        RTree<2> tree(dev.get());
+        EXPECT_EQ(AttachTree(dev.get(), &tree).code(),
+                  StatusCode::kCorruption);
+        EXPECT_TRUE(tree.empty());
+      }
+    }
+  }
+}
+
+// A journaled index cycled through plain in-place updates (AttachTree,
+// update, PersistTree, which detaches the journal) and journaled reopens:
+// each journal-less Open frees the detached journal's region, so
+// num_allocated stays live tree pages plus the live journal.
+TEST_F(CrashRecoveryTest, JournalLessOpenFreesADetachedJournal) {
+  for (const std::string backend : {"file", "uring"}) {
+    SCOPED_TRACE(backend);
+    {
+      std::unique_ptr<JournaledTree<2>> t;
+      ASSERT_TRUE(JournaledTree<2>::Create(path_, MakeOpts(backend), &t).ok());
+      for (uint32_t id = 1; id <= 500; ++id) {
+        ASSERT_TRUE(t->Insert(Record2{RectFor(id), id}).ok());
+      }
+    }  // clean close
+    for (uint32_t cycle = 1; cycle <= 3; ++cycle) {
+      SCOPED_TRACE(cycle);
+      {
+        FileDeviceOptions dopts;
+        dopts.must_exist = true;
+        std::unique_ptr<FileBlockDevice> dev;
+        ASSERT_TRUE(OpenFileBackedDevice(backend, path_, dopts, &dev).ok());
+        RTree<2> tree(dev.get());
+        ASSERT_TRUE(AttachTree(dev.get(), &tree).ok());
+        RTreeUpdater<2> upd(&tree);
+        upd.Insert(Record2{RectFor(1000 + cycle), 1000 + cycle});
+        ASSERT_TRUE(PersistTree(tree, dev.get()).ok());
+      }
+      std::unique_ptr<JournaledTree<2>> t;
+      JournaledTree<2>::RecoveryReport rep;
+      ASSERT_TRUE(
+          JournaledTree<2>::Open(path_, MakeOpts(backend), &t, &rep).ok());
+      EXPECT_EQ(t->tree().size(), 500u + cycle);
+      EXPECT_EQ(rep.swept_pages, t->journal().journal_pages());
+      EXPECT_EQ(t->device()->num_allocated(),
+                CountReachable(t->device(), t->tree().root()) +
+                    t->journal().journal_pages());
+    }
+  }
 }
 
 TEST_F(CrashRecoveryTest, FailedUpgradeOpenLeavesFileUnchanged) {

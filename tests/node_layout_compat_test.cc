@@ -206,8 +206,9 @@ TEST_F(NodeLayoutCompatTest, MixedLayoutTreeAfterUpdates) {
   }
 }
 
-// Snapshots copy raw blocks, so a mixed-layout tree stays mixed across a
-// SaveTree/LoadTree round trip, regardless of the loader's default.
+// SaveTree and LoadTree copy raw blocks, rewriting only child ids, so a
+// mixed-layout tree stays mixed across the round trip, regardless of the
+// loader's default.
 TEST_F(NodeLayoutCompatTest, SnapshotRoundTripPreservesPerNodeLayout) {
   std::string path = ::testing::TempDir() + "/prtree_layout_snap." +
                      std::to_string(static_cast<long>(getpid())) + ".bin";
@@ -229,7 +230,7 @@ TEST_F(NodeLayoutCompatTest, SnapshotRoundTripPreservesPerNodeLayout) {
 
   auto [v1, v2] = CountLayouts(&dev2);
   EXPECT_GT(v1, 0);
-  EXPECT_EQ(v2, 0) << "snapshot load must preserve the stored v1 layout";
+  EXPECT_EQ(v2, 0) << "LoadTree must preserve the stored v1 layout";
   ASSERT_TRUE(ValidateTree(loaded).ok());
   Rng rng(61);
   for (int q = 0; q < 10; ++q) {

@@ -40,9 +40,17 @@ TEST(ParallelForTest, SingleThreadRunsInline) {
   });
 }
 
+// The thread count is clamped to the item count: one item per chunk.
 TEST(ParallelForTest, MoreThreadsThanItems) {
   std::atomic<uint64_t> sum{0};
-  ParallelFor(0, 3, 8, [&](size_t i) { sum.fetch_add(i + 1); });
+  std::atomic<int> chunks{0};
+  ParallelForChunks(0, 3, 8, [&](int t, size_t lo, size_t hi) {
+    EXPECT_LT(t, 3);
+    EXPECT_EQ(hi, lo + 1);
+    chunks.fetch_add(1);
+    sum.fetch_add(lo + 1);
+  });
+  EXPECT_EQ(chunks.load(), 3);
   EXPECT_EQ(sum.load(), 6u);
 }
 

@@ -4,7 +4,6 @@
 
 #include <unistd.h>
 
-#include <cstddef>
 #include <cstdio>
 #include <memory>
 
@@ -27,7 +26,7 @@ class PersistTest : public ::testing::Test {
   void SetUp() override {
     // Test-name + pid qualified: ctest runs each TEST as its own process,
     // often concurrently, so an address-based name could collide.
-    path_ = ::testing::TempDir() + "/prtree_snapshot_" +
+    path_ = ::testing::TempDir() + "/prtree_persist_" +
             ::testing::UnitTest::GetInstance()->current_test_info()->name() +
             "." + std::to_string(static_cast<long>(getpid())) + ".bin";
   }
@@ -60,10 +59,19 @@ TEST_F(PersistTest, RoundTripPreservesEverything) {
   CanonicalSort(&b);
   EXPECT_TRUE(a == b);
 
+  // The saved file is a device file: it also opens in place.
+  std::unique_ptr<FileBlockDevice> fdev;
+  ASSERT_TRUE(FileBlockDevice::Open(path_, FileDeviceOptions{}, &fdev).ok());
+  RTree<2> attached(fdev.get());
+  ASSERT_TRUE(AttachTree(fdev.get(), &attached).ok());
+  EXPECT_EQ(attached.size(), tree.size());
+
   Rng rng(11);
   for (int q = 0; q < 20; ++q) {
     Rect2 w = RandomWindow<2>(&rng, 0.2);
     EXPECT_EQ(SortedIds(loaded.QueryToVector(w)),
+              SortedIds(tree.QueryToVector(w)));
+    EXPECT_EQ(SortedIds(attached.QueryToVector(w)),
               SortedIds(tree.QueryToVector(w)));
   }
 }
@@ -134,17 +142,41 @@ TEST_F(PersistTest, RejectsEmptyTreeAndBadTargets) {
   MemoryBlockDevice dev4(4096);
   RTree<2> t4(&dev4);
   EXPECT_FALSE(LoadTree("/nonexistent/prtree.bin", &t4).ok());
+  // Blocks below the device file's minimum cannot be saved, and the
+  // refusal leaves the file already at the path intact.
+  MemoryBlockDevice dev128(128);
+  RTree<2> t128(&dev128);
+  AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 1u << 20})
+                   ->Build(&dev128, data, &t128));
+  EXPECT_EQ(SaveTree(t128, path_).code(), StatusCode::kInvalidArgument);
+  MemoryBlockDevice dev5(4096);
+  RTree<2> t5(&dev5);
+  ASSERT_TRUE(LoadTree(path_, &t5).ok());
+  EXPECT_EQ(t5.size(), tree.size());
 }
 
+// Each damaged file is refused with Corruption before LoadTree allocates
+// a page on the target: a truncated file (shorter than the page count its
+// superblock records) and a damaged superblock fail the device open, and
+// a damaged node page fails validation.
 TEST_F(PersistTest, DetectsTruncationAndCorruption) {
   MemoryBlockDevice dev(512);
   auto data = RandomRects<2>(2000, 29);
   RTree<2> tree(&dev);
   AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
                    ->Build(&dev, data, &tree));
-  ASSERT_TRUE(SaveTree(tree, path_).ok());
+  ASSERT_GE(tree.height(), 1);
+  const auto expect_refused = [&](const char* what) {
+    MemoryBlockDevice target(512);
+    RTree<2> loaded(&target);
+    const Status st = LoadTree(path_, &loaded);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << what << ": "
+                                                  << st.ToString();
+    EXPECT_TRUE(loaded.empty()) << what;
+    EXPECT_EQ(target.peak_allocated(), 0u) << what;
+  };
 
-  // Truncate the file.
+  ASSERT_TRUE(SaveTree(tree, path_).ok());
   {
     std::FILE* f = std::fopen(path_.c_str(), "rb");
     ASSERT_NE(f, nullptr);
@@ -153,51 +185,39 @@ TEST_F(PersistTest, DetectsTruncationAndCorruption) {
     std::fclose(f);
     ASSERT_EQ(truncate(path_.c_str(), size / 2), 0);
   }
-  MemoryBlockDevice dev2(512);
-  size_t baseline = dev2.num_allocated();
-  RTree<2> loaded(&dev2);
-  Status st = LoadTree(path_, &loaded);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kCorruption);
-  // No leaked pages after the failed load, and none allocated on the way:
-  // the file's size is checked against the header before any page is.
-  EXPECT_EQ(dev2.num_allocated(), baseline);
-  EXPECT_EQ(dev2.peak_allocated(), baseline);
+  expect_refused("truncated file");
 
-  // A header claiming far more pages than the body holds.
-  ASSERT_TRUE(SaveTree(tree, path_).ok());
-  {
-    std::FILE* f = std::fopen(path_.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    const uint32_t claimed = 100000;
-    std::fseek(f, offsetof(persist_internal::SnapshotHeader, page_count),
-               SEEK_SET);
-    std::fwrite(&claimed, sizeof(claimed), 1, f);
-    std::fclose(f);
-  }
-  MemoryBlockDevice dev4(512);
-  RTree<2> loaded4(&dev4);
-  EXPECT_EQ(LoadTree(path_, &loaded4).code(), StatusCode::kCorruption);
-  EXPECT_EQ(dev4.peak_allocated(), 0u);
-
-  // Corrupt the magic.
   ASSERT_TRUE(SaveTree(tree, path_).ok());
   {
     std::FILE* f = std::fopen(path_.c_str(), "rb+");
     ASSERT_NE(f, nullptr);
     uint32_t junk = 0xDEADBEEF;
-    std::fwrite(&junk, sizeof(junk), 1, f);
+    std::fwrite(&junk, sizeof(junk), 1, f);  // the superblock's magic
     std::fclose(f);
   }
-  MemoryBlockDevice dev3(512);
-  RTree<2> loaded3(&dev3);
-  EXPECT_EQ(LoadTree(path_, &loaded3).code(), StatusCode::kCorruption);
+  expect_refused("damaged superblock");
+
+  ASSERT_TRUE(SaveTree(tree, path_).ok());
+  {
+    std::unique_ptr<FileBlockDevice> fdev;
+    ASSERT_TRUE(
+        FileBlockDevice::Open(path_, FileDeviceOptions{}, &fdev).ok());
+    RTree<2> saved(fdev.get());
+    ASSERT_TRUE(AttachTree(fdev.get(), &saved).ok());
+    std::vector<std::byte> buf(fdev->block_size());
+    ASSERT_TRUE(fdev->Read(saved.root(), buf.data()).ok());
+    const PageId child = NodeView<2>(buf.data(), buf.size()).GetId(0);
+    std::fill(buf.begin(), buf.end(), std::byte{0xAB});
+    ASSERT_TRUE(fdev->Write(child, buf.data()).ok());
+  }
+  expect_refused("damaged node page");
 }
 
 // A recorded height other than the root page's level would send every
 // traversal the wrong number of levels down (a height of -2 once loaded
-// OK and then made ComputeStats ask for a vector of SIZE_MAX counts).  Both
-// loaders compare the two and refuse the tree.
+// OK and then made ComputeStats ask for a vector of SIZE_MAX counts).
+// AttachTree compares the two and refuses the tree, and so LoadTree, which
+// attaches the file before it allocates a page, refuses it too.
 TEST_F(PersistTest, RejectsARecordedHeightOtherThanTheRootLevel) {
   MemoryBlockDevice dev(512);
   RTree<2> tree(&dev);
@@ -208,47 +228,29 @@ TEST_F(PersistTest, RejectsARecordedHeightOtherThanTheRootLevel) {
     SCOPED_TRACE(height);
     ASSERT_TRUE(SaveTree(tree, path_).ok());
     {
-      std::FILE* f = std::fopen(path_.c_str(), "rb+");
-      ASSERT_NE(f, nullptr);
-      std::fseek(f, offsetof(persist_internal::SnapshotHeader, height),
-                 SEEK_SET);
-      std::fwrite(&height, sizeof(height), 1, f);
-      std::fclose(f);
+      std::unique_ptr<FileBlockDevice> fdev;
+      ASSERT_TRUE(
+          FileBlockDevice::Open(path_, FileDeviceOptions{}, &fdev).ok());
+      persist_internal::TreeMetaRecord meta{};
+      ASSERT_EQ(fdev->GetUserMeta(&meta, sizeof(meta)), sizeof(meta));
+      meta.height = height;
+      ASSERT_TRUE(fdev->SetUserMeta(&meta, sizeof(meta)).ok());
+      ASSERT_TRUE(fdev->Sync().ok());
     }
     MemoryBlockDevice dev2(512);
     RTree<2> loaded(&dev2);
     EXPECT_EQ(LoadTree(path_, &loaded).code(), StatusCode::kCorruption);
     EXPECT_TRUE(loaded.empty());
-    EXPECT_EQ(dev2.num_allocated(), 0u);  // the loaded pages went back
-  }
+    EXPECT_EQ(dev2.peak_allocated(), 0u);
 
-  // In place: the same field of the meta record in the superblock.
-  const std::string dev_path = path_ + ".dev";
-  {
-    FileDeviceOptions opts;
-    opts.block_size = 512;
-    opts.truncate = true;
     std::unique_ptr<FileBlockDevice> fdev;
-    ASSERT_TRUE(FileBlockDevice::Open(dev_path, opts, &fdev).ok());
-    RTree<2> built(fdev.get());
-    AbortIfError(
-        MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 1u << 20})
-            ->Build(fdev.get(), RandomRects<2>(2000, 61), &built));
-    ASSERT_TRUE(PersistTree(built, fdev.get()).ok());
-    persist_internal::TreeMetaRecord meta{};
-    ASSERT_EQ(fdev->GetUserMeta(&meta, sizeof(meta)), sizeof(meta));
-    meta.height = -2;
-    ASSERT_TRUE(fdev->SetUserMeta(&meta, sizeof(meta)).ok());
-    ASSERT_TRUE(fdev->Sync().ok());
+    ASSERT_TRUE(
+        FileBlockDevice::Open(path_, FileDeviceOptions{}, &fdev).ok());
+    RTree<2> attached(fdev.get());
+    EXPECT_EQ(AttachTree(fdev.get(), &attached).code(),
+              StatusCode::kCorruption);
+    EXPECT_TRUE(attached.empty());
   }
-  std::unique_ptr<FileBlockDevice> fdev;
-  ASSERT_TRUE(
-      FileBlockDevice::Open(dev_path, FileDeviceOptions{}, &fdev).ok());
-  RTree<2> attached(fdev.get());
-  EXPECT_EQ(AttachTree(fdev.get(), &attached).code(),
-            StatusCode::kCorruption);
-  EXPECT_TRUE(attached.empty());
-  std::remove(dev_path.c_str());
 }
 
 // The in-place reopen path of the file backend: build straight onto a
@@ -295,6 +297,14 @@ TEST_F(PersistTest, FileDeviceWriteReopenQueryRoundTrip) {
   }
   EXPECT_EQ(tree.size(), data.size() + 200);
   ASSERT_TRUE(PersistTree(tree, dev.get()).ok());
+  dev.reset();
+
+  // A PersistTree'd file loads with LoadTree as a saved one does.
+  MemoryBlockDevice mem(512);
+  RTree<2> loaded(&mem);
+  ASSERT_TRUE(LoadTree(path_, &loaded).ok());
+  EXPECT_EQ(loaded.size(), data.size() + 200);
+  ASSERT_TRUE(ValidateTree(loaded).ok());
 }
 
 TEST_F(PersistTest, AttachRejectsMissingOrMismatchedMeta) {
@@ -349,9 +359,9 @@ TEST_F(PersistTest, AttachRejectsStaleMetadataAfterUpdates) {
   EXPECT_EQ(st.code(), StatusCode::kCorruption);
 }
 
-// Snapshots are device-agnostic: a snapshot written from a memory device
-// restores onto a file device (and the restored file index then reopens
-// in place).
+// Saved files are device-agnostic: a tree saved from a memory device loads
+// onto a file device with earlier allocations, and the loaded index then
+// reopens in place.
 TEST_F(PersistTest, SnapshotRestoresOntoFileDevice) {
   MemoryBlockDevice mdev(512);
   auto data = RandomRects<2>(3000, 43);
@@ -367,6 +377,9 @@ TEST_F(PersistTest, SnapshotRestoresOntoFileDevice) {
     opts.truncate = true;
     std::unique_ptr<FileBlockDevice> fdev;
     ASSERT_TRUE(FileBlockDevice::Open(dev_path, opts, &fdev).ok());
+    std::vector<PageId> earlier(37);
+    for (PageId& p : earlier) p = fdev->Allocate();
+    for (size_t i = 0; i < earlier.size(); i += 2) fdev->Free(earlier[i]);
     RTree<2> loaded(fdev.get());
     ASSERT_TRUE(LoadTree(path_, &loaded).ok());
     ASSERT_TRUE(ValidateTree(loaded).ok());
