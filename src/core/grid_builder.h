@@ -15,9 +15,14 @@
 //     the exact median record by scanning only that slab's O(n/z) records
 //     from the sorted list; the split subdivides the slab's cells (cheap
 //     rescan of the same records).
-//  4. Fill the 4z priority leaves by "filtering" every record down the
-//     partial kd-tree, evicting less extreme records from full leaves
-//     (one scan; the leaves fit in memory since M = Ω(B^(4/3))).
+//  4. Fill the 4z priority leaves (2D per kd-node) by "filtering" every
+//     record down the partial kd-tree, evicting less extreme records from
+//     full leaves (one scan; the leaves fit in memory since
+//     M = Ω(B^(4/3))).  The leaves' contents do not depend on the scan
+//     order, but the evictions do, and list 0's sorted order makes nearly
+//     every record evict one; so the scan reads list 0's blocks in a
+//     stride order whose first pass samples the whole list.  Each leaf is
+//     emitted sorted most extreme first.
 //  5. Distribute the 2D sorted lists over the partial tree's leaf regions,
 //     omitting records captured by priority leaves (one scan per list),
 //     and recurse on each region.  Once a sub-problem fits in memory the
@@ -40,8 +45,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <deque>
-#include <unordered_set>
+#include <limits>
 #include <vector>
 
 #include "core/corner_order.h"
@@ -163,6 +169,15 @@ int SlabIndex(const std::vector<Record<D>>& thresholds, const Record<D>& r,
     --it;
   }
   return static_cast<int>(it - thresholds.begin());
+}
+
+/// Corner coordinate `c` of `r` as an extremeness in direction `c`: the
+/// coordinate, negated for a maximum corner (c >= D), so that smaller is
+/// more extreme.  ExtremeLess<D>{c} orders first by it (negation is exact).
+template <int D>
+Real Extremeness(const Record<D>& r, int c) {
+  const Real v = r.rect.CornerCoord(c);
+  return c < D ? v : -v;
 }
 
 }  // namespace grid_internal
@@ -298,16 +313,18 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
     // ---- build z kd-nodes breadth-first -----------------------------
     struct KdNode {
       int dim;
-      Rec t;  // records CoordLess(dim) than t go left
-      int left_node = -1, right_node = -1;      // child kd-node index
-      int left_region = -1, right_region = -1;  // or final region index
+      Rec t;     // records CoordLess(dim) than t go left
+      Real key;  // t's coordinate on dim
+      // Per side (0 left, 1 right): a kd-node index, or ~region for a
+      // final region.
+      std::array<int, 2> child{};
     };
     struct Region {
       std::array<int, K> lo, hi;  // slab-index box [lo, hi)
       size_t count;
       int depth;
-      int parent;    // kd-node index, -1 for the root region
-      bool is_left;  // which side of the parent
+      int parent;  // kd-node index, -1 for the root region
+      int side;    // which side of the parent: 0 left, 1 right
     };
     std::vector<KdNode> nodes;
     std::vector<Region> final_regions;
@@ -319,16 +336,12 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
       root.count = n;
       root.depth = sub.depth;
       root.parent = -1;
-      root.is_left = false;
+      root.side = 0;
       frontier.push_back(root);
     }
-    auto link_region = [&](const Region& r, int region_id) {
-      if (r.parent < 0) return;
-      if (r.is_left) {
-        nodes[r.parent].left_region = region_id;
-      } else {
-        nodes[r.parent].right_region = region_id;
-      }
+    // Records `r` as the kd-node or ~final-region `child` of its parent.
+    auto link = [&](const Region& r, int child) {
+      if (r.parent >= 0) nodes[r.parent].child[r.side] = child;
     };
     const size_t min_split = std::max<size_t>(2 * (K + 2) * b, 2);
     std::vector<Rec> slab_recs;
@@ -339,7 +352,7 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
         // the frontier becomes a recursion region.
         Region r = frontier.front();
         frontier.pop_front();
-        link_region(r, static_cast<int>(final_regions.size()));
+        link(r, ~static_cast<int>(final_regions.size()));
         final_regions.push_back(r);
         continue;
       }
@@ -368,8 +381,8 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
       Region left = r, right = r;
       left.depth = right.depth = r.depth + 1;
       left.parent = right.parent = node_idx;
-      left.is_left = true;
-      right.is_left = false;
+      left.side = 0;
+      right.side = 1;
       left.count = target;
       right.count = r.count - target;
 
@@ -429,14 +442,9 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
         right.hi[d] = r.hi[d] + 1;
       }
 
+      kd.key = kd.t.rect.CornerCoord(d);
       nodes.push_back(kd);
-      if (r.parent >= 0) {
-        if (r.is_left) {
-          nodes[r.parent].left_node = node_idx;
-        } else {
-          nodes[r.parent].right_node = node_idx;
-        }
-      }
+      link(r, node_idx);
       frontier.push_back(left);
       frontier.push_back(right);
     }
@@ -448,76 +456,113 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
       continue;
     }
 
+    // Side of kd-node `kd` that `rec` goes to (1: right), as
+    // CoordLess(dim)(rec, t) decides it: the cached key settles every
+    // record whose coordinate differs from t's.
+    auto goes_right = [](const KdNode& kd, const Rec& rec) -> int {
+      const Real v = rec.rect.CornerCoord(kd.dim);
+      if (v == kd.key) [[unlikely]] {
+        return CoordLess<D>{kd.dim}(rec, kd.t) ? 0 : 1;
+      }
+      return v < kd.key ? 0 : 1;
+    };
+
     // ---- fill priority leaves by filtering (§2.1) --------------------
     // Per node and direction, a heap whose top is the least extreme
-    // captured record.
-    struct PrioLeaf {
-      std::vector<Rec> heap;
-    };
-    const size_t prio_fill = prio;
-    std::vector<std::array<PrioLeaf, K>> prio_leaves(nodes.size());
-    auto heap_cmp = [](int c) {
-      return [c](const Rec& x, const Rec& y) {
-        return ExtremeLess<D>{c}(x, y);  // most extreme first => top least
-      };
+    // captured record.  Of a record and a full heap's top, the less
+    // extreme moves on to the node's next direction, and after the last
+    // one down the kd-tree.  So in any scan order each heap ends up with
+    // the `prio` most extreme records that reach it, but each eviction
+    // costs a pop and a push.  List 0's xmin order is the worst case: for
+    // small rectangles xmax follows xmin, so nearly every record would
+    // evict the top of the xmax heap at every node on its path.  The scan
+    // reads list 0's blocks in a fixed stride order instead, with
+    // s = ceil(sqrt(blocks)): 0, s, 2s, ..., then 1, s + 1, ....  Its
+    // first pass samples the whole list, so later records rarely displace
+    // one.  Each block is read once into one reused buffer, and the order
+    // depends only on the block count.
+    //
+    // `edge` caches each full heap's top coordinate as an extremeness
+    // (infinite while the heap fills): a record whose extremeness is
+    // greater cannot enter, which settles most records on one comparison.
+    std::vector<std::array<std::vector<Rec>, K>> prio_leaves(nodes.size());
+    std::vector<std::array<Real, K>> edge(nodes.size());
+    for (auto& e : edge) e.fill(std::numeric_limits<Real>::infinity());
+    auto filter = [&](Rec cur) {
+      int node = 0;
+      do {
+        for (int c = 0; c < K; ++c) {
+          if (grid_internal::Extremeness(cur, c) > edge[node][c]) continue;
+          const ExtremeLess<D> less{c};  // most extreme first => top least
+          auto& h = prio_leaves[node][c];
+          if (h.size() < prio) {
+            h.push_back(cur);
+            std::push_heap(h.begin(), h.end(), less);
+            if (h.size() == prio) {
+              edge[node][c] = grid_internal::Extremeness(h.front(), c);
+            }
+            return;
+          }
+          if (less(cur, h.front())) {
+            std::pop_heap(h.begin(), h.end(), less);
+            std::swap(cur, h.back());  // keep filtering the evicted record
+            std::push_heap(h.begin(), h.end(), less);
+            edge[node][c] = grid_internal::Extremeness(h.front(), c);
+          }
+        }
+        node = nodes[node].child[goes_right(nodes[node], cur)];
+      } while (node >= 0);  // a final region: no priority leaf takes it
     };
     {
-      typename Stream<Rec>::Reader reader(&sub.lists[0]);
-      while (!reader.Done()) {
-        Rec cur = reader.Next();
-        int node = 0;
-        while (node >= 0) {
-          bool placed = false;
-          for (int c = 0; c < K; ++c) {
-            auto cmp = heap_cmp(c);
-            auto& h = prio_leaves[node][c].heap;
-            if (h.size() < prio_fill) {
-              h.push_back(cur);
-              std::push_heap(h.begin(), h.end(), cmp);
-              placed = true;
-              break;
-            }
-            if (ExtremeLess<D>{c}(cur, h.front())) {
-              std::pop_heap(h.begin(), h.end(), cmp);
-              Rec evicted = h.back();
-              h.back() = cur;
-              std::push_heap(h.begin(), h.end(), cmp);
-              cur = evicted;  // keep filtering the evicted record
-            }
-          }
-          if (placed) break;
-          const KdNode& kd = nodes[node];
-          if (CoordLess<D>{kd.dim}(cur, kd.t)) {
-            node = kd.left_node;  // -1 ends at a final region
-          } else {
-            node = kd.right_node;
+      Stream<Rec>& list = sub.lists[0];
+      const size_t blocks = list.num_blocks();
+      size_t stride = 1;
+      while (stride * stride < blocks) ++stride;
+      std::vector<std::byte> block(env.device->block_size());
+      for (size_t first = 0; first < stride; ++first) {
+        for (size_t blk = first; blk < blocks; blk += stride) {
+          const size_t count = list.ReadBlock(blk, block.data());
+          for (size_t i = 0; i < count; ++i) {
+            Rec cur;
+            std::memcpy(&cur, block.data() + i * sizeof(Rec), sizeof(Rec));
+            filter(cur);
           }
         }
       }
     }
 
-    // Emit the priority leaves and remember who was captured.  Two input
-    // records may share an id, so a capture matches (id, rectangle); the
-    // set points into the heaps, which live until distribution ends.
-    struct IdHash {
-      size_t operator()(const Rec* r) const {
-        return std::hash<DataId>{}(r->id);
-      }
-    };
-    struct SameRecord {
-      bool operator()(const Rec* a, const Rec* b) const { return *a == *b; }
-    };
-    std::unordered_set<const Rec*, IdHash, SameRecord> captured;
+    // Emit the priority leaves, each sorted most extreme first, so that a
+    // leaf's entry order, like its set, does not depend on the scan order.
     size_t captured_count = 0;
-    for (const auto& per_node : prio_leaves) {
+    for (auto& per_node : prio_leaves) {
       for (int c = 0; c < K; ++c) {
-        const auto& h = per_node[c].heap;
-        if (h.empty()) continue;
-        for (const Rec& rec : h) captured.insert(&rec);
-        captured_count += h.size();
-        emit(h.data(), h.size());
+        auto& leaf = per_node[c];
+        if (leaf.empty()) continue;
+        std::sort_heap(leaf.begin(), leaf.end(), ExtremeLess<D>{c});
+        captured_count += leaf.size();
+        emit(leaf.data(), leaf.size());
       }
     }
+
+    // The final region of a record, or -1 if a priority leaf captured it.
+    // The record retraces its filter path, and a leaf on it holds the
+    // record iff the leaf is not full or its last (least extreme) entry,
+    // whose extremeness is the edge, is not more extreme than the record.
+    // Records are compared, not ids, so two that share an id stay apart.
+    auto region_of = [&](const Rec& rec) {
+      int node = 0;
+      do {
+        for (int c = 0; c < K; ++c) {
+          if (grid_internal::Extremeness(rec, c) > edge[node][c]) continue;
+          const std::vector<Rec>& leaf = prio_leaves[node][c];
+          if (leaf.size() < prio || !ExtremeLess<D>{c}(leaf.back(), rec)) {
+            return -1;
+          }
+        }
+        node = nodes[node].child[goes_right(nodes[node], rec)];
+      } while (node >= 0);
+      return ~node;
+    };
 
     // ---- distribute the lists over the final regions and recurse -----
     std::vector<Sub> children(final_regions.size());
@@ -531,30 +576,11 @@ void GridEmitLeaves(WorkEnv env, Stream<Record<D>>* input,
       typename Stream<Rec>::Reader reader(&sub.lists[c]);
       while (!reader.Done()) {
         Rec rec = reader.Next();
-        if (captured.contains(&rec)) continue;
-        int node = 0;
-        int region = -1;
-        while (true) {
-          const KdNode& kd = nodes[node];
-          if (CoordLess<D>{kd.dim}(rec, kd.t)) {
-            if (kd.left_node >= 0) {
-              node = kd.left_node;
-            } else {
-              region = kd.left_region;
-              break;
-            }
-          } else {
-            if (kd.right_node >= 0) {
-              node = kd.right_node;
-            } else {
-              region = kd.right_region;
-              break;
-            }
-          }
-        }
-        PRTREE_CHECK(region >= 0);
-        children[region].lists[c].Push(rec);
-        if (c == 0) children[region].n += 1;
+        const int region = region_of(rec);
+        if (region < 0) continue;
+        Sub& child = children[region];
+        child.lists[c].Push(rec);
+        if (c == 0) child.n += 1;
       }
       sub.lists[c].Clear();
     }

@@ -308,11 +308,12 @@ Status FileBlockDevice::LoadExisting() {
   free_list_.assign(chain.rbegin(), chain.rend());
   stamped_ = free_list_.size();
   if (chain_broken) {
-    // Leaked pages count as allocated; write the repaired state out on
-    // the next Sync/close so later opens see a clean chain.
+    // Leaked pages count as allocated.  The repair does not dirty the
+    // metadata, so a session that only reads leaves the file as it found
+    // it (later opens repeat the same repair); the next Sync, or closing
+    // a session that changed the device, writes the repaired state out.
     allocated_ = num_pages_ - free_list_.size();
     peak_allocated_ = std::max(peak_allocated_, allocated_);
-    meta_dirty_ = true;
   }
   return Status::OK();
 }

@@ -30,7 +30,9 @@
 // superblock can leave the recorded chain shortened or extended — Open()
 // detects every such state and conservatively treats whatever it cannot
 // walk as allocated (a bounded space leak, never reuse of a page that
-// might hold data).  A page freed after the last Sync keeps its as-of-Sync
+// might hold data).  That repair is written by the next Sync or by closing
+// a session that changed the device, so a session that only reads leaves
+// the file as it was.  A page freed after the last Sync keeps its as-of-Sync
 // contents until it is reused and written, or until the next Sync stamps
 // it; callers that need a consistent reopenable image must Sync() after
 // mutating (PersistTree does).  A damaged superblock (bad

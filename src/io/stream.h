@@ -17,6 +17,7 @@
 #ifndef PRTREE_IO_STREAM_H_
 #define PRTREE_IO_STREAM_H_
 
+#include <algorithm>
 #include <cstring>
 #include <type_traits>
 #include <vector>
@@ -143,7 +144,7 @@ class Stream {
     size_t block = first / per_block_;
     size_t offset = first % per_block_;
     while (out_idx < count) {
-      AbortIfError(device_->Read(pages_[block], buf.data()));
+      ReadBlock(block, buf.data());
       size_t take = std::min(per_block_ - offset, count - out_idx);
       std::memcpy(&(*out)[out_idx], buf.data() + offset * sizeof(T),
                   take * sizeof(T));
@@ -155,6 +156,18 @@ class Stream {
 
   /// Reads the whole stream into `out`.
   void ReadAll(std::vector<T>* out) { ReadRange(0, size_, out); }
+
+  /// Reads block `block` into `buf`, storage of device()->block_size()
+  /// bytes that the caller owns and may reuse, with one device read and no
+  /// allocation.  Returns the number of records the block holds
+  /// (records_per_block(), fewer in a partial last block); record i starts
+  /// at buf + i * sizeof(T).
+  size_t ReadBlock(size_t block, std::byte* buf) {
+    Flush();
+    PRTREE_CHECK(block < num_blocks());
+    AbortIfError(device_->Read(pages_[block], buf));
+    return std::min(per_block_, size_ - block * per_block_);
+  }
 
   /// Drops all records and frees the underlying blocks.
   void Clear() {
@@ -193,8 +206,7 @@ class Stream {
     const T& Peek() {
       PRTREE_DCHECK(!Done());
       if (!loaded_) {
-        AbortIfError(
-            stream_->device_->Read(stream_->pages_[block_], buf_.data()));
+        stream_->ReadBlock(block_, buf_.data());
         loaded_ = true;
       }
       std::memcpy(&current_, buf_.data() + offset_ * sizeof(T), sizeof(T));

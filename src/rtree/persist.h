@@ -206,7 +206,10 @@ Status AttachTree(FileBlockDevice* device, RTree<D>* tree) {
   }
   // Staleness check: updates after the last PersistTree allocate/free
   // pages (a root split even moves the root), so the device's allocation
-  // state must still match the snapshot taken at persist time.
+  // state must still match the snapshot taken at persist time.  A free
+  // page whose stamp was destroyed fails it too (the open counts the page
+  // as leaked, which raises num_allocated), and rightly: the destroyed
+  // stamp shows that the file was written after its last Sync.
   if (meta.allocated != device->num_allocated() ||
       meta.peak_allocated != device->peak_allocated()) {
     return Status::Corruption(

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "tests/test_util.h"
 #include "workload/datasets.h"
@@ -148,6 +150,44 @@ TEST(GridBuilderTest, ThreeDimensionalGrid) {
   auto summary = RunGrid<3>(data, env, opts);
   EXPECT_EQ(summary.total_records, data.size());
   EXPECT_EQ(summary.seen.size(), data.size());
+}
+
+// §2.1 defines the root's priority leaves one direction at a time: the
+// capacity most extreme records by xmin, then the most extreme by ymin of
+// the rest, and so on.  The grid phase's filter reaches the same sets in
+// any scan order, and it emits each leaf most extreme first, so its first
+// 2D chunks equal that definition entry by entry.
+TEST(GridBuilderTest, RootPriorityLeavesFollowTheDefinitionInOrder) {
+  MemoryBlockDevice dev(512);
+  WorkEnv env{&dev, 64u << 10};  // a grid phase at the root
+  const auto data =
+      workload::MakeTigerLike(20000, workload::TigerRegion::kEastern, 3);
+  GridBuildOptions opts;
+  opts.capacity = NodeCapacity<2>(512);
+  Stream<Record2> input(&dev);
+  input.Append(data);
+  input.Flush();
+  std::vector<std::vector<Record2>> chunks;
+  GridEmitLeaves<2>(env, &input, opts,
+                    [&](const Record2* chunk, size_t count) {
+                      if (chunks.size() < 4) {
+                        chunks.emplace_back(chunk, chunk + count);
+                      }
+                    });
+  ASSERT_EQ(chunks.size(), 4u);
+
+  std::vector<Record2> rest = data;
+  for (int c = 0; c < 4; ++c) {
+    SCOPED_TRACE(c);
+    std::sort(rest.begin(), rest.end(), ExtremeLess<2>{c});
+    const std::vector<Record2> expected(rest.begin(),
+                                        rest.begin() + opts.capacity);
+    rest.erase(rest.begin(), rest.begin() + opts.capacity);
+    ASSERT_EQ(chunks[c].size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(chunks[c][i], expected[i]) << "entry " << i;
+    }
+  }
 }
 
 TEST(GridBuilderTest, IoWithinSortBoundTimesConstant) {

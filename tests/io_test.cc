@@ -326,6 +326,44 @@ TEST(StreamTest, SequentialReaderCostsOneReadPerBlock) {
   EXPECT_EQ(dev.stats().reads, s.num_blocks());
 }
 
+// ReadBlock serves scans that visit blocks out of order: one device read
+// per call into the caller's buffer, which may be reused across blocks.
+TEST(StreamTest, ReadBlockReadsOneBlockIntoTheCallersBuffer) {
+  MemoryBlockDevice dev(256);
+  Stream<TestRec> s(&dev);
+  const size_t n = 333;  // 16 per block: 20 full blocks and 13 records
+  for (size_t i = 0; i < n; ++i) s.Push(TestRec{i, 0});
+  s.Flush();
+  const size_t per_block = s.records_per_block();
+  ASSERT_EQ(s.num_blocks(), 21u);
+  std::vector<std::byte> buf(dev.block_size());
+  const auto key = [&](size_t i) {
+    TestRec r;
+    std::memcpy(&r, buf.data() + i * sizeof(TestRec), sizeof(TestRec));
+    return r.key;
+  };
+  for (const size_t block : {size_t{3}, size_t{20}, size_t{0}, size_t{3}}) {
+    SCOPED_TRACE(block);
+    dev.ResetStats();
+    const size_t count = s.ReadBlock(block, buf.data());
+    EXPECT_EQ(dev.stats().reads, 1u);
+    EXPECT_EQ(count, block == 20 ? n - 20 * per_block : per_block);
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(key(i), block * per_block + i);
+    }
+  }
+}
+
+TEST(StreamDeathTest, ReadBlockPastTheEndIsRefused) {
+  MemoryBlockDevice dev(256);
+  Stream<TestRec> s(&dev);
+  for (size_t i = 0; i < 40; ++i) s.Push(TestRec{i, 0});
+  s.Flush();
+  std::vector<std::byte> buf(dev.block_size());
+  EXPECT_DEATH(s.ReadBlock(s.num_blocks(), buf.data()),
+               "block < num_blocks\\(\\)");
+}
+
 TEST(StreamTest, ClearFreesBlocks) {
   MemoryBlockDevice dev(256);
   size_t before = dev.num_allocated();

@@ -6,8 +6,11 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "io/file_block_device.h"
+#include "io/uring_block_device.h"
 #include "rtree/bulk_loader.h"
 #include "rtree/update.h"
 #include "rtree/validate.h"
@@ -357,6 +360,70 @@ TEST_F(PersistTest, AttachRejectsStaleMetadataAfterUpdates) {
   Status st = AttachTree(dev.get(), &tree);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kCorruption);
+}
+
+// A free page whose stamp was overwritten after the last Sync makes the
+// open count it as leaked, so the recorded tree metadata no longer matches
+// and AttachTree and LoadTree refuse the file.  Those refusals only read:
+// the device repairs its free list in memory and must not write the
+// repair back when nothing else changed.
+TEST_F(PersistTest, RefusedAttachAndLoadLeaveTheFileUnchanged) {
+  const auto file_bytes = [&] {
+    std::FILE* f = std::fopen(path_.c_str(), "rb");
+    EXPECT_NE(f, nullptr);
+    std::vector<char> bytes;
+    if (f == nullptr) return bytes;
+    char buf[4096];
+    for (size_t got; (got = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
+      bytes.insert(bytes.end(), buf, buf + got);
+    }
+    std::fclose(f);
+    return bytes;
+  };
+  for (const std::string backend : {"file", "uring"}) {
+    SCOPED_TRACE(backend);
+    std::vector<PageId> freed(8);
+    {
+      FileDeviceOptions opts;
+      opts.block_size = 512;
+      opts.truncate = true;
+      std::unique_ptr<FileBlockDevice> dev;
+      ASSERT_TRUE(OpenFileBackedDevice(backend, path_, opts, &dev).ok());
+      for (PageId& p : freed) p = dev->Allocate();
+      RTree<2> tree(dev.get());
+      AbortIfError(
+          MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 1u << 20})
+              ->Build(dev.get(), RandomRects<2>(2000, 61), &tree));
+      for (PageId p : freed) dev->Free(p);
+      ASSERT_TRUE(PersistTree(tree, dev.get()).ok());
+    }
+    {
+      std::FILE* f = std::fopen(path_.c_str(), "rb+");
+      ASSERT_NE(f, nullptr);
+      // Page p lives at block p + 1, after the superblock.
+      std::fseek(f, static_cast<long>((freed[4] + 1) * 512), SEEK_SET);
+      const char junk[16] = "not a free page";
+      std::fwrite(junk, sizeof(junk), 1, f);
+      std::fclose(f);
+    }
+    const std::vector<char> before = file_bytes();
+
+    MemoryBlockDevice mem(512);
+    RTree<2> loaded(&mem);
+    EXPECT_EQ(LoadTree(path_, &loaded).code(), StatusCode::kCorruption);
+    EXPECT_TRUE(file_bytes() == before) << "LoadTree rewrote the file";
+
+    {
+      FileDeviceOptions opts;
+      opts.must_exist = true;
+      std::unique_ptr<FileBlockDevice> dev;
+      ASSERT_TRUE(OpenFileBackedDevice(backend, path_, opts, &dev).ok());
+      RTree<2> attached(dev.get());
+      EXPECT_EQ(AttachTree(dev.get(), &attached).code(),
+                StatusCode::kCorruption);
+    }
+    EXPECT_TRUE(file_bytes() == before) << "AttachTree rewrote the file";
+  }
 }
 
 // Saved files are device-agnostic: a tree saved from a memory device loads
