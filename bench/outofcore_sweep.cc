@@ -28,8 +28,9 @@
 //   --repeats=<count>    timing repeats per point, minimum kept (default 3)
 //   --direct             request O_DIRECT: misses pay real device latency
 //                        instead of warm page-cache memcpys, which is the
-//                        regime where batched readahead wins (best effort;
-//                        silently buffered where the fs refuses)
+//                        regime where batched readahead and staged writes
+//                        win (best effort; silently buffered where the fs
+//                        refuses)
 //   --out=<path>         JSON output path (default BENCH_outofcore.json)
 //   --smoke              tiny run for the ctest tier1 label
 //   --verify-cross-device  additionally run the sweep on the *other*
@@ -39,12 +40,15 @@
 //                        sweep: at each budget point (memory budget as a
 //                        fraction of the dataset's bytes) the same PR-tree
 //                        grid build runs once on the plain file backend
-//                        (scalar pwrites) and once on --device (staged
-//                        WriteBatch submissions), on real temp files.  The
-//                        device files must hash identically (FNV-64 after
-//                        Sync+close) and every demand counter must match —
-//                        batching may only move wall-clock.  Writes
-//                        BENCH_writepath.json (--out overrides).
+//                        (scalar pwrites) and once on --device, on real temp
+//                        files.  The uring leg stages its writes into
+//                        WriteBatch submissions only with --direct (without
+//                        it a uring device writes as the file backend does,
+//                        and write_batches is 0).  The device files must
+//                        hash identically (FNV-64 after Sync+close) and
+//                        every demand counter must match — batching may
+//                        only move wall-clock.  Writes BENCH_writepath.json
+//                        (--out overrides).
 //   --records=SPEC       run the out-of-core scale leg instead of the query
 //                        sweep: at each dataset size the records are
 //                        *streamed* from the seeded generator straight into
@@ -273,9 +277,9 @@ int RunSweep(const Options& o) {
 
 // ---------------------------------------------------------------------------
 // --write: the build-phase leg.  The same PR-tree grid build through scalar
-// pwrites (leg 0, the plain file backend) and through staged WriteBatch
-// submissions (leg 1, --device), byte-identity asserted via an FNV-64 hash
-// of each closed device file.
+// pwrites (leg 0, the plain file backend) and on --device (leg 1), which
+// stages WriteBatch submissions when it is uring with --direct,
+// byte-identity asserted via an FNV-64 hash of each closed device file.
 
 uint64_t FnvHashFile(const std::string& path) {
   uint64_t h = kFnvBasis;
@@ -294,8 +298,9 @@ uint64_t FnvHashFile(const std::string& path) {
 }
 
 // Isolated write-engine microbenchmark: the same page train written through
-// the scalar Write() loop or through staged WriteBatch submissions, a fresh
-// device each repeat.  The full build legs mix in the pipeline's demand
+// the scalar Write() loop or through a stager sized by the device (staged
+// WriteBatch submissions on uring with --direct), a fresh device each
+// repeat.  The full build legs mix in the pipeline's demand
 // *reads* (untouched by batching), so their ratio is Amdahl-diluted; this
 // one measures the write path alone.
 double MicroWriteSeconds(const harness::DeviceSpec& spec, bool batched,
@@ -331,8 +336,9 @@ int RunWrite(const Options& o) {
                      : o.path;
   const std::vector<std::string> kinds = {"file", o.device};
   const std::string paths[2] = {base + ".scalar", base + ".batched"};
-  std::printf("=== outofcore_sweep --write: n=%zu, scalar file vs batched "
-              "%s ===\n", o.n, o.device.c_str());
+  std::printf("=== outofcore_sweep --write: n=%zu, scalar file vs %s "
+              "(staged only as uring --direct) ===\n", o.n,
+              o.device.c_str());
   std::printf("%7s %8s %10s %12s %9s %17s\n", "device", "budget", "seconds",
               "io_blocks", "batches", "file hash");
 
@@ -609,7 +615,8 @@ int main(int argc, char** argv) {
       "outofcore_sweep [--n=N] [--queries=Q] [--seed=S] "
       "[--device=file|uring] [--path=FILE] [--budgets=a,b,...] "
       "[--repeats=R] [--direct] [--out=PATH] [--smoke] "
-      "[--verify-cross-device] [--write] [--records=SPEC]";
+      "[--verify-cross-device] [--write] [--records=SPEC]\n"
+      "  --write with --device=uring stages writes only with --direct";
   Options o;
   bool smoke = false;
   bool write = false;

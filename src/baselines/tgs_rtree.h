@@ -22,7 +22,7 @@
 #ifndef PRTREE_BASELINES_TGS_RTREE_H_
 #define PRTREE_BASELINES_TGS_RTREE_H_
 
-#include <array>
+#include <deque>
 #include <limits>
 #include <vector>
 
@@ -61,7 +61,12 @@ class TgsLoader {
       subtree *= static_cast<double>(capacity_);
     }
     *out_height = h;
-    return BuildNode(std::move(set), h);
+    for (int level = 0; level <= h; ++level) {
+      writers_.emplace_back(env_.device, level);
+    }
+    LevelEntry<D> root = BuildNode(std::move(set), h);
+    for (auto& writer : writers_) writer.Finish();
+    return root;
   }
 
  private:
@@ -91,21 +96,17 @@ class TgsLoader {
     return u;
   }
 
+  /// Builds the subtree over `set` and writes its root, a node at
+  /// `height`, through that level's NodeWriter once every child is written.
   LevelEntry<D> BuildNode(SortedSet set, int height) {
-    BlockDevice* dev = env_.device;
-    std::vector<std::byte> buf(dev->block_size());
-    NodeView<D> node(buf.data(), dev->block_size());
-    node.Format(static_cast<uint16_t>(height));
-
+    NodeWriter<D>& writer = writers_[height];
     if (height == 0) {
       PRTREE_CHECK(set.n <= capacity_);
       std::vector<Rec> recs;
       set.lists[0].ReadAll(&recs);
       set.Drop();
-      for (const auto& r : recs) node.Append(r.rect, r.id);
-      PageId page = dev->Allocate();
-      AbortIfError(dev->Write(page, buf.data()));
-      return LevelEntry<D>{node.ComputeMbr(), page};
+      for (const auto& r : recs) writer.Add(r.rect, r.id);
+      return writer.EndNode();
     }
 
     // Partition into <= capacity units of B^height records, then build
@@ -117,11 +118,9 @@ class TgsLoader {
     PRTREE_CHECK(groups.size() <= capacity_);
     for (auto& g : groups) {
       LevelEntry<D> child = BuildNode(std::move(g), height - 1);
-      node.Append(child.mbr, child.page);
+      writer.Add(child.mbr, child.page);
     }
-    PageId page = dev->Allocate();
-    AbortIfError(dev->Write(page, buf.data()));
-    return LevelEntry<D>{node.ComputeMbr(), page};
+    return writer.EndNode();
   }
 
   /// Greedy recursive bisection down to single units.
@@ -210,6 +209,7 @@ class TgsLoader {
 
   WorkEnv env_;
   size_t capacity_;
+  std::deque<NodeWriter<D>> writers_;  // writers_[h] writes the level-h nodes
 };
 
 /// \brief Bulk-loads the empty `tree` with the Top-down Greedy Split

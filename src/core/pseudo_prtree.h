@@ -26,11 +26,12 @@
 #define PRTREE_CORE_PSEUDO_PRTREE_H_
 
 #include <algorithm>
+#include <deque>
 #include <vector>
 
 #include "core/corner_order.h"
 #include "geom/rect.h"
-#include "io/write_stager.h"
+#include "rtree/builder.h"
 #include "rtree/rtree.h"
 #include "util/check.h"
 #include "util/parallel.h"
@@ -248,56 +249,40 @@ void BuildPseudoPRTreeIndex(std::vector<Record<D>>* records,
                             RTree<D>* tree) {
   PRTREE_CHECK(tree->empty());
   if (records->empty()) return;
-  BlockDevice* dev = tree->device();
-  const size_t cap = tree->capacity();
-  PseudoPRTreeBuilder<D> builder(cap);
+  PseudoPRTreeBuilder<D> builder(tree->capacity());
 
   // The emitted chunk stream is in DFS order: a node's priority leaves are
   // emitted before its subtrees, and subtree_end tells when a subtree's
   // range closes.  Reconstruct the node structure from that stream.
-  struct LevelEntryLocal {
-    Rect<D> mbr;
-    PageId page;
+  struct Node {
+    LevelEntry<D> entry;
     int level;
   };
   struct Frame {
-    size_t end;                          // subtree range end
+    size_t end;                // subtree range end
     int depth;
-    std::vector<LevelEntryLocal> kids;   // children collected so far
+    std::vector<Node> kids;    // children collected so far
   };
   std::vector<Frame> stack;
 
-  std::vector<std::byte> buf(dev->block_size());
-  // Node emission happens on this thread in allocation order; the stager
-  // batches the writes and drains before the root is installed (nothing
-  // reads the pages mid-build).
-  WriteStager stager(dev);
-  auto write_leaf = [&](const Record<D>* recs, size_t n) {
-    NodeView<D> node(buf.data(), dev->block_size());
-    node.Format(0);
-    for (size_t i = 0; i < n; ++i) node.Append(recs[i].rect, recs[i].id);
-    PageId page = dev->Allocate();
-    Rect<D> mbr = node.ComputeMbr();
-    stager.Stage(page, buf.data());
-    return LevelEntryLocal{mbr, page, 0};
+  // Nodes are written on this thread, each through the NodeWriter of its
+  // level (rtree/builder.h); nothing reads them before the writers finish.
+  std::deque<NodeWriter<D>> writers;
+  auto writer = [&](int level) -> NodeWriter<D>& {
+    while (writers.size() <= static_cast<size_t>(level)) {
+      writers.emplace_back(tree->device(), static_cast<int>(writers.size()));
+    }
+    return writers[level];
   };
-  auto close_frame = [&](Frame& f) {
+  auto close_frame = [&](const Frame& f) {
     // Write the internal node over the collected children.
     PRTREE_CHECK(!f.kids.empty());
     if (f.kids.size() == 1) return f.kids.front();  // degenerate: hoist
-    NodeView<D> node(buf.data(), dev->block_size());
     int level = 0;
-    for (const auto& k : f.kids) level = std::max(level, k.level);
-    ++level;
-    node.Format(static_cast<uint16_t>(level));
-    Rect<D> mbr = Rect<D>::Empty();
-    for (const auto& k : f.kids) {
-      node.Append(k.mbr, k.page);
-      mbr.ExtendToCover(k.mbr);
-    }
-    PageId page = dev->Allocate();
-    stager.Stage(page, buf.data());
-    return LevelEntryLocal{mbr, page, level};
+    for (const Node& k : f.kids) level = std::max(level, k.level + 1);
+    NodeWriter<D>& w = writer(level);
+    for (const Node& k : f.kids) w.Add(k.entry.mbr, k.entry.page);
+    return Node{w.EndNode(), level};
   };
 
   builder.EmitLeaves(records, [&](const PseudoLeafChunk& chunk) {
@@ -307,20 +292,23 @@ void BuildPseudoPRTreeIndex(std::vector<Record<D>>* records,
         chunk.depth != stack.back().depth) {
       stack.push_back(Frame{chunk.subtree_end, chunk.depth, {}});
     }
-    stack.back().kids.push_back(
-        write_leaf(records->data() + chunk.offset, chunk.count));
+    NodeWriter<D>& leaves = writer(0);
+    for (size_t i = chunk.offset; i < chunk.offset + chunk.count; ++i) {
+      leaves.Add((*records)[i].rect, (*records)[i].id);
+    }
+    stack.back().kids.push_back(Node{leaves.EndNode(), 0});
     // Close every frame whose range ends at this chunk's end.
     while (stack.size() > 1 &&
            chunk.offset + chunk.count == stack.back().end) {
-      LevelEntryLocal done = close_frame(stack.back());
+      Node done = close_frame(stack.back());
       stack.pop_back();
       stack.back().kids.push_back(done);
     }
   });
   PRTREE_CHECK(stack.size() == 1);
-  LevelEntryLocal root = close_frame(stack.front());
-  stager.Drain();
-  tree->SetRoot(root.page, root.level, records->size());
+  Node root = close_frame(stack.front());
+  for (auto& w : writers) w.Finish();
+  tree->SetRoot(root.entry.page, root.level, records->size());
 }
 
 }  // namespace prtree

@@ -177,10 +177,11 @@ class BlockDevice {
 
   /// \brief The batch size a write stager should coalesce to before
   /// draining into WriteBatch().  1 (the default) means batching buys
-  /// nothing here — stagers pass writes straight through.  The uring
-  /// backend reports its *requested* ring depth whether or not a ring came
-  /// up, so staging behaviour (and the write_batches counter) is a function
-  /// of configuration, never of kernel capabilities (docs/IO_MODEL.md).
+  /// nothing here — stagers pass writes straight through.  Only a uring
+  /// device opened with O_DIRECT requested reports more: its requested
+  /// ring depth, whether or not a ring came up or O_DIRECT was granted, so
+  /// staging behaviour (and the write_batches counter) is a function of
+  /// configuration, never of kernel capabilities (docs/IO_MODEL.md).
   virtual size_t PreferredWriteBatch() const { return 1; }
 
   /// \brief Reads `n` blocks in one call.  Semantically identical to `n`

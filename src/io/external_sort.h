@@ -15,9 +15,10 @@
 //
 // Write batching is inherited from Stream<T>: run emission and the merge
 // output stage full blocks through a WriteStager and drain them as
-// WriteBatch() submissions at each Flush() — on the uring backend a sorted
-// run lands in ring-depth batches instead of one pwrite per block, with
-// identical bytes, counters and allocation order (io/write_stager.h).
+// WriteBatch() submissions at each Flush() — on a uring device opened for
+// O_DIRECT a sorted run lands in ring-depth batches instead of one pwrite
+// per block, with identical bytes, counters and allocation order; on every
+// buffered device each block is one plain Write() (io/write_stager.h).
 
 #ifndef PRTREE_IO_EXTERNAL_SORT_H_
 #define PRTREE_IO_EXTERNAL_SORT_H_

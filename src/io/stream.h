@@ -8,8 +8,9 @@
 //
 // Writes go through a WriteStager: full blocks are staged in allocation
 // order and drained as WriteBatch() submissions (one io_uring syscall for a
-// ring-depth train on the uring backend; a transparent passthrough
-// everywhere else).  Flush() — which every read path calls first — drains
+// ring-depth train on a uring device opened for O_DIRECT; a transparent
+// passthrough to Write() everywhere else, so a buffered stream holds no
+// staging slab).  Flush() — which every read path calls first — drains
 // the stager, so the write-then-read discipline callers already follow is
 // exactly the drain discipline staging needs, and the device file a stream
 // produces is byte-identical to the scalar-write days.

@@ -54,7 +54,10 @@ Status UringBlockDevice::Open(const std::string& path,
   std::unique_ptr<UringBlockDevice> dev(
       new UringBlockDevice(file.block_size, path, file.fd));
   PRTREE_RETURN_NOT_OK(dev->FinishOpen(opts.file, file.fresh));
-  dev->write_batch_hint_ = std::max(1u, opts.ring_entries);
+  // Write staging only under a requested O_DIRECT (see the header).
+  if (opts.file.direct_io) {
+    dev->write_batch_hint_ = std::max(1u, opts.ring_entries);
+  }
 
   if (UringQueue::KernelSupport()) {
     std::unique_ptr<UringQueue> ring;

@@ -35,6 +35,16 @@
 // variable forces the fallback (Open() reads it every time), which is how
 // CI and the tests exercise it on io_uring-capable kernels.
 //
+// Write staging.  The bulk-load serializers coalesce their page writes
+// into WriteBatch() submissions of PreferredWriteBatch() pages
+// (io/write_stager.h).  That is the ring depth only when O_DIRECT was
+// requested, where each write has device latency for the ring to hide;
+// over a page cache a pwrite is a memcpy, staging would only add a slab per
+// writing stream, an arena copy and a submission, so the hint is 1 and a
+// buffered uring device writes exactly as FileBlockDevice does
+// (write_batches stays 0).  The hint follows the request, not whether the
+// filesystem granted O_DIRECT, so it too is a function of configuration.
+//
 // Accounting matches the BlockDevice contract: one read (or prefetch_read,
 // per ReadKind) / one write per successful request, whichever engine
 // served it, plus one audit-only write_batches tick per WriteBatch() call
@@ -59,9 +69,10 @@ struct UringDeviceOptions {
 
   /// Submission-queue depth to request (the kernel rounds up to a power of
   /// two).  Batches larger than the granted depth are chunked.  Also the
-  /// device's PreferredWriteBatch() — reported whether or not a ring came
-  /// up, so write staging (and the write_batches counter) depends only on
-  /// configuration, never on kernel capabilities.
+  /// device's PreferredWriteBatch() when `file.direct_io` is requested (1
+  /// otherwise) — reported whether or not a ring came up or O_DIRECT was
+  /// granted, so write staging (and the write_batches counter) depends only
+  /// on configuration, never on kernel or filesystem capabilities.
   unsigned ring_entries = 64;
 
   /// Keep the ring but skip buffer/file registration, so the plain
@@ -90,8 +101,8 @@ class UringBlockDevice final : public FileBlockDevice {
   Status ReadBatch(BlockReadRequest* reqs, size_t n,
                    ReadKind kind = ReadKind::kDemand) const override;
 
-  /// The requested ring depth, whether or not a ring is active (see
-  /// UringDeviceOptions::ring_entries).
+  /// The requested ring depth if O_DIRECT was requested, else 1, whether
+  /// or not a ring is active (see UringDeviceOptions::ring_entries).
   size_t PreferredWriteBatch() const override { return write_batch_hint_; }
 
   /// True iff batches go through an io_uring (false: scalar fallback).
@@ -156,7 +167,7 @@ class UringBlockDevice final : public FileBlockDevice {
   Arena arena_;           // depth() block slots, registered when possible
   size_t arena_slots_ = 0;
   bool registered_ = false;
-  size_t write_batch_hint_ = 1;  // the *requested* ring depth
+  size_t write_batch_hint_ = 1;  // the requested ring depth under O_DIRECT
 };
 
 /// \brief Opens `path` as a file-backed device of `kind` — "file" (plain

@@ -1,31 +1,33 @@
 // WriteStager: coalesces single-page write emissions into device batches.
 //
-// Every serializer in the bulk-load pipeline — Stream<T> run emission, the
-// level packers in rtree/builder.h, the pseudo-PR-tree leaf emitters —
-// produces pages one at a time, in the coordinating thread's Allocate()
-// order.  A stager buffers those emissions and drains them through
-// BlockDevice::WriteBatch() in ring-depth batches, so an io_uring backend
-// turns a train of one-page pwrites into a few syscalls with every write in
-// flight at once.
+// Every serializer in the bulk-load pipeline — Stream<T> run emission and
+// the NodeWriters of rtree/builder.h, through which the loaders write their
+// nodes — produces pages one at a time, in the coordinating thread's
+// Allocate() order.  A stager buffers those emissions and drains them
+// through BlockDevice::WriteBatch() in ring-depth batches, so an io_uring
+// backend turns a train of one-page O_DIRECT pwrites into a few syscalls
+// with every write in flight at once.
 //
 // The batch size comes from BlockDevice::PreferredWriteBatch(): backends
 // that gain nothing from batching report 1, and the stager then passes
 // every write straight through to Write() — zero buffering, zero extra
-// copies, write_batches stays 0.  The uring backend reports its configured
-// ring depth whether or not a ring actually came up, so staging behaviour
-// (and the write_batches audit counter) is a function of configuration,
-// never of kernel capabilities.
+// copies, write_batches stays 0.  The memory and file devices report 1,
+// and so does a uring device opened without O_DIRECT.  One opened with
+// O_DIRECT requested reports its configured ring depth whether or not a
+// ring came up or O_DIRECT was granted, so staging behaviour (and the
+// write_batches audit counter) is a function of configuration, never of
+// kernel capabilities.
 //
 // Ordering contract.  Stage() never reorders: pages drain in staging order,
-// which the serializers keep equal to allocation order.  Each page is
-// written exactly once with exactly the bytes staged, so a build through a
-// stager produces a byte-identical device file to the same build issuing
-// scalar writes (asserted by tests/write_path_test.cc).  The caller owns
-// the drain points: a staged page's bytes are not on the device until
-// Drain() — so drain before reading a staged page, and before Free()ing
-// one: a stale drain after Free would fail the device's liveness check (or
-// land on the page's next owner), and the write counters must not depend
-// on when a drain happened.
+// which each serializer keeps equal to its own allocation order.  Each
+// page is written exactly once with exactly the bytes staged, so a build
+// through a stager produces a byte-identical device file to the same build
+// issuing scalar writes (asserted by tests/write_path_test.cc).  The
+// caller owns the drain points: a staged page's bytes are not on the
+// device until Drain() — so drain before reading a staged page, and
+// before Free()ing one: a stale drain after Free would fail the device's
+// liveness check (or land on the page's next owner), and the write
+// counters must not depend on when a drain happened.
 // Stream<T> and NodeWriter hide those rules behind their own Flush/Finish.
 //
 // Not thread-safe; every serializer stages on the thread that allocated

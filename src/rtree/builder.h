@@ -6,14 +6,19 @@
 // entries into parent nodes until a single root remains ("bottom-up
 // level-by-level", §1.1 [10, 15, 18]).
 //
-// Every node goes through a NodeWriter on the loader's calling thread: it
-// allocates each node's page when the node is finished, so pages are
-// allocated in node order, and emits the node through a WriteStager, so
-// on a batching backend a train of node writes is a few WriteBatch
-// submissions instead of one pwrite each.  Each page is written exactly
-// once, in allocation order, so the staged build is byte-identical to a
-// scalar one, and its write_batches count is a function of the node
-// sequence alone.
+// Every node a bulk loader writes goes through a NodeWriter on the
+// loader's calling thread; the PR loader's one-block root is the only
+// exception (a batch of one buys nothing).  A NodeWriter allocates each
+// node's page when the node is finished, so pages are allocated in node
+// order, and emits the node through a WriteStager, so on a batching
+// backend (a uring device opened for O_DIRECT) a train of node writes is a
+// few WriteBatch submissions instead of one pwrite each.  The loaders that
+// finish nodes of several levels interleaved, TGS (baselines/tgs_rtree.h)
+// and the pseudo-PR-tree index (core/pseudo_prtree.h), keep one NodeWriter
+// per level and take each node's (MBR, page) from EndNode().  Each page is
+// written exactly once and read only after its writer's Finish(), so the
+// staged build is byte-identical to a scalar one, and its write_batches
+// count is a function of the node sequence alone.
 
 #ifndef PRTREE_RTREE_BUILDER_H_
 #define PRTREE_RTREE_BUILDER_H_
@@ -59,20 +64,24 @@ class NodeWriter {
     if (node_.full()) EndNode();
   }
 
-  /// Finishes the current node, if it holds any entry.
-  void EndNode() {
-    if (node_.count() == 0) return;
-    PageId page = device_->Allocate();
-    Rect<D> mbr = node_.ComputeMbr();
-    stager_.Stage(page, buf_.data());
-    finished_.push_back(LevelEntry<D>{mbr, page});
-    node_.Format(static_cast<uint16_t>(level_));
+  /// Finishes the current node, if it holds any entry, and returns the
+  /// last finished node: this one, or the one Add() finished when it
+  /// filled.  At least one node must have been finished.
+  LevelEntry<D> EndNode() {
+    if (node_.count() != 0) {
+      PageId page = device_->Allocate();
+      finished_.push_back(LevelEntry<D>{node_.ComputeMbr(), page});
+      stager_.Stage(page, buf_.data());
+      node_.Format(static_cast<uint16_t>(level_));
+    }
+    PRTREE_CHECK(!finished_.empty());
+    return finished_.back();
   }
 
   /// Finishes any partial node, drains every staged node block to the
   /// device, and returns the finished level.
   std::vector<LevelEntry<D>> Finish() {
-    EndNode();
+    if (node_.count() != 0) EndNode();
     stager_.Drain();
     return std::move(finished_);
   }

@@ -7,7 +7,10 @@
 // order, same demand counters — for any engine (uring ring, pread/pwrite
 // fallback, plain file backend) and any thread count.  Batching may only
 // change wall-clock and the audit-only write_batches counter; the thread
-// count changes neither the bytes nor any counter.
+// count changes neither the bytes nor any counter.  Only a uring device
+// opened with O_DIRECT requested stages, so OpenUring() requests it (the
+// filesystem may still refuse it: staging follows the request); a
+// buffered uring device writes exactly as the file device does.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "core/pseudo_prtree.h"
 #include "io/external_sort.h"
 #include "io/file_block_device.h"
 #include "io/stream.h"
@@ -50,9 +54,19 @@ std::unique_ptr<UringBlockDevice> OpenUring(const std::string& path,
   UringDeviceOptions opts;
   opts.file.block_size = block_size;
   opts.file.truncate = true;
+  opts.file.direct_io = true;
   std::unique_ptr<UringBlockDevice> dev;
   AbortIfError(UringBlockDevice::Open(path, opts, &dev));
   return dev;
+}
+
+void ExpectSameStats(const IoStats& a, const IoStats& b) {
+  EXPECT_EQ(a.reads, b.reads);
+  EXPECT_EQ(a.writes, b.writes);
+  EXPECT_EQ(a.prefetch_reads, b.prefetch_reads);
+  EXPECT_EQ(a.write_batches, b.write_batches);
+  EXPECT_EQ(a.meta_reads, b.meta_reads);
+  EXPECT_EQ(a.meta_writes, b.meta_writes);
 }
 
 struct SortRec {
@@ -104,7 +118,7 @@ TEST(WritePathTest, StreamWritesAreBatchedOnUringDevice) {
     s.Flush();
     // Every full block costs exactly one demand write, batched or not.
     EXPECT_EQ(dev->stats().writes, static_cast<uint64_t>(s.num_blocks()));
-    // PreferredWriteBatch() > 1 on this backend regardless of ring
+    // PreferredWriteBatch() > 1 with O_DIRECT requested, regardless of ring
     // availability, so the emission went through WriteBatch submissions.
     EXPECT_GT(dev->PreferredWriteBatch(), 1u);
     EXPECT_GT(dev->stats().write_batches, 0u);
@@ -260,12 +274,104 @@ TEST(WritePathTest, EveryLoaderIsThreadCountInvariantOnUring) {
     }
     ASSERT_FALSE(bytes[0].empty());
     EXPECT_TRUE(bytes[0] == bytes[1]) << "device files differ";
-    EXPECT_EQ(io[0].reads, io[1].reads);
-    EXPECT_EQ(io[0].writes, io[1].writes);
-    EXPECT_EQ(io[0].prefetch_reads, io[1].prefetch_reads);
-    EXPECT_EQ(io[0].write_batches, io[1].write_batches);
-    EXPECT_EQ(io[0].meta_reads, io[1].meta_reads);
-    EXPECT_EQ(io[0].meta_writes, io[1].meta_writes);
+    ExpectSameStats(io[0], io[1]);
+  }
+}
+
+// Without O_DIRECT a uring device does not stage: over a page cache a
+// pwrite has no latency for the ring to hide.  Its builds take the file
+// device's write path, so the device file and every counter equal the
+// file device's, write_batches (0) included.
+TEST(WritePathTest, BufferedUringBuildMatchesTheFileDevice) {
+  auto data = testing_util::RandomRects<2>(6000, 11);
+  auto loader = MakeBulkLoader(
+      LoaderKind::kPrTree, {.memory_bytes = 1u << 16, .force_grid = true});
+  FileDeviceOptions fopts;
+  fopts.block_size = 512;
+  fopts.truncate = true;
+
+  auto build = [&](BlockDevice* dev, IoStats* io) {
+    RTree<2> tree(dev);
+    dev->ResetStats();
+    AbortIfError(loader->Build(dev, data, &tree));
+    *io = dev->stats();
+    AbortIfError(dev->Sync());
+  };
+
+  const std::string fpath = TestPath("file");
+  const std::string upath = TestPath("uring");
+  std::remove(fpath.c_str());
+  std::remove(upath.c_str());
+  IoStats file_io, uring_io;
+  {
+    std::unique_ptr<FileBlockDevice> dev;
+    AbortIfError(FileBlockDevice::Open(fpath, fopts, &dev));
+    build(dev.get(), &file_io);
+  }
+  {
+    UringDeviceOptions uopts;
+    uopts.file = fopts;
+    std::unique_ptr<UringBlockDevice> dev;
+    AbortIfError(UringBlockDevice::Open(upath, uopts, &dev));
+    EXPECT_EQ(dev->PreferredWriteBatch(), 1u);
+    build(dev.get(), &uring_io);
+  }
+  const std::vector<char> file_bytes = FileBytes(fpath);
+  ASSERT_FALSE(file_bytes.empty());
+  EXPECT_TRUE(file_bytes == FileBytes(upath)) << "device files differ";
+  ExpectSameStats(file_io, uring_io);
+  EXPECT_EQ(uring_io.write_batches, 0u);
+  std::remove(fpath.c_str());
+  std::remove(upath.c_str());
+}
+
+// TGS and the pseudo-PR-tree index write their nodes through one
+// NodeWriter per level, so on a staging device the nodes drain in batches
+// after the build has moved on; every page id and byte must still equal
+// the unstaged build's on the memory device.
+TEST(WritePathTest, TgsAndPseudoIndexStageTheMemoryDevicesPages) {
+  auto data = testing_util::RandomRects<2>(6000, 23);
+  for (bool tgs : {true, false}) {
+    SCOPED_TRACE(tgs ? "tgs" : "pseudo-PR-tree index");
+    auto build = [&](BlockDevice* dev, IoStats* io) {
+      RTree<2> tree(dev);
+      dev->ResetStats();
+      if (tgs) {
+        auto loader =
+            MakeBulkLoader(LoaderKind::kTgs, {.memory_bytes = 1u << 20});
+        AbortIfError(loader->Build(dev, data, &tree));
+      } else {
+        std::vector<Record2> recs = data;
+        BuildPseudoPRTreeIndex(&recs, &tree);
+      }
+      *io = dev->stats();
+      return std::make_pair(tree.root(), tree.height());
+    };
+    const std::string path = TestPath(tgs ? "tgs" : "pseudo");
+    std::remove(path.c_str());
+    MemoryBlockDevice mem(512);
+    auto staged = OpenUring(path);
+    ASSERT_GT(staged->PreferredWriteBatch(), 1u);
+    IoStats mem_io, staged_io;
+    EXPECT_EQ(build(&mem, &mem_io), build(staged.get(), &staged_io));
+    EXPECT_EQ(mem_io.reads, staged_io.reads);
+    EXPECT_EQ(mem_io.writes, staged_io.writes);
+    EXPECT_EQ(mem_io.write_batches, 0u);
+    EXPECT_GT(staged_io.write_batches, 0u);
+    ASSERT_EQ(mem.num_pages(), staged->num_pages());
+    ASSERT_GT(mem.num_allocated(), 0u);
+    EXPECT_EQ(mem.num_allocated(), staged->num_allocated());
+    EXPECT_EQ(mem.peak_allocated(), staged->peak_allocated());
+    std::vector<std::byte> a(512), b(512);
+    for (PageId p = 0; p < mem.num_pages(); ++p) {
+      ASSERT_EQ(mem.IsAllocated(p), staged->IsAllocated(p)) << "page " << p;
+      if (!mem.IsAllocated(p)) continue;
+      AbortIfError(mem.Read(p, a.data()));
+      AbortIfError(staged->Read(p, b.data()));
+      ASSERT_TRUE(a == b) << "page " << p << " differs";
+    }
+    staged.reset();
+    std::remove(path.c_str());
   }
 }
 
