@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -13,21 +14,32 @@ using internal::PoolShard;
 
 namespace {
 
-/// Makes room for one more frame in `shard` (its lock held): true if the
-/// shard is below capacity or its least-recently-used unpinned frame was
-/// evicted, false if every frame is pinned or the shard has no capacity.
-/// Pinned frames are never evicted.  Every insertion, demand or prefetch,
-/// goes through here: this is the pool's whole eviction policy.
-bool MakeRoom(PoolShard* shard) {
-  if (shard->lru.size() < shard->capacity) return true;
-  for (auto rit = shard->lru.rbegin(); rit != shard->lru.rend(); ++rit) {
-    if (rit->pins == 0) {
-      shard->map.erase(rit->page);
-      shard->lru.erase(std::next(rit).base());
-      return true;
-    }
+/// The frame that caches `page` in `shard` (its lock held; `page` not
+/// cached), already at the LRU front and in the page table: a new frame
+/// without a buffer while the shard is below capacity, else the
+/// least-recently-used unpinned frame, whose buffer the caller reuses.
+/// The victim's page-table node is re-keyed and reinserted, so a full
+/// shard allocates nothing here.  nullptr if every frame is pinned or the
+/// shard has no capacity.  Pinned frames are never evicted.  Every
+/// insertion, demand or prefetch, goes through here: this is the pool's
+/// whole eviction policy.
+PoolFrame* MakeRoom(PoolShard* shard, PageId page) {
+  if (shard->lru.size() < shard->capacity) {
+    shard->lru.emplace_front();
+    shard->map.emplace(page, shard->lru.begin());
+  } else {
+    auto rit = shard->lru.rbegin();
+    while (rit != shard->lru.rend() && rit->pins != 0) ++rit;
+    if (rit == shard->lru.rend()) return nullptr;
+    auto victim = std::next(rit).base();
+    auto node = shard->map.extract(victim->page);
+    node.key() = page;
+    shard->map.insert(std::move(node));
+    shard->lru.splice(shard->lru.begin(), shard->lru, victim);
   }
-  return false;
+  PoolFrame* frame = &shard->lru.front();
+  frame->page = page;
+  return frame;
 }
 
 }  // namespace
@@ -93,22 +105,22 @@ Status BufferPool::Pin(PageId page, PageGuard* out) {
       // simultaneously.  On the memory backend a read is one memcpy; on
       // the file backend it is a pread, so concurrent misses on *other*
       // shards still proceed — only same-shard misses queue behind it.
-      auto data = std::make_unique<std::byte[]>(device_->block_size());
-      PRTREE_RETURN_NOT_OK(device_->Read(page, data.get()));
+      const size_t block = device_->block_size();
+      if (shard.spare == nullptr) {
+        shard.spare = std::make_unique_for_overwrite<std::byte[]>(block);
+      }
+      PRTREE_RETURN_NOT_OK(device_->Read(page, shard.spare.get()));
 
       // If every frame is pinned (or the shard has no capacity), refuse
-      // to cache and hand the caller its own copy.
-      if (MakeRoom(&shard)) {
-        shard.lru.emplace_front();
-        PoolFrame& frame = shard.lru.front();
-        frame.page = page;
-        frame.data = std::move(data);
-        frame.pins = 1;
+      // to cache and hand the caller the block as its own copy.
+      if (PoolFrame* frame = MakeRoom(&shard, page)) {
+        frame->data.swap(shard.spare);
+        frame->pins = 1;
+        frame->prefetched = false;
         ++shard.pinned_frames;
-        shard.map[page] = shard.lru.begin();
-        result = PageGuard(this, &shard, &frame);
+        result = PageGuard(this, &shard, frame);
       } else {
-        result = PageGuard(std::move(data), page, device_->block_size());
+        result = PageGuard(std::move(shard.spare), page, block);
       }
     }
   }
@@ -178,7 +190,7 @@ size_t BufferPool::Prefetch(std::span<const PageId> pages) {
           continue;
         }
         sp.req_index.push_back(reqs.size());
-        bufs.push_back(std::make_unique<std::byte[]>(block));
+        bufs.push_back(std::make_unique_for_overwrite<std::byte[]>(block));
         BlockReadRequest req;
         req.page = p;
         req.buf = bufs.back().get();
@@ -213,14 +225,10 @@ size_t BufferPool::Prefetch(std::span<const PageId> pages) {
       BlockReadRequest& req = reqs[ri];
       if (!req.status.ok()) continue;
       if (shard.map.count(req.page) != 0) continue;  // a Pin raced us in
-      if (!MakeRoom(&shard)) continue;  // same rule as a miss
-      shard.lru.emplace_front();
-      PoolFrame& frame = shard.lru.front();
-      frame.page = req.page;
-      frame.data = std::move(bufs[ri]);
-      frame.pins = 0;
-      frame.prefetched = true;
-      shard.map[req.page] = shard.lru.begin();
+      PoolFrame* frame = MakeRoom(&shard, req.page);  // same rule as a miss
+      if (frame == nullptr) continue;
+      frame->data.swap(bufs[ri]);
+      frame->prefetched = true;
       ++shard.prefetch_staged;
       ++staged_total;
     }

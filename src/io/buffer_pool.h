@@ -13,7 +13,13 @@
 //    (zero-copy: the traversal layer wraps a ConstNodeView directly over
 //    pool memory instead of memcpy-ing every block into a private buffer);
 //  * a frame's refcount keeps it resident: eviction and Invalidate() never
-//    free memory a guard still points at.
+//    free memory a guard still points at;
+//  * a miss on a full shard reuses its least-recently-used unpinned frame:
+//    the page is read into the shard's spare block, which then trades
+//    buffers with that frame, and the frame and its page-table node take
+//    the new page id.  So a pool that has filled up serves hits and misses
+//    without allocating, and a failed read leaves every cached page where
+//    it was.
 //
 // The pool is a pure read cache: callers that modify pages write to the
 // device directly and must Invalidate() the page (bulk loaders build trees
@@ -59,6 +65,11 @@ struct PoolShard {
   std::list<PoolFrame> lru;       // cached frames, most-recently-used first
   std::list<PoolFrame> detached;  // invalidated but still pinned
   std::unordered_map<PageId, std::list<PoolFrame>::iterator> map;
+  // Every miss reads into this block.  On success it trades buffers with
+  // the frame that takes the page (or becomes a new frame's, or an
+  // unpooled copy's, buffer and is allocated again by the next miss), so
+  // a failed read changes no frame.
+  std::unique_ptr<std::byte[]> spare;
   size_t capacity = 0;
   size_t pinned_frames = 0;  // cached (non-detached) frames with pins > 0
   uint64_t hits = 0;
@@ -184,10 +195,11 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
   /// \brief Pins `page` and returns a zero-copy guard over its bytes in
-  /// `out`.  A hit costs no device I/O; a miss reads the block once and
-  /// may evict the least-recently-used *unpinned* frame of the page's
-  /// shard.  If every frame of the shard is pinned, the pool refuses to
-  /// evict and serves the caller an unpooled copy instead.
+  /// `out`.  A hit costs no device I/O; a miss reads the block once and,
+  /// on a full shard, reuses the shard's least-recently-used *unpinned*
+  /// frame for it.  If every frame of the shard is pinned, the pool
+  /// refuses to evict and serves the caller an unpooled copy instead.  A
+  /// failed read returns its error and leaves the pool as it was.
   Status Pin(PageId page, PageGuard* out);
 
   /// \brief Advisory readahead: stages `pages` into the cache as unpinned

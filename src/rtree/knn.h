@@ -3,15 +3,22 @@
 // §1.1 notes that "many types of queries can be answered efficiently using
 // an R-tree"; besides window queries, distance queries are the other
 // workhorse.  This is the best-first traversal of Hjaltason and Samet with
-// a k-best bound.  Two heaps drive it:
+// a k-best bound.  Two structures drive it:
 //
-//  * a frontier min-heap holding only node entries {MINDIST, page}, popped
-//    in (distance, page) order;
+//  * a frontier of node entries {MINDIST, page}, popped in (distance, page)
+//    order.  Each expansion appends the children it keeps to one array as
+//    a batch, and a small min-heap holds one cursor per non-empty batch,
+//    keyed on the batch's least remaining entry.  Until leaves are read
+//    the bound is loose and an expansion keeps nearly every child, but few
+//    of them are ever popped: a child costs one append, and a pop costs
+//    one scan of the rest of its batch plus a heap step over the batches.
+//    Page ids are unique, so nodes pop in the same order as from one heap
+//    of every child;
 //  * a max-heap of at most k candidate records ordered by (distance, id),
 //    whose top is the current k-th best.
 //
 // Once k candidates are held, a child or record *strictly* farther than
-// the k-th candidate is dropped instead of pushed, and the search stops
+// the k-th candidate is dropped instead of kept, and the search stops
 // when the nearest frontier node is strictly farther.  So a node is
 // expanded exactly when its MINDIST (taken from its parent's entry; a root
 // counts as 0) is <= the final k-th distance, in (distance, page) order.
@@ -24,8 +31,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "rtree/node_scan.h"
@@ -78,9 +85,9 @@ Real MinDist(const std::array<Real, D>& p, const Rect<D>& r) {
 /// returned distance (all nodes if fewer than k records are returned).
 /// `pool` (optional) caches node reads.  With pool readahead enabled
 /// (BufferPool::set_readahead) each internal expansion prefetches, in one
-/// batch, the children it pushed onto the frontier; a pruned child is
-/// never visited and is not prefetched.  Best-first order still makes some
-/// of those speculative (the bound may tighten before a pushed child is
+/// batch, the children it kept for the frontier; a pruned child is never
+/// visited and is not prefetched.  Best-first order still makes some of
+/// those speculative (the bound may tighten before a kept child is
 /// popped), which is the access-adaptive wager the pool's
 /// prefetch_useful/prefetch_staged ratio reports on.  Visit counters and
 /// results are identical with readahead on or off.
@@ -121,32 +128,68 @@ std::vector<Neighbor<D>> KnnSearchFrom(const RTree<D>& tree,
     if (within(dist)) offer(rec, dist);
   }
 
+  // The frontier.  Batch [begin, end) of `entries` holds the children one
+  // expansion kept (the roots form the first batch); its cursor's `next`
+  // advances over the popped ones, and entries[next] is always the batch's
+  // least remaining (distance, page) entry.  `cursors` is a min-heap over
+  // those least entries.
   struct Entry {
     Real dist;
     PageId page;
-    int max_level;  // PinNode's bound: kAnyLevel for a root
+  };
+  struct Cursor {
+    size_t next;
+    size_t end;
+    int max_level;  // PinNode's bound for the batch: kAnyLevel for roots
   };
   auto farther = [](const Entry& a, const Entry& b) {
     if (a.dist != b.dist) return a.dist > b.dist;
     return a.page > b.page;
   };
-  std::priority_queue<Entry, std::vector<Entry>, decltype(farther)> frontier(
-      farther);
-  for (PageId root : roots) {
-    if (root != kInvalidPageId) {
-      frontier.push(Entry{0.0, root, RTree<D>::kAnyLevel});
+  std::vector<Entry> entries;
+  std::vector<Cursor> cursors;
+  auto cursor_farther = [&](const Cursor& a, const Cursor& b) {
+    return farther(entries[a.next], entries[b.next]);
+  };
+  // Moves the least entry of the batch's rest to entries[c.next].
+  auto select_least = [&](const Cursor& c) {
+    size_t least = c.next;
+    for (size_t i = c.next + 1; i < c.end; ++i) {
+      if (farther(entries[least], entries[i])) least = i;
     }
+    std::swap(entries[c.next], entries[least]);
+  };
+  // Closes the batch appended since `begin`; an empty one gets no cursor.
+  auto push_batch = [&](size_t begin, int max_level) {
+    if (begin == entries.size()) return;
+    cursors.push_back(Cursor{begin, entries.size(), max_level});
+    select_least(cursors.back());
+    std::push_heap(cursors.begin(), cursors.end(), cursor_farther);
+  };
+  for (PageId root : roots) {
+    if (root != kInvalidPageId) entries.push_back(Entry{0.0, root});
   }
+  push_batch(0, RTree<D>::kAnyLevel);
 
   QueryStats local;
   const bool readahead = pool != nullptr && pool->readahead_enabled();
-  std::vector<PageId> pushed;  // children pushed by the current expansion
+  std::vector<PageId> kept;  // children kept by the current expansion
   PageGuard guard;  // hoisted: pool-less searches reuse one buffer
   NodeScanner<D> scan;  // batched MINDIST scratch (rtree/node_scan.h)
-  while (!frontier.empty() && within(frontier.top().dist)) {
-    const Entry top = frontier.top();
-    frontier.pop();
-    tree.PinNode(top.page, pool, &guard, top.max_level);
+  while (!cursors.empty() && within(entries[cursors.front().next].dist)) {
+    // Pop the least entry and re-key its batch's cursor on the next one.
+    std::pop_heap(cursors.begin(), cursors.end(), cursor_farther);
+    Cursor& popped = cursors.back();
+    const Entry top = entries[popped.next];
+    const int max_level = popped.max_level;
+    if (++popped.next == popped.end) {
+      cursors.pop_back();
+    } else {
+      select_least(popped);
+      std::push_heap(cursors.begin(), cursors.end(), cursor_farther);
+    }
+
+    tree.PinNode(top.page, pool, &guard, max_level);
     ConstNodeView<D> node(guard.data(), tree.block_size());
     ++local.nodes_visited;
     // One batched squared-MINDIST pass per node; std::sqrt(d2[i]) is
@@ -164,16 +207,17 @@ std::vector<Neighbor<D>> KnnSearchFrom(const RTree<D>& tree,
       }
     } else {
       ++local.internal_visited;
-      if (readahead) pushed.clear();
-      const int child_level = node.level() - 1;
+      if (readahead) kept.clear();
+      const size_t begin = entries.size();
       for (int i = 0; i < node.count(); ++i) {
         const Real dist = std::sqrt(d2[i]);
         if (!within(dist)) continue;
-        frontier.push(Entry{dist, node.GetId(i), child_level});
-        if (readahead) pushed.push_back(node.GetId(i));
+        entries.push_back(Entry{dist, node.GetId(i)});
+        if (readahead) kept.push_back(node.GetId(i));
       }
-      if (readahead && pushed.size() >= 2) {
-        pool->Prefetch(std::span<const PageId>(pushed));
+      push_batch(begin, node.level() - 1);
+      if (readahead && kept.size() >= 2) {
+        pool->Prefetch(std::span<const PageId>(kept));
       }
     }
   }

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <list>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "io/block_device.h"
 #include "io/buffer_pool.h"
 #include "io/stream.h"
+#include "util/random.h"
 
 namespace prtree {
 namespace {
@@ -263,6 +267,302 @@ TEST(BufferPoolTest, PrefetchRespectsCapacityAndPins) {
   // A capacity-0 pool never stages (there is nowhere to put a frame).
   BufferPool uncached(&dev, 0);
   EXPECT_EQ(uncached.Prefetch(std::span<const PageId>(pages)), 0u);
+}
+
+// A miss whose device read fails must leave a full shard exactly as it
+// was: the frame it would have reused keeps its page and its LRU place.
+TEST(BufferPoolTest, FailedMissOnAFullShardLeavesThePoolAsItWas) {
+  MemoryBlockDevice dev(256);
+  std::vector<PageId> pages;
+  std::vector<std::byte> block(256);
+  for (int i = 0; i < 4; ++i) {
+    pages.push_back(dev.Allocate());
+    std::memset(block.data(), 0x20 + i, 256);
+    ASSERT_TRUE(dev.Write(pages.back(), block.data()).ok());
+  }
+  BufferPool pool(&dev, 3, /*num_shards=*/1);
+  auto touch = [&](int i) {
+    PageGuard g;
+    ASSERT_TRUE(pool.Pin(pages[i], &g).ok());
+    EXPECT_EQ(g.data()[255], static_cast<std::byte>(0x20 + i));
+  };
+  touch(0);
+  touch(1);
+  touch(2);  // LRU order, most recent first: 2, 1, 0
+
+  dev.InjectReadFault(pages[3]);
+  {
+    PageGuard g;
+    Status st = pool.Pin(pages[3], &g);
+    EXPECT_EQ(st.code(), StatusCode::kIoError);
+    EXPECT_FALSE(g.valid());
+  }
+  dev.ClearFaults();
+  EXPECT_EQ(pool.size(), 3u);
+  EXPECT_EQ(pool.pinned(), 0u);
+  EXPECT_EQ(pool.misses(), 4u);  // the failed miss still counts
+
+  touch(0);  // the frame the miss would have reused still hits: 0, 2, 1
+  EXPECT_EQ(pool.hits(), 1u);
+  touch(3);  // reuses 1's frame: 3, 0, 2
+  touch(2);
+  touch(0);
+  EXPECT_EQ(pool.hits(), 3u);
+  touch(1);  // 1 was the least recently used
+  EXPECT_EQ(pool.misses(), 6u);
+}
+
+// A plain exact-LRU model of the pool: per shard, a list of frames most
+// recently used first (found by linear search) plus the pinned frames
+// that Invalidate/Clear detached.  Eviction erases the victim and inserts
+// a new frame, as a textbook LRU does.
+class PoolModel {
+ public:
+  struct Frame {
+    PageId page;
+    uint8_t version;  // the page's fill byte when this frame read it
+    int pins;
+    bool prefetched;
+    bool detached;
+  };
+
+  PoolModel(size_t capacity, size_t num_shards) : shards_(num_shards) {
+    for (size_t i = 0; i < num_shards; ++i) {
+      shards_[i].capacity =
+          capacity / num_shards + (i < capacity % num_shards ? 1 : 0);
+    }
+    total_capacity_ = capacity;
+  }
+
+  // The frame now pinned for `page` (nullptr: an unpooled copy), or
+  // false when the read fails.
+  bool Pin(PageId page, uint8_t version, bool read_ok, Frame** out) {
+    Shard& s = ShardFor(page);
+    auto it = Find(&s, page);
+    if (it != s.lru.end()) {
+      ++hits;
+      s.lru.splice(s.lru.begin(), s.lru, it);
+      if (it->prefetched) {
+        it->prefetched = false;
+        ++prefetch_useful;
+      }
+      ++it->pins;
+      *out = &*it;
+      return true;
+    }
+    ++misses;
+    if (!read_ok) return false;
+    *out = Insert(&s, Frame{page, version, 1, false, false});
+    return true;
+  }
+
+  void Unpin(Frame* f) {
+    if (--f->pins > 0 || !f->detached) return;
+    for (Shard& s : shards_) {
+      s.detached.remove_if([f](const Frame& d) { return &d == f; });
+    }
+  }
+
+  void Invalidate(PageId page) {
+    Shard& s = ShardFor(page);
+    auto it = Find(&s, page);
+    if (it != s.lru.end()) Drop(&s, it);
+  }
+
+  void Clear() {
+    for (Shard& s : shards_) {
+      while (!s.lru.empty()) Drop(&s, s.lru.begin());
+    }
+  }
+
+  // Prefetch's plan, read and stage steps; `failed` pages fail to read.
+  size_t Prefetch(const std::vector<PageId>& pages,
+                  const std::vector<uint8_t>& versions, PageId failed) {
+    if (total_capacity_ == 0) return 0;
+    std::vector<std::vector<PageId>> planned(shards_.size());
+    std::vector<PageId> seen;
+    for (size_t si = 0; si < shards_.size(); ++si) {
+      Shard& s = shards_[si];
+      size_t stageable = s.capacity;
+      for (const Frame& f : s.lru) stageable -= f.pins > 0 ? 1 : 0;
+      for (PageId p : pages) {
+        if (p % shards_.size() != si) continue;
+        if (std::find(seen.begin(), seen.end(), p) != seen.end()) continue;
+        seen.push_back(p);
+        if (Find(&s, p) != s.lru.end()) continue;
+        if (planned[si].size() < stageable) planned[si].push_back(p);
+      }
+    }
+    size_t staged = 0;
+    for (size_t si = 0; si < shards_.size(); ++si) {
+      for (PageId p : planned[si]) {
+        if (p == failed) continue;
+        if (Insert(&shards_[si], Frame{p, versions[p], 0, true, false})) {
+          ++prefetch_staged;
+          ++staged;
+        }
+      }
+    }
+    return staged;
+  }
+
+  size_t size() const {
+    size_t n = 0;
+    for (const Shard& s : shards_) n += s.lru.size();
+    return n;
+  }
+  size_t pinned() const {
+    size_t n = 0;
+    for (const Shard& s : shards_) {
+      for (const Frame& f : s.lru) n += f.pins > 0 ? 1 : 0;
+      n += s.detached.size();
+    }
+    return n;
+  }
+
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t prefetch_staged = 0;
+  uint64_t prefetch_useful = 0;
+
+ private:
+  struct Shard {
+    size_t capacity = 0;
+    std::list<Frame> lru;
+    std::list<Frame> detached;
+  };
+
+  Shard& ShardFor(PageId page) { return shards_[page % shards_.size()]; }
+  static std::list<Frame>::iterator Find(Shard* s, PageId page) {
+    return std::find_if(s->lru.begin(), s->lru.end(),
+                        [page](const Frame& f) { return f.page == page; });
+  }
+  // Caches `frame` at the LRU front, first erasing the least recently
+  // used unpinned frame if the shard is full; nullptr if all are pinned.
+  static Frame* Insert(Shard* s, const Frame& frame) {
+    if (s->lru.size() >= s->capacity) {
+      auto victim = std::find_if(s->lru.rbegin(), s->lru.rend(),
+                                 [](const Frame& f) { return f.pins == 0; });
+      if (victim == s->lru.rend()) return nullptr;
+      s->lru.erase(std::next(victim).base());
+    }
+    s->lru.push_front(frame);
+    return &s->lru.front();
+  }
+  static void Drop(Shard* s, std::list<Frame>::iterator it) {
+    if (it->pins == 0) {
+      s->lru.erase(it);
+    } else {
+      it->detached = true;
+      s->detached.splice(s->detached.begin(), s->lru, it);
+    }
+  }
+
+  std::vector<Shard> shards_;
+  size_t total_capacity_ = 0;
+};
+
+// Random Pins (some guards held across steps, some reads failing),
+// Invalidates after device updates, Clears and Prefetches, checked after
+// every step against PoolModel: hits, misses, size(), pinned(), the
+// prefetch counters and the bytes under every live guard.
+TEST(BufferPoolTest, MatchesAnExactLruModelUnderRandomOperations) {
+  constexpr size_t kBlock = 64;
+  constexpr int kPages = 13;
+  for (size_t capacity : {size_t{0}, size_t{1}, size_t{7}}) {
+    for (size_t shards : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) + ", shards " +
+                   std::to_string(shards));
+      MemoryBlockDevice dev(kBlock);
+      std::vector<uint8_t> version(kPages);
+      std::vector<std::byte> block(kBlock);
+      auto write = [&](PageId p, uint8_t v) {
+        version[p] = v;
+        std::memset(block.data(), v, kBlock);
+        ASSERT_TRUE(dev.Write(p, block.data()).ok());
+      };
+      for (int i = 0; i < kPages; ++i) {
+        ASSERT_EQ(dev.Allocate(), static_cast<PageId>(i));
+        write(i, static_cast<uint8_t>(16 * i));
+      }
+      BufferPool pool(&dev, capacity, shards);
+      PoolModel model(capacity, pool.num_shards());
+      struct Held {
+        PageGuard guard;
+        PoolModel::Frame* frame;  // nullptr: an unpooled copy
+        uint8_t version;
+      };
+      std::list<Held> held;
+      Rng rng(capacity * 10 + shards);
+      auto random_page = [&] {
+        return static_cast<PageId>(rng.UniformInt(0, kPages - 1));
+      };
+
+      for (int step = 0; step < 3000; ++step) {
+        const uint64_t op = rng.UniformInt(0, 99);
+        if (op < 55) {
+          const PageId p = random_page();
+          const bool fail = rng.Chance(0.1);
+          if (fail) dev.InjectReadFault(p);
+          Held h{PageGuard(), nullptr, version[p]};
+          const bool ok = model.Pin(p, version[p], !fail, &h.frame);
+          if (h.frame != nullptr) h.version = h.frame->version;
+          ASSERT_EQ(pool.Pin(p, &h.guard).ok(), ok) << step;
+          dev.ClearFaults();
+          if (ok) {
+            ASSERT_EQ(h.guard.page(), p);
+            if (held.size() < 3 && rng.Chance(0.4)) {
+              held.push_back(std::move(h));
+            } else {
+              EXPECT_EQ(h.guard.data()[kBlock - 1],
+                        static_cast<std::byte>(h.version));
+              h.guard.Release();
+              if (h.frame != nullptr) model.Unpin(h.frame);
+            }
+          }
+        } else if (op < 65) {
+          if (!held.empty()) {
+            auto it = held.begin();
+            std::advance(it, rng.UniformInt(0, held.size() - 1));
+            it->guard.Release();
+            if (it->frame != nullptr) model.Unpin(it->frame);
+            held.erase(it);
+          }
+        } else if (op < 78) {
+          const PageId p = random_page();
+          if (rng.Chance(0.5)) write(p, static_cast<uint8_t>(version[p] + 1));
+          pool.Invalidate(p);
+          model.Invalidate(p);
+        } else if (op < 80) {
+          pool.Clear();
+          model.Clear();
+        } else {
+          std::vector<PageId> pages(rng.UniformInt(1, 6));
+          for (PageId& p : pages) p = random_page();
+          const PageId failed = rng.Chance(0.2) ? pages[0] : kInvalidPageId;
+          if (failed != kInvalidPageId) dev.InjectReadFault(failed);
+          EXPECT_EQ(pool.Prefetch(std::span<const PageId>(pages)),
+                    model.Prefetch(pages, version, failed))
+              << step;
+          dev.ClearFaults();
+        }
+
+        ASSERT_EQ(pool.hits(), model.hits) << step;
+        ASSERT_EQ(pool.misses(), model.misses) << step;
+        ASSERT_EQ(pool.size(), model.size()) << step;
+        ASSERT_EQ(pool.pinned(), model.pinned()) << step;
+        ASSERT_EQ(pool.prefetch_staged(), model.prefetch_staged) << step;
+        ASSERT_EQ(pool.prefetch_useful(), model.prefetch_useful) << step;
+        for (const Held& h : held) {
+          ASSERT_EQ(h.guard.data()[0], static_cast<std::byte>(h.version));
+          ASSERT_EQ(h.guard.data()[kBlock - 1],
+                    static_cast<std::byte>(h.version));
+        }
+      }
+      for (Held& h : held) h.guard.Release();
+      EXPECT_EQ(pool.pinned(), 0u);
+    }
+  }
 }
 
 struct TestRec {

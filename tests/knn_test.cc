@@ -187,27 +187,20 @@ TEST(KnnTest, ReadaheadPoolGivesIdenticalNeighborsAndStats) {
 
 // The visit counters are pinned by definition: a node is expanded exactly
 // when its MINDIST is <= the final k-th distance, on either node layout.
-// The tie case stores one rectangle under many distinct ids across several
-// leaves, so the k-th distance is shared by many records and nodes.
-TEST(KnnVisitCountTest, StaticTreeExpandsExactlyTheNodesWithinTheKthDistance) {
-  auto data = RandomRects<2>(3000, 31);
-  for (DataId i = 0; i < 200; ++i) {
-    data.push_back(Record2{MakeRect(0.40, 0.40, 0.42, 0.41), 5000 + i});
-  }
-  Rng rng(37);
-  std::vector<std::array<Real, 2>> points{{0.41, 0.405}, {0.30, 0.40}};
-  for (int q = 0; q < 10; ++q) {
-    points.push_back({rng.Uniform(-0.2, 1.2), rng.Uniform(-0.2, 1.2)});
-  }
+// Checks that, and the neighbours against brute force, for a PR-tree over
+// `data` at `block_size` and every point and k.
+void ExpectStaticVisitCounts(size_t block_size,
+                             const std::vector<Record2>& data,
+                             const std::vector<std::array<Real, 2>>& points,
+                             const std::vector<size_t>& ks) {
   for (NodeLayout layout : {NodeLayout::kAoS, NodeLayout::kSoA}) {
     ScopedLayout pin(layout);
-    MemoryBlockDevice dev(512);
+    MemoryBlockDevice dev(block_size);
     RTree<2> tree(&dev);
     AbortIfError(MakeBulkLoader(LoaderKind::kPrTree, {.memory_bytes = 4u << 20})
                      ->Build(&dev, data, &tree));
     for (const auto& p : points) {
-      for (size_t k : {size_t{1}, size_t{16}, size_t{150}, size_t{250},
-                       data.size() + 5}) {
+      for (size_t k : ks) {
         QueryStats stats;
         auto got = KnnSearch<2>(tree, p, k, &stats);
         ExpectSameNeighbors(got, BruteForceKnn<2>(data, p, k));
@@ -222,15 +215,54 @@ TEST(KnnVisitCountTest, StaticTreeExpandsExactlyTheNodesWithinTheKthDistance) {
   }
 }
 
+// `n` random records, plus 200 that share one rectangle under distinct ids
+// across several leaves, so the k-th distance is shared by many records
+// and nodes.
+std::vector<Record2> TiedRecords(size_t n) {
+  auto data = RandomRects<2>(n, 31);
+  for (DataId i = 0; i < 200; ++i) {
+    data.push_back(Record2{MakeRect(0.40, 0.40, 0.42, 0.41),
+                           static_cast<DataId>(n + 2000 + i)});
+  }
+  return data;
+}
+
+// One point inside TiedRecords' shared rectangle, one beside it, and ten
+// random points, some outside the unit square.
+std::vector<std::array<Real, 2>> VisitCountPoints() {
+  Rng rng(37);
+  std::vector<std::array<Real, 2>> points{{0.41, 0.405}, {0.30, 0.40}};
+  for (int q = 0; q < 10; ++q) {
+    points.push_back({rng.Uniform(-0.2, 1.2), rng.Uniform(-0.2, 1.2)});
+  }
+  return points;
+}
+
+TEST(KnnVisitCountTest, StaticTreeExpandsExactlyTheNodesWithinTheKthDistance) {
+  const auto data = TiedRecords(3000);
+  ExpectStaticVisitCounts(512, data, VisitCountPoints(),
+                          {1, 16, 150, 250, data.size() + 5});
+}
+
+// 4 KB nodes hold up to 113 entries, so an expansion's frontier batch
+// holds up to 113 children: select_least and the cursor heap run on wide
+// batches.
+TEST(KnnVisitCountTest, StaticTreeAt4KbBlocksExpandsExactlyTheNodesWithin) {
+  const auto data = TiedRecords(20000);
+  ExpectStaticVisitCounts(4096, data, VisitCountPoints(), {1, 16, 150});
+}
+
 // The forest counterpart: one search over every level expands each
 // occupied level's root, plus every node of any level whose MINDIST is <=
-// the k-th *live* distance (buffer records and tombstones in play).
-TEST(KnnVisitCountTest, ForestExpandsEachRootAndTheNodesWithinTheKthDistance) {
-  MemoryBlockDevice dev(512);
+// the k-th *live* distance.  Every fifth of `n` inserted records is
+// deleted (tombstones), and six more stay in the insert buffer.
+void ExpectForestVisitCounts(size_t block_size, size_t buffer_capacity,
+                             size_t n, const std::vector<size_t>& ks) {
+  MemoryBlockDevice dev(block_size);
   DynamicPrTreeOptions opts;
-  opts.buffer_capacity = 13;
+  opts.buffer_capacity = buffer_capacity;
   DynamicPRTree<2> index(WorkEnv{&dev, 1u << 20}, opts);
-  auto data = RandomRects<2>(1500, 41);
+  auto data = RandomRects<2>(n, 41);
   for (const auto& rec : data) index.Insert(rec);
   std::vector<Record2> live;
   for (const auto& rec : data) {
@@ -240,7 +272,7 @@ TEST(KnnVisitCountTest, ForestExpandsEachRootAndTheNodesWithinTheKthDistance) {
       live.push_back(rec);
     }
   }
-  for (DataId id = 3000; id < 3006; ++id) {  // a few records stay buffered
+  for (DataId id = 2 * n; id < 2 * n + 6; ++id) {  // a few stay buffered
     live.push_back(Record2{MakeRect(0.5, 0.5, 0.5, 0.5), id});
     index.Insert(live.back());
   }
@@ -254,7 +286,7 @@ TEST(KnnVisitCountTest, ForestExpandsEachRootAndTheNodesWithinTheKthDistance) {
   Rng rng(43);
   for (int q = 0; q < 12; ++q) {
     std::array<Real, 2> p{rng.Uniform(-0.2, 1.2), rng.Uniform(-0.2, 1.2)};
-    for (size_t k : {size_t{1}, size_t{16}, size_t{100}, live.size() + 5}) {
+    for (size_t k : ks) {
       QueryStats stats;
       auto got = snap.Knn(p, k, &stats);
       ExpectSameNeighbors(got, BruteForceKnn<2>(live, p, k));
@@ -268,6 +300,20 @@ TEST(KnnVisitCountTest, ForestExpandsEachRootAndTheNodesWithinTheKthDistance) {
       EXPECT_EQ(stats.leaves_visited, expect.leaves_visited) << k;
       EXPECT_EQ(stats.results, got.size());
     }
+  }
+}
+
+TEST(KnnVisitCountTest, ForestExpandsEachRootAndTheNodesWithinTheKthDistance) {
+  // k = 1500 exceeds the 1,206 live records: every node is expanded.
+  ExpectForestVisitCounts(512, 13, 1500, {1, 16, 100, 1500});
+}
+
+// 20k records at one block's buffer (113) make a level of over 14k
+// records, whose leaves' parent holds a full node of entries.
+TEST(KnnVisitCountTest, ForestAt4KbBlocksExpandsEachRootAndTheNodesWithin) {
+  for (NodeLayout layout : {NodeLayout::kAoS, NodeLayout::kSoA}) {
+    ScopedLayout pin(layout);
+    ExpectForestVisitCounts(4096, 113, 20000, {1, 16, 150});
   }
 }
 
